@@ -8,30 +8,28 @@ range, 2 verification failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import decimal
+import functools
 import json
 import math
+import operator
 import sys
-from typing import Any
+from typing import Any, Iterable
 
 from .dynamics import NumericOptions
-from .errors import ConfigError, PhotonBoxError, RangeError
+from .errors import ConfigError, PhotonBoxError
 from .operators import BoxParams, FreeFall, Harmonic, PhysConstants
 from .oracle import OracleConfig
-from .scenario import Measurement, Scenario, run_scenario, sweep, verify
+from .scenario import Measurement, Scenario, SweepRow, run_scenario, sweep, verify
 from .states import Route
 
-__all__ = ["main", "load_config", "sci", "sci17"]
+__all__ = ["main", "load_config", "sci", "sci17", "sweep_csv"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
-
-SWEEP_COLUMNS = (
-    "t,chi_p_qcl,chi_q_qcl,dq,dp,dqcl,dm_p,dm_q,dE_p,dE_q,dT,"
-    "prod_p,prod_q,bound_ET,valid,degenerate_p,degenerate_q"
-)
 
 
 # =============================================================================
@@ -69,22 +67,41 @@ def sci(x: float) -> str:
     return ("-" if sign else "") + mantissa + "e" + str(sci_exp)
 
 
+def _bare_exponents(text: str) -> str:
+    """Rewrite every ``%e`` exponent in text to its bare form: e+05 -> e5, e-05 -> e-5."""
+    return text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
+
+
 def sci17(x: float) -> str:
     """Fixed 17-significant-digit scientific notation with a bare exponent.
 
-    Example: 0.5 -> ``5.0000000000000000e-1``.
+    Example: 0.5 -> ``5.0000000000000000e-1``.  Zero of either sign is
+    ``0.0000000000000000e0``; nan and infinities are ``nan``/``inf``/``-inf``.
     """
-    token = _nonfinite_token(x)
-    if token is not None:
-        return token
-    if x == 0.0:
-        return "0.0000000000000000e0"
-    mantissa, exponent = f"{x:.16e}".split("e")
-    return f"{mantissa}e{int(exponent)}"
+    return _bare_exponents("%.16e" % (x + 0.0))
 
 
 def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
+
+
+# The sweep CSV schema is SweepRow's: one column per field, in field order.
+# Booleans print as true/false.  Floats print as in sci17: adding 0.0 maps
+# -0.0 to 0.0, and the exponents of the whole body are rewritten at once.
+_SWEEP_FIELDS = dataclasses.fields(SweepRow)
+_IS_BOOL = [f.type in ("bool", bool) for f in _SWEEP_FIELDS]
+SWEEP_HEADER = ",".join(f.name for f in _SWEEP_FIELDS)
+_ROW_LINE = ",".join("%s" if b else "%.16e" for b in _IS_BOOL) + "\n"
+_CELLS = tuple(_fmt_bool if b else functools.partial(operator.add, 0.0) for b in _IS_BOOL)
+_row_values = operator.attrgetter(*(f.name for f in _SWEEP_FIELDS))
+
+
+def sweep_csv(rows: Iterable[SweepRow]) -> str:
+    """The sweep CSV: header, then one sci17-formatted line per row, LF endings."""
+    body = "".join(
+        [_ROW_LINE % tuple([cell(v) for cell, v in zip(_CELLS, _row_values(row))]) for row in rows]
+    )
+    return SWEEP_HEADER + "\n" + _bare_exponents(body)
 
 
 def _jsonable(x: Any) -> Any:
@@ -297,34 +314,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     s = load_config(args.config)
-    rows = sweep(s, args.t_min, args.t_max, args.steps)
-    out_lines = [SWEEP_COLUMNS]
-    for row in rows:
-        out_lines.append(
-            ",".join(
-                [
-                    sci17(row.t),
-                    sci17(row.chi_p_qcl),
-                    sci17(row.chi_q_qcl),
-                    sci17(row.dq),
-                    sci17(row.dp),
-                    sci17(row.dqcl),
-                    sci17(row.dm_p),
-                    sci17(row.dm_q),
-                    sci17(row.dE_p),
-                    sci17(row.dE_q),
-                    sci17(row.dT),
-                    sci17(row.prod_p),
-                    sci17(row.prod_q),
-                    sci17(row.bound_ET),
-                    _fmt_bool(row.valid),
-                    _fmt_bool(row.degenerate_p),
-                    _fmt_bool(row.degenerate_q),
-                ]
-            )
-        )
+    text = sweep_csv(sweep(s, args.t_min, args.t_max, args.steps))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out_lines) + "\n")
+        fh.write(text)
     return EXIT_OK
 
 
@@ -389,9 +381,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except PhotonBoxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,7 +17,8 @@ the initial set {q(0), p(0), qcl(0), 1, m} and are represented as
 :class:`~photonbox.operators.OperatorCoeffs`.  Two independent routes are
 provided for both the operator frames and the two clock commutators:
 
-* closed form (:func:`evolve_closed`, :func:`commutator_closed`), and
+* closed form (:func:`closed_form_grid`, with :func:`evolve_closed` and
+  :func:`commutator_closed` as its single-time views), and
 * fixed-step classical fourth-order integration (:func:`evolve_numeric`,
   :func:`commutator_ode`).
 """
@@ -45,6 +46,7 @@ __all__ = [
     "Pair",
     "NumericOptions",
     "HeisenbergFrame",
+    "closed_form_grid",
     "evolve_closed",
     "evolve_numeric",
     "evolve_numeric_grid",
@@ -53,7 +55,12 @@ __all__ = [
     "commutator_ode_grid",
 ]
 
-# Coefficient slot order used by the numeric route: (q, p, cl, 1, m).
+# Row and column names of a (3, 5) frame coefficient block, in array order;
+# the numeric route uses the same slots.
+_OPERATORS = ("Q", "P", "Qcl")
+_COEFFS = ("a_q", "a_p", "a_cl", "a_1", "a_m")
+_FRAME_NAMES = [f"{op}.{c}" for op in _OPERATORS for c in _COEFFS]
+_CHI_NAMES = ("chi_p_qcl", "chi_q_qcl")
 _SLOT_ONE = 3
 _SLOT_M = 4
 
@@ -89,19 +96,25 @@ class HeisenbergFrame:
     P: OperatorCoeffs
     Qcl: OperatorCoeffs
 
+    @classmethod
+    def from_coefficients(cls, t: float, rows: np.ndarray) -> HeisenbergFrame:
+        """Frame from a (3, 5) coefficient block, as returned by :func:`closed_form_grid`."""
+        Q, P, Qcl = (OperatorCoeffs(*row) for row in rows.tolist())
+        return cls(t=t, Q=Q, P=P, Qcl=Qcl)
+
+    def coefficients(self) -> np.ndarray:
+        """The (3, 5) coefficient block of Q, P, Qcl; inverse of :meth:`from_coefficients`."""
+        return np.array(
+            [[getattr(op, c) for c in _COEFFS] for op in (self.Q, self.P, self.Qcl)]
+        )
+
     def coefficient_matrix(self) -> np.ndarray:
         """3x3 matrix of (a_q, a_p, a_cl) rows for Q, P, Qcl.
 
         This is the linear map that transports moments of the initial
         operators to moments of the propagated ones.
         """
-        return np.array(
-            [
-                [self.Q.a_q, self.Q.a_p, self.Q.a_cl],
-                [self.P.a_q, self.P.a_p, self.P.a_cl],
-                [self.Qcl.a_q, self.Qcl.a_p, self.Qcl.a_cl],
-            ]
-        )
+        return self.coefficients()[:, :3]
 
     def symplectic_chi(self) -> float:
         """chi of [Q(t), P(t)]; equals 1 for any unitary evolution."""
@@ -113,8 +126,100 @@ def _check_time(t: float) -> None:
         raise InvalidTime(f"elapsed time must be finite and >= 0, got {t!r}")
 
 
+def _check_finite(ts: np.ndarray, frames: np.ndarray, chis: np.ndarray) -> None:
+    """Raise InvalidTime naming the first non-finite coefficient and its t."""
+    if math.isfinite(frames.sum() + chis.sum()):
+        return  # the sum of finite values may still overflow; then look closer
+    for values, names in ((frames.reshape(len(ts), -1), _FRAME_NAMES), (chis, _CHI_NAMES)):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise InvalidTime(
+                f"closed-form {names[j]} is not finite at t={float(ts[i])!r}: "
+                f"got {float(values[i, j])!r}"
+            )
+
+
+def closed_form_grid(
+    consts: PhysConstants, box: BoxParams, ts: Sequence[float] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form frames and clock commutators on a grid of backward times.
+
+    Parameters
+    ----------
+    consts : PhysConstants
+        Physical constants.
+    box : BoxParams
+        Box mass, photon mass, and suspension potential.
+    ts : array_like of float
+        Elapsed backward times, each finite and >= 0.
+
+    Returns
+    -------
+    frames : ndarray, shape (N, 3, 5)
+        Rows Q(t), P(t), Qcl(t); columns the coefficients of q(0), p(0),
+        qcl(0), 1 and m.  At t = 0 the frame is the identity.
+    chis : ndarray, shape (N, 2)
+        chi of [P(t), Qcl(t)] and of [Q(t), Qcl(t)].  Both vanish at t = 0
+        and grow with the elapsed time; for the harmonic suspension they
+        oscillate and return to zero at every full period of the box.
+
+    Raises
+    ------
+    InvalidTime
+        If a time is negative or not finite, or if a coefficient or
+        commutator overflows; the message names it and the first t at
+        which it is not finite.
+    """
+    t = np.asarray(ts, dtype=float)
+    bad_t = ~(np.isfinite(t) & (t >= 0))
+    if bad_t.any():
+        _check_time(float(t[bad_t][0]))
+    g = consts.g
+    c2 = consts.c * consts.c
+    M = box.M
+    frames = np.zeros((len(t), 3, 5))
+    chis = np.empty((len(t), 2))
+    q_row, p_row, qcl_row = frames[:, 0], frames[:, 1], frames[:, 2]
+    qcl_row[:, 2] = 1.0
+    qcl_row[:, 3] = t
+    with np.errstate(all="ignore"):
+        if isinstance(box.potential, Harmonic):
+            k = box.potential.k
+            w = math.sqrt(k / M)
+            wt = w * t
+            sw = np.sin(wt)
+            cw = np.cos(wt)
+            q_row[:, 0] = cw
+            q_row[:, 1] = sw / (M * w)
+            q_row[:, 4] = (g / k) * (cw - 1.0)
+            p_row[:, 0] = -M * w * sw
+            p_row[:, 1] = cw
+            p_row[:, 4] = -(M * w * g / k) * sw
+            qcl_row[:, 0] = -(g / c2) * sw / w
+            qcl_row[:, 1] = -(g / c2) * (1.0 - cw) / (M * w * w)
+            qcl_row[:, 4] = -(g * g / (k * c2)) * (sw / w - t)
+            chis[:, 0] = g * sw / (w * c2)
+            chis[:, 1] = g * (1.0 - cw) / (M * w * w * c2)
+        else:
+            q_row[:, 0] = 1.0
+            q_row[:, 1] = t / M
+            q_row[:, 4] = -g * t * t / (2.0 * M)
+            p_row[:, 1] = 1.0
+            p_row[:, 4] = -g * t
+            qcl_row[:, 0] = -(g / c2) * t
+            qcl_row[:, 1] = -(g / c2) * t * t / (2.0 * M)
+            qcl_row[:, 4] = g * g * t * t * t / (6.0 * M * c2)
+            chis[:, 0] = g * t / c2
+            chis[:, 1] = g * t * t / (2.0 * M * c2)
+        _check_finite(t, frames, chis)
+    return frames, chis
+
+
 def evolve_closed(consts: PhysConstants, box: BoxParams, t: float) -> HeisenbergFrame:
     """Closed-form Heisenberg frame at backward time t.
+
+    The single-time case of :func:`closed_form_grid`.
 
     Parameters
     ----------
@@ -131,51 +236,8 @@ def evolve_closed(consts: PhysConstants, box: BoxParams, t: float) -> Heisenberg
         Q(t), P(t), Qcl(t) as affine combinations of the initial set.  At
         t = 0 the frame is the identity.
     """
-    _check_time(t)
-    g = consts.g
-    c2 = consts.c * consts.c
-    M = box.M
-    if isinstance(box.potential, Harmonic):
-        k = box.potential.k
-        w = math.sqrt(k / M)
-        wt = w * t
-        sw = math.sin(wt)
-        cw = math.cos(wt)
-        q_row = OperatorCoeffs(
-            a_q=cw,
-            a_p=sw / (M * w),
-            a_m=(g / k) * (cw - 1.0),
-        )
-        p_row = OperatorCoeffs(
-            a_q=-M * w * sw,
-            a_p=cw,
-            a_m=-(M * w * g / k) * sw,
-        )
-        qcl_row = OperatorCoeffs(
-            a_q=-(g / c2) * sw / w,
-            a_p=-(g / c2) * (1.0 - cw) / (M * w * w),
-            a_cl=1.0,
-            a_1=t,
-            a_m=-(g * g / (k * c2)) * (sw / w - t),
-        )
-    else:
-        q_row = OperatorCoeffs(
-            a_q=1.0,
-            a_p=t / M,
-            a_m=-g * t * t / (2.0 * M),
-        )
-        p_row = OperatorCoeffs(
-            a_p=1.0,
-            a_m=-g * t,
-        )
-        qcl_row = OperatorCoeffs(
-            a_q=-(g / c2) * t,
-            a_p=-(g / c2) * t * t / (2.0 * M),
-            a_cl=1.0,
-            a_1=t,
-            a_m=g * g * t * t * t / (6.0 * M * c2),
-        )
-    return HeisenbergFrame(t=t, Q=q_row, P=p_row, Qcl=qcl_row)
+    frames, _ = closed_form_grid(consts, box, [t])
+    return HeisenbergFrame.from_coefficients(t, frames[0])
 
 
 def commutator_closed(
@@ -183,9 +245,7 @@ def commutator_closed(
 ) -> CommutatorValue:
     """Closed-form clock commutator at backward time t.
 
-    Both commutators vanish at t = 0 and grow with the elapsed backward
-    time; for the harmonic suspension they oscillate and return to zero at
-    every full period of the box.
+    The single-time case of :func:`closed_form_grid`.
 
     Parameters
     ----------
@@ -199,23 +259,8 @@ def commutator_closed(
     CommutatorValue
         chi with [X(t), Qcl(t)] = i*hbar*chi.
     """
-    _check_time(t)
-    g = consts.g
-    c2 = consts.c * consts.c
-    M = box.M
-    if isinstance(box.potential, Harmonic):
-        w = math.sqrt(box.potential.k / M)
-        wt = w * t
-        if pair is Pair.P_QCL:
-            chi = g * math.sin(wt) / (w * c2)
-        else:
-            chi = g * (1.0 - math.cos(wt)) / (M * w * w * c2)
-    else:
-        if pair is Pair.P_QCL:
-            chi = g * t / c2
-        else:
-            chi = g * t * t / (2.0 * M * c2)
-    return CommutatorValue(chi)
+    _, chis = closed_form_grid(consts, box, [t])
+    return CommutatorValue(float(chis[0, 0 if pair is Pair.P_QCL else 1]))
 
 
 # =============================================================================
@@ -285,19 +330,6 @@ def _check_grid(ts: Sequence[float]) -> None:
         prev = t
 
 
-def _rows_to_frame(t: float, rows: np.ndarray) -> HeisenbergFrame:
-    def coeffs(row: np.ndarray) -> OperatorCoeffs:
-        return OperatorCoeffs(
-            a_q=float(row[0]),
-            a_p=float(row[1]),
-            a_cl=float(row[2]),
-            a_1=float(row[3]),
-            a_m=float(row[4]),
-        )
-
-    return HeisenbergFrame(t=t, Q=coeffs(rows[0]), P=coeffs(rows[1]), Qcl=coeffs(rows[2]))
-
-
 def evolve_numeric_grid(
     consts: PhysConstants,
     box: BoxParams,
@@ -324,7 +356,7 @@ def evolve_numeric_grid(
             R, r = _rk4_maps(G, src, h)
             for _ in range(n):
                 rows = R @ rows + r
-        frames.append(_rows_to_frame(t, rows))
+        frames.append(HeisenbergFrame.from_coefficients(t, rows))
         t_prev = t
     return frames
 

@@ -7,6 +7,7 @@ identical scenario values produce bit-identical results.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -17,9 +18,8 @@ from .dynamics import (
     HeisenbergFrame,
     NumericOptions,
     Pair,
-    commutator_closed,
+    closed_form_grid,
     commutator_ode_grid,
-    evolve_closed,
     evolve_numeric_grid,
 )
 from .errors import InvalidTime, RangeError
@@ -30,11 +30,8 @@ from .states import (
     GaussianState,
     InferenceReport,
     Route,
-    check_bound,
-    mass_uncertainty,
-    photon_inference,
+    infer_grid,
     prepare_post_measurement_state,
-    propagate_state,
 )
 
 __all__ = [
@@ -146,25 +143,21 @@ def run_scenario(s: Scenario) -> RunResult:
     Prepares the post-measurement state, propagates it to the emission
     time, evaluates both clock commutators and their Robertson bounds, and
     infers the photon energy/arrival-time spreads along the scenario's
-    measurement route.
+    measurement route.  The single-time case of :func:`infer_grid`.
     """
-    consts, box, t = s.constants, s.box, s.t_emit
-    state0 = s.initial_state()
-    frame = evolve_closed(consts, box, t)
-    state_t = propagate_state(frame, state0, box.m, hbar=consts.hbar)
-    dq, dp, dqcl = (float(v) for v in state_t.spreads)
-    chi_p = commutator_closed(Pair.P_QCL, consts, box, t)
-    chi_q = commutator_closed(Pair.Q_QCL, consts, box, t)
+    grid = infer_grid(s.constants, s.box, s.initial_state(), [s.t_emit])
+    chi_p, chi_q = grid.chi[0].tolist()
+    dq, dp, dqcl = grid.spreads[0].tolist()
     return RunResult(
-        report=photon_inference(consts, box, state0, s.measurement.route, t),
-        frame=frame,
-        chi_p_qcl=chi_p.chi,
-        chi_q_qcl=chi_q.chi,
+        report=grid.report(0, s.measurement.route),
+        frame=grid.frame(0),
+        chi_p_qcl=chi_p,
+        chi_q_qcl=chi_q,
         dq=dq,
         dp=dp,
         dqcl=dqcl,
-        check_p=check_bound(state_t, chi_p, Pair.P_QCL, consts),
-        check_q=check_bound(state_t, chi_q, Pair.Q_QCL, consts),
+        check_p=grid.check(0, Pair.P_QCL),
+        check_q=grid.check(0, Pair.Q_QCL),
     )
 
 
@@ -172,7 +165,8 @@ def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> list[SweepRow]
     """Sweep the emission time over a uniform grid.
 
     Both inference routes are evaluated from the same propagated state at
-    every grid point, so their columns stay directly comparable.
+    every grid point, so their columns stay directly comparable.  One
+    :func:`infer_grid` evaluation covers the whole grid.
 
     Raises
     ------
@@ -185,41 +179,18 @@ def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> list[SweepRow]
         raise RangeError(f"need 0 <= t_min < t_max, got [{t_min!r}, {t_max!r}]")
     if steps < 2:
         raise RangeError(f"steps must be >= 2, got {steps}")
-    consts, box = s.constants, s.box
-    c2 = consts.c * consts.c
-    state0 = s.initial_state()
-    rows = []
-    for t in np.linspace(t_min, t_max, steps):
-        t = float(t)
-        frame = evolve_closed(consts, box, t)
-        state_t = propagate_state(frame, state0, box.m, hbar=consts.hbar)
-        dq, dp, dqcl = (float(v) for v in state_t.spreads)
-        est_p = mass_uncertainty(frame, Route.P, dp, consts, box)
-        est_q = mass_uncertainty(frame, Route.Q, dq, consts, box)
-        dE_p = math.inf if est_p.degenerate else c2 * est_p.dm
-        dE_q = math.inf if est_q.degenerate else c2 * est_q.dm
-        rows.append(
-            SweepRow(
-                t=t,
-                chi_p_qcl=commutator_closed(Pair.P_QCL, consts, box, t).chi,
-                chi_q_qcl=commutator_closed(Pair.Q_QCL, consts, box, t).chi,
-                dq=dq,
-                dp=dp,
-                dqcl=dqcl,
-                dm_p=est_p.dm,
-                dm_q=est_q.dm,
-                dE_p=dE_p,
-                dE_q=dE_q,
-                dT=dqcl,
-                prod_p=math.inf if est_p.degenerate else dE_p * dqcl,
-                prod_q=math.inf if est_q.degenerate else dE_q * dqcl,
-                bound_ET=consts.hbar / 2.0,
-                valid=est_p.valid,
-                degenerate_p=est_p.degenerate,
-                degenerate_q=est_q.degenerate,
-            )
-        )
-    return rows
+    grid = infer_grid(s.constants, s.box, s.initial_state(), np.linspace(t_min, t_max, steps))
+    dq, dp, dqcl = grid.spreads.T.tolist()
+    chi_p, chi_q = grid.chi.T.tolist()
+    dm_p, dm_q = grid.dm.T.tolist()
+    dE_p, dE_q = grid.dE.T.tolist()
+    prod_p, prod_q = grid.product.T.tolist()
+    deg_p, deg_q = grid.degenerate.T.tolist()
+    columns = (
+        grid.t.tolist(), chi_p, chi_q, dq, dp, dqcl, dm_p, dm_q, dE_p, dE_q, dqcl,
+        prod_p, prod_q, itertools.repeat(grid.hbar / 2.0), grid.valid.tolist(), deg_p, deg_q,
+    )
+    return [SweepRow(*row) for row in zip(*columns)]
 
 
 def _unit_floor_dev(value: float, ref: float) -> float:
@@ -269,15 +240,10 @@ def verify(
     T = t_max if t_max is not None else (s.t_emit if s.t_emit > 0 else 4.0)
     ts = [float(t) for t in np.linspace(0.0, T, grid)]
 
-    closed = [evolve_closed(consts, box, t) for t in ts]
+    frames, chis = closed_form_grid(consts, box, ts)
+    closed = [HeisenbergFrame.from_coefficients(t, rows) for t, rows in zip(ts, frames)]
     numeric = evolve_numeric_grid(consts, box, ts, s.numeric)
-    chi_closed = [
-        (
-            commutator_closed(Pair.P_QCL, consts, box, t).chi,
-            commutator_closed(Pair.Q_QCL, consts, box, t).chi,
-        )
-        for t in ts
-    ]
+    chi_closed = chis.tolist()
     chi_ode = commutator_ode_grid(consts, box, ts, s.numeric)
 
     frame_dev = max(_frame_dev(n, c) for n, c in zip(numeric, closed))
@@ -326,10 +292,8 @@ def verify(
             T_o = min(T, 4.0)
         ts_o = [float(t) for t in np.linspace(0.0, T_o, 5) if t == 0.0 or t >= cfg.step]
         block_p = block_q = probe_p = probe_q = 0.0
-        for t in ts_o:
+        for t, (ref_p, ref_q) in zip(ts_o, closed_form_grid(consts, box, ts_o)[1].tolist()):
             mats = oracle_evolve(ws, consts, box, t)
-            ref_p = commutator_closed(Pair.P_QCL, consts, box, t).chi
-            ref_q = commutator_closed(Pair.Q_QCL, consts, box, t).chi
             oc_p = oracle_commutator(ws, mats.p, mats.qcl, ws.vacuum, chi_ref=ref_p)
             oc_q = oracle_commutator(ws, mats.q, mats.qcl, ws.vacuum, chi_ref=ref_q)
             block_p = max(block_p, oc_p.block_dev / max(1.0, abs(ref_p)))

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import HeisenbergFrame, Pair, evolve_closed
+from .dynamics import HeisenbergFrame, Pair, closed_form_grid
 from .errors import (
     InvalidMixture,
     InvalidPrecision,
@@ -40,11 +40,13 @@ __all__ = [
     "MassEstimate",
     "BoundCheck",
     "InferenceReport",
+    "InferenceGrid",
     "MixtureMoments",
     "TimeEnergyDiagnostic",
     "BOUND_SLACK",
     "DEGENERACY_ATOL",
     "MIN_DEVICE_PRECISION",
+    "infer_grid",
     "propagate_state",
     "check_bound",
     "mass_uncertainty",
@@ -83,6 +85,11 @@ class Denominator(enum.Enum):
     MEAN_CLOCK_RATE = "mean_clock_rate"
 
 
+def _spreads(sigma: np.ndarray) -> np.ndarray:
+    """Standard deviations from the diagonal of one or a stack of covariances."""
+    return np.sqrt(np.maximum(np.diagonal(sigma, axis1=-2, axis2=-1), 0.0))
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """First and second moments over (q, p, qcl).
@@ -110,7 +117,7 @@ class GaussianState:
     @property
     def spreads(self) -> np.ndarray:
         """Standard deviations (dq, dp, dqcl)."""
-        return np.sqrt(np.maximum(np.diag(self.sigma), 0.0))
+        return _spreads(self.sigma)
 
     def validate(self, hbar: float | None = None) -> None:
         """Check the structural invariants, and quantum validity if hbar given.
@@ -222,6 +229,145 @@ class TimeEnergyDiagnostic:
     bound: float
 
 
+def _propagate(
+    frames: np.ndarray, state0: GaussianState, m: float, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means (N, 3) and covariances (N, 3, 3) of Q, P, Qcl along frames (N, 3, 5)."""
+    mu_q, mu_p, mu_cl = state0.mu.tolist()
+    a = frames
+    S = frames[..., :3]
+    with np.errstate(all="ignore"):
+        # mean_of(X) for every row X, term by term in mean_of's order
+        mu_t = a[..., 0] * mu_q + a[..., 1] * mu_p + a[..., 2] * mu_cl + a[..., 3] + a[..., 4] * m
+        sigma_t = S @ state0.sigma @ S.swapaxes(-1, -2)
+        sigma_t = 0.5 * (sigma_t + sigma_t.swapaxes(-1, -2))
+        all_finite = math.isfinite(mu_t.sum() + sigma_t.sum())
+    if not all_finite:  # the sum of finite values may still overflow; then look closer
+        finite = np.isfinite(mu_t).all(axis=1) & np.isfinite(sigma_t).all(axis=(1, 2))
+        if not finite.all():
+            t = float(ts[np.argmin(finite)])
+            raise InvalidState(f"propagated moments are not finite at t={t!r}")
+    return mu_t, sigma_t
+
+
+def _mass_rule(
+    a_m: np.ndarray, dx: np.ndarray, ts: np.ndarray, box: BoxParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dm = dX/|a_m| and the degeneracy flag per entry, the validity flag per t.
+
+    Where |a_m| < DEGENERACY_ATOL the measurement carries no mass
+    information: dm is ``inf`` and the row is degenerate.  The harmonic
+    analysis is valid for w*t < 0.1*M/m; free fall is always valid.
+    """
+    coeff = np.abs(a_m)
+    degenerate = coeff < DEGENERACY_ATOL
+    dm = np.full(np.shape(coeff), math.inf)
+    np.divide(dx, coeff, out=dm, where=~degenerate)
+    if isinstance(box.potential, Harmonic):
+        valid = box.omega * ts * box.m < 0.1 * box.M
+    else:
+        valid = np.ones(np.shape(ts), dtype=bool)
+    return dm, degenerate, valid
+
+
+# Array columns of the two inference routes, and of the two clock pairs.
+_ROUTES = (Route.P, Route.Q)
+_PAIRS = (Pair.P_QCL, Pair.Q_QCL)
+
+
+@dataclass(frozen=True)
+class InferenceGrid:
+    """Both inference routes on a grid of emission times, as arrays.
+
+    Route columns are (P, Q) and pair columns (P_QCL, Q_QCL).  ``spreads``
+    holds (dq, dp, dqcl); the arrival-time spread is dT = dqcl.  On a
+    degenerate entry (no mass information) dm, dE and product are ``inf``.
+    The methods give one time's frame, report and bound check as the
+    single-time functions return them.
+    """
+
+    t: np.ndarray  # (N,)
+    frames: np.ndarray  # (N, 3, 5), as from closed_form_grid
+    chi: np.ndarray  # (N, 2)
+    spreads: np.ndarray  # (N, 3)
+    dm: np.ndarray  # (N, 2)
+    dE: np.ndarray  # (N, 2)
+    product: np.ndarray  # (N, 2)
+    degenerate: np.ndarray  # (N, 2)
+    valid: np.ndarray  # (N,)
+    hbar: float
+
+    def frame(self, i: int) -> HeisenbergFrame:
+        return HeisenbergFrame.from_coefficients(float(self.t[i]), self.frames[i])
+
+    def report(self, i: int, route: Route) -> InferenceReport:
+        j = _ROUTES.index(route)
+        return InferenceReport(
+            route=route,
+            t=float(self.t[i]),
+            dm=float(self.dm[i, j]),
+            dE=float(self.dE[i, j]),
+            dT=float(self.spreads[i, 2]),
+            product=float(self.product[i, j]),
+            bound=self.hbar / 2.0,
+            valid=bool(self.valid[i]),
+            degenerate=bool(self.degenerate[i, j]),
+        )
+
+    def check(self, i: int, pair: Pair) -> BoundCheck:
+        """:func:`check_bound` for one clock pair at time index i."""
+        dq, dp, dqcl = self.spreads[i].tolist()
+        dx = dp if pair is Pair.P_QCL else dq
+        return _robertson(dx, dqcl, float(self.chi[i, _PAIRS.index(pair)]), self.hbar)
+
+
+def infer_grid(
+    consts: PhysConstants,
+    box: BoxParams,
+    state0: GaussianState,
+    ts: Sequence[float] | np.ndarray,
+) -> InferenceGrid:
+    """Evaluate frames, commutators, spreads and both routes' inference at once.
+
+    ``state0`` is validated once, against the quantum uncertainty
+    invariant.  Every time is propagated by one batched S Sigma S^T, and
+    the measured box spread of each route converts into dm = dX/|a_m| and
+    dE = c**2*dm, reported next to the product dE*dT and the bound hbar/2.
+
+    Raises
+    ------
+    InvalidState
+        If ``state0`` is invalid, or a propagated moment overflows.
+    InvalidTime
+        From :func:`~photonbox.dynamics.closed_form_grid`.
+    """
+    state0.validate(consts.hbar)
+    t = np.asarray(ts, dtype=float)
+    frames, chi = closed_form_grid(consts, box, t)
+    # The means are unused here, but an overflowing mean still raises.
+    _, sigma = _propagate(frames, state0, box.m, t)
+    spreads = _spreads(sigma)
+    # Route P measures P(t) (row 1, spread dp); route Q measures Q(t) (row 0, dq).
+    dm, degenerate, valid = _mass_rule(frames[:, 1::-1, 4], spreads[:, 1::-1], t, box)
+    with np.errstate(all="ignore"):
+        dE = consts.c * consts.c * dm
+        product = dE * spreads[:, 2:]
+    dE[degenerate] = math.inf
+    product[degenerate] = math.inf
+    return InferenceGrid(
+        t=t,
+        frames=frames,
+        chi=chi,
+        spreads=spreads,
+        dm=dm,
+        dE=dE,
+        product=product,
+        degenerate=degenerate,
+        valid=valid,
+        hbar=consts.hbar,
+    )
+
+
 def propagate_state(
     frame: HeisenbergFrame,
     state0: GaussianState,
@@ -249,17 +395,8 @@ def propagate_state(
         Sigma(t) = S Sigma(0) S^T with S the frame coefficient matrix.
     """
     state0.validate(hbar)
-    mu_t = np.array(
-        [
-            mean_of(frame.Q, state0.mu, m),
-            mean_of(frame.P, state0.mu, m),
-            mean_of(frame.Qcl, state0.mu, m),
-        ]
-    )
-    S = frame.coefficient_matrix()
-    sigma_t = S @ state0.sigma @ S.T
-    sigma_t = 0.5 * (sigma_t + sigma_t.T)
-    return GaussianState(mu=mu_t, sigma=sigma_t)
+    mu_t, sigma_t = _propagate(frame.coefficients()[None], state0, m, np.array([frame.t]))
+    return GaussianState(mu=mu_t[0], sigma=sigma_t[0])
 
 
 def check_bound(
@@ -276,9 +413,12 @@ def check_bound(
     """
     spreads = state_t.spreads
     dx = float(spreads[1] if pair is Pair.P_QCL else spreads[0])
-    dy = float(spreads[2])
+    return _robertson(dx, float(spreads[2]), chi.chi, consts.hbar)
+
+
+def _robertson(dx: float, dy: float, chi: float, hbar: float) -> BoundCheck:
     product = dx * dy
-    bound = consts.hbar * abs(chi.chi) / 2.0
+    bound = hbar * abs(chi) / 2.0
     return BoundCheck(
         dx=dx,
         dy=dy,
@@ -314,14 +454,8 @@ def mass_uncertainty(
     if not (math.isfinite(dx) and dx >= 0):
         raise ValueError(f"dx must be finite and >= 0, got {dx!r}")
     op = frame.P if route is Route.P else frame.Q
-    coeff = abs(op.a_m)
-    degenerate = coeff < DEGENERACY_ATOL
-    dm = math.inf if degenerate else dx / coeff
-    if isinstance(box.potential, Harmonic):
-        valid = box.omega * frame.t * box.m < 0.1 * box.M
-    else:
-        valid = True
-    return MassEstimate(dm=dm, valid=valid, degenerate=degenerate)
+    dm, degenerate, valid = _mass_rule(np.array(op.a_m), np.array(dx), np.array(frame.t), box)
+    return MassEstimate(dm=float(dm), valid=bool(valid), degenerate=bool(degenerate))
 
 
 def photon_inference(
@@ -337,30 +471,10 @@ def photon_inference(
     reads the arrival-time spread off the clock, dT = dQcl(t), converts the
     measured box spread into dm and dE = c**2*dm, and reports the product
     dE*dT next to the bound hbar/2.  On a degenerate frame (no mass
-    information) dm, dE, and the product are all ``inf``.
+    information) dm, dE, and the product are all ``inf``.  The single-time,
+    single-route view of :func:`infer_grid`.
     """
-    frame = evolve_closed(consts, box, t)
-    state_t = propagate_state(frame, state0, box.m, hbar=consts.hbar)
-    dq, dp, dqcl = (float(s) for s in state_t.spreads)
-    dx = dp if route is Route.P else dq
-    est = mass_uncertainty(frame, route, dx, consts, box)
-    if est.degenerate:
-        dE = math.inf
-        product = math.inf
-    else:
-        dE = consts.c * consts.c * est.dm
-        product = dE * dqcl
-    return InferenceReport(
-        route=route,
-        t=t,
-        dm=est.dm,
-        dE=dE,
-        dT=dqcl,
-        product=product,
-        bound=consts.hbar / 2.0,
-        valid=est.valid,
-        degenerate=est.degenerate,
-    )
+    return infer_grid(consts, box, state0, [t]).report(0, route)
 
 
 def prepare_post_measurement_state(

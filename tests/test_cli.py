@@ -6,9 +6,10 @@ import pathlib
 import subprocess
 import sys
 
-import pytest
+from hypothesis import given, strategies as st
 
-from photonbox.cli import main, sci, sci17
+from photonbox import SweepRow
+from photonbox.cli import main, sci, sci17, sweep_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
 CONFIG = DATA / "reference_config.json"
@@ -39,6 +40,43 @@ def test_sci_shortest_round_trip():
 def test_sci_round_trips_exactly():
     for x in (0.5, 2.0000002499999843, 1.000000499999875, 3.14159e-7, -12345.678):
         assert float(sci(x)) == x
+
+
+def legacy_sci17(x):
+    """sci17 as it was written before the row writer: the formatting reference."""
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    if x == 0.0:
+        return "0.0000000000000000e0"
+    mantissa, exponent = f"{x:.16e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
+# Every float64, plus the cases the exponent rewrite must get right.
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+     1e-100, 1e100, -1.7976931348623157e308, 1.0, 1e-5, 1e5, 9.999999999999999e9]
+)
+ANY_FLOAT = st.one_of(st.floats(allow_nan=True, allow_infinity=True), EDGE_FLOATS)
+
+
+@given(ANY_FLOAT)
+def test_sci17_matches_legacy(x):
+    assert sci17(x) == legacy_sci17(x)
+
+
+@given(st.lists(st.tuples(st.lists(ANY_FLOAT, min_size=14, max_size=14),
+                          st.lists(st.booleans(), min_size=3, max_size=3)), max_size=4))
+def test_sweep_csv_matches_legacy_cells(cells):
+    rows = [SweepRow(*floats, *flags) for floats, flags in cells]
+    expected = [
+        ",".join([legacy_sci17(x) for x in floats] + ["true" if b else "false" for b in flags])
+        for floats, flags in cells
+    ]
+    lines = sweep_csv(rows).split("\n")
+    assert lines[1:] == expected + [""]
 
 
 def test_sci17_fixed_width():
@@ -247,3 +285,26 @@ def test_unwritable_output_exits_3():
 
 def test_unknown_subcommand_exits_1():
     assert main(["frobnicate"]) == 1
+
+
+def _assert_overflow_error(proc):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Q.a_m" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_overflow_exits_1(tmp_path):
+    cfg = json.loads(CONFIG.read_text())
+    cfg["time"]["t_emit"] = 1e300
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(cfg))
+    _assert_overflow_error(run_cli("run", "--config", str(p)))
+
+
+def test_sweep_overflow_exits_1(tmp_path):
+    out = tmp_path / "x.csv"
+    args = ["--t-min", "0", "--t-max", "1e300", "--steps", "8", "--out", str(out)]
+    proc = run_cli("sweep", "--config", str(CONFIG), *args)
+    _assert_overflow_error(proc)
+    assert not out.exists()

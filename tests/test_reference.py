@@ -1,0 +1,296 @@
+"""The array-valued core against the scalar per-time pipeline it replaced.
+
+The reference below is the loop `sweep` and `run_scenario` ran one time at
+a time before both became views of one array evaluation: scalar
+``math.sin``/``math.cos`` closed forms, one 3x3 propagation per time and
+the mass rule per route.  It calls nothing from photonbox's evaluation
+path (no ``closed_form_grid``, ``evolve_closed``, ``propagate_state`` or
+``mass_uncertainty``), and the core must reproduce it bit for bit: the
+arithmetic and its order are unchanged, and ``np.sin``/``np.cos`` agree
+with ``math.sin``/``math.cos`` on every value these grids produce.
+"""
+
+import dataclasses
+import math
+import random
+
+import numpy as np
+import pytest
+
+from photonbox import (
+    BoxParams,
+    FreeFall,
+    Harmonic,
+    InvalidTime,
+    Measurement,
+    PhysConstants,
+    Route,
+    Scenario,
+    SweepRow,
+    run_scenario,
+    sweep,
+)
+
+DEGENERACY_ATOL = 1e-12
+SI = dict(hbar=1.054571817e-34, c=299792458.0, g=9.81)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference
+# ---------------------------------------------------------------------------
+
+
+def ref_frame(consts, box, t):
+    """Rows Q, P, Qcl of (a_q, a_p, a_cl, a_1, a_m) at backward time t."""
+    g = consts.g
+    c2 = consts.c * consts.c
+    M = box.M
+    if isinstance(box.potential, Harmonic):
+        k = box.potential.k
+        w = math.sqrt(k / M)
+        wt = w * t
+        sw = math.sin(wt)
+        cw = math.cos(wt)
+        return [
+            [cw, sw / (M * w), 0.0, 0.0, (g / k) * (cw - 1.0)],
+            [-M * w * sw, cw, 0.0, 0.0, -(M * w * g / k) * sw],
+            [
+                -(g / c2) * sw / w,
+                -(g / c2) * (1.0 - cw) / (M * w * w),
+                1.0,
+                t,
+                -(g * g / (k * c2)) * (sw / w - t),
+            ],
+        ]
+    return [
+        [1.0, t / M, 0.0, 0.0, -g * t * t / (2.0 * M)],
+        [0.0, 1.0, 0.0, 0.0, -g * t],
+        [-(g / c2) * t, -(g / c2) * t * t / (2.0 * M), 1.0, t, g * g * t * t * t / (6.0 * M * c2)],
+    ]
+
+
+def ref_chi(consts, box, t):
+    """(chi_p_qcl, chi_q_qcl) at backward time t."""
+    g = consts.g
+    c2 = consts.c * consts.c
+    M = box.M
+    if isinstance(box.potential, Harmonic):
+        w = math.sqrt(box.potential.k / M)
+        wt = w * t
+        return g * math.sin(wt) / (w * c2), g * (1.0 - math.cos(wt)) / (M * w * w * c2)
+    return g * t / c2, g * t * t / (2.0 * M * c2)
+
+
+def ref_propagate(rows, state0, m):
+    """Means and covariance of Q, P, Qcl: mean_of per row, S Sigma S^T."""
+    mu_q, mu_p, mu_cl = state0.mu
+    mu = [r[0] * mu_q + r[1] * mu_p + r[2] * mu_cl + r[3] + r[4] * m for r in rows]
+    S = np.array([r[:3] for r in rows])
+    sigma = S @ state0.sigma @ S.T
+    sigma = 0.5 * (sigma + sigma.T)
+    return mu, sigma
+
+
+def ref_mass(a_m, dx, t, box):
+    """(dm, valid, degenerate) for one measured spread."""
+    coeff = abs(a_m)
+    degenerate = coeff < DEGENERACY_ATOL
+    dm = math.inf if degenerate else dx / coeff
+    if isinstance(box.potential, Harmonic):
+        valid = box.omega * t * box.m < 0.1 * box.M
+    else:
+        valid = True
+    return dm, valid, degenerate
+
+
+def ref_point(s, t):
+    """Everything the core evaluates at one time, from the scalar pipeline."""
+    consts, box = s.constants, s.box
+    c2 = consts.c * consts.c
+    rows = ref_frame(consts, box, t)
+    mu, sigma = ref_propagate(rows, s.initial_state(), box.m)
+    dq, dp, dqcl = (float(v) for v in np.sqrt(np.maximum(np.diag(sigma), 0.0)))
+    out = {"rows": rows, "mu": mu, "sigma": sigma, "dq": dq, "dp": dp, "dqcl": dqcl}
+    out["chi_p"], out["chi_q"] = ref_chi(consts, box, t)
+    for route, row, dx in (("p", rows[1], dp), ("q", rows[0], dq)):
+        dm, valid, degenerate = ref_mass(row[4], dx, t, box)
+        dE = math.inf if degenerate else c2 * dm
+        out[route] = dict(
+            dm=dm,
+            dE=dE,
+            product=math.inf if degenerate else dE * dqcl,
+            valid=valid,
+            degenerate=degenerate,
+        )
+    return out
+
+
+def ref_sweep(s, t_min, t_max, steps):
+    rows = []
+    for t in np.linspace(t_min, t_max, steps):
+        t = float(t)
+        r = ref_point(s, t)
+        p, q = r["p"], r["q"]
+        rows.append(
+            SweepRow(
+                t=t,
+                chi_p_qcl=r["chi_p"],
+                chi_q_qcl=r["chi_q"],
+                dq=r["dq"],
+                dp=r["dp"],
+                dqcl=r["dqcl"],
+                dm_p=p["dm"],
+                dm_q=q["dm"],
+                dE_p=p["dE"],
+                dE_q=q["dE"],
+                dT=r["dqcl"],
+                prod_p=p["product"],
+                prod_q=q["product"],
+                bound_ET=s.constants.hbar / 2.0,
+                valid=p["valid"],
+                degenerate_p=p["degenerate"],
+                degenerate_q=q["degenerate"],
+            )
+        )
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# bitwise comparison
+# ---------------------------------------------------------------------------
+
+
+def bits(value):
+    """A float's exact bit pattern (so -0.0 != 0.0 and nan == nan); bools as is."""
+    if isinstance(value, bool):
+        return value
+    assert type(value) is float, type(value)
+    return value.hex()
+
+
+def row_bits(row):
+    return tuple(bits(v) for v in dataclasses.astuple(row))
+
+
+def assert_sweep_matches(s, t_min, t_max, steps):
+    got = sweep(s, t_min, t_max, steps)
+    ref = ref_sweep(s, t_min, t_max, steps)
+    assert len(got) == len(ref) == steps
+    for i, (g, r) in enumerate(zip(got, ref)):
+        assert row_bits(g) == row_bits(r), f"row {i} (t={r.t!r})"
+
+
+def assert_run_matches(s):
+    got = run_scenario(s)
+    ref = ref_point(s, s.t_emit)
+    route = ref[s.measurement.route.value]
+    rep = got.report
+    assert rep.route is s.measurement.route
+    assert bits(rep.t) == bits(float(s.t_emit))
+    for name in ("dm", "dE", "product"):
+        assert bits(getattr(rep, name)) == bits(route[name]), name
+    assert bits(rep.dT) == bits(ref["dqcl"])
+    assert bits(rep.bound) == bits(s.constants.hbar / 2.0)
+    assert (rep.valid, rep.degenerate) == (route["valid"], route["degenerate"])
+    for name in ("dq", "dp", "dqcl"):
+        assert bits(getattr(got, name)) == bits(ref[name]), name
+    assert bits(got.chi_p_qcl) == bits(ref["chi_p"])
+    assert bits(got.chi_q_qcl) == bits(ref["chi_q"])
+    frame = [
+        [bits(getattr(op, c)) for c in ("a_q", "a_p", "a_cl", "a_1", "a_m")]
+        for op in (got.frame.Q, got.frame.P, got.frame.Qcl)
+    ]
+    assert frame == [[bits(v) for v in row] for row in ref["rows"]]
+    pairs = ((got.check_p, ref["dp"], ref["chi_p"]), (got.check_q, ref["dq"], ref["chi_q"]))
+    for check, dx, chi in pairs:
+        assert (bits(check.dx), bits(check.dy)) == (bits(dx), bits(ref["dqcl"]))
+        assert bits(check.product) == bits(dx * ref["dqcl"])
+        assert bits(check.bound) == bits(s.constants.hbar * abs(chi) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# scenario families
+# ---------------------------------------------------------------------------
+
+
+def scenario(rng, consts, M, potential, route, dx=None, t_emit=1.0):
+    """A scenario with a random photon mass, clock spread and (unless given) device_dx."""
+    if dx is None:
+        dx = 10 ** rng.uniform(-1, 0.5)
+    return Scenario(
+        constants=consts,
+        box=BoxParams(M=M, m=rng.uniform(0.0, 0.01 * M), potential=potential),
+        measurement=Measurement(route=Route(route), device_dx=dx, device_dcl=rng.uniform(0.0, 0.5)),
+        t_emit=t_emit,
+    )
+
+
+def unit_consts(rng):
+    return PhysConstants(
+        hbar=rng.uniform(0.5, 2.0), c=rng.uniform(1.0, 3.0), g=rng.uniform(0.5, 2.0)
+    )
+
+
+SEEDS = range(4)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_free_fall_sweep_and_run(seed):
+    rng = random.Random(f"free:{seed}")
+    for route in "pq":
+        s = scenario(rng, unit_consts(rng), 10 ** rng.uniform(2, 4), FreeFall(), route)
+        t_min = 0.0 if seed % 2 == 0 else rng.uniform(0.1, 1.0)
+        assert_sweep_matches(s, t_min, t_min + rng.uniform(2.0, 6.0), 257)
+        for t in (0.0, rng.uniform(0.1, 6.0)):
+            assert_run_matches(dataclasses.replace(s, t_emit=t))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_harmonic_sweep_on_revivals(seed):
+    # A grid of periods * 64 + 1 points lands on every revival, where sin and
+    # 1 - cos are rounding noise and the routes go degenerate.
+    rng = random.Random(f"revival:{seed}")
+    for route in "pq":
+        M = 10 ** rng.uniform(2, 4)
+        w = rng.uniform(0.5, 5.0)
+        s = scenario(rng, unit_consts(rng), M, Harmonic(k=M * w * w), route)
+        periods = rng.choice((2, 4, 5, 8))
+        t_max = periods * 2.0 * math.pi / w
+        assert_sweep_matches(s, 0.0, t_max, periods * 64 + 1)
+        rows = sweep(s, 0.0, t_max, periods * 64 + 1)
+        assert any(r.degenerate_p for r in rows[64::64])
+        for t in (2.0 * math.pi / w, rng.uniform(0.5, 4.0)):
+            assert_run_matches(dataclasses.replace(s, t_emit=t))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_soft_spring_sweep_and_run(seed):
+    # M = 1000 with w*t in [5e-3, 5e-2]: the box moves a hundredth of a period.
+    rng = random.Random(f"soft:{seed}")
+    for route in "pq":
+        t = rng.uniform(0.5, 4.0)
+        w = 10 ** rng.uniform(math.log10(5e-3), math.log10(5e-2)) / t
+        s = scenario(rng, unit_consts(rng), 1000.0, Harmonic(k=1000.0 * w * w), route, t_emit=t)
+        assert_sweep_matches(s, 0.0, t, 129)
+        assert_run_matches(s)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_si_units_sweep_and_run(seed):
+    rng = random.Random(f"si:{seed}")
+    consts = PhysConstants(**SI)
+    for route, potential in (("p", FreeFall()), ("q", Harmonic(k=rng.uniform(1.0, 100.0)))):
+        # route p pins a momentum, route q a position
+        dx = 10 ** rng.uniform(-11, -8) if route == "p" else 10 ** rng.uniform(-10, -6)
+        M = rng.uniform(0.5, 2.0)
+        s = scenario(rng, consts, M, potential, route, dx, t_emit=rng.uniform(0.5, 4.0))
+        assert_sweep_matches(s, 0.0, 4.0, 129)
+        assert_run_matches(s)
+
+
+def test_overflow_names_coefficient_and_first_time():
+    s = scenario(random.Random(0), PhysConstants(), 1000.0, FreeFall(), "p", 0.5, t_emit=1e300)
+    with pytest.raises(InvalidTime, match=r"Q\.a_m is not finite at t=1e\+300"):
+        run_scenario(s)
+    with pytest.raises(InvalidTime, match=r"Q\.a_m is not finite at t=2\.5e\+299"):
+        sweep(s, 0.0, 1e300, 5)
