@@ -17,7 +17,7 @@ from photonbox import (
     build_workspace,
     commutator_closed,
     oracle_commutator,
-    oracle_evolve,
+    oracle_evolve_grid,
 )
 
 consts = PhysConstants(hbar=1.0, c=1.0, g=1.0)
@@ -34,8 +34,8 @@ print(f"canonical commutator block deviation at build time: {ccr_dev:.3e}")
 print()
 
 print(f"{'t':>6} {'pair':>8} {'engine chi':>14} {'block dev':>12} {'probe dev':>12}")
-for t in (0.5, 1.0, 2.0, 4.0):
-    frame = oracle_evolve(ws, consts, box, t)
+for frame in oracle_evolve_grid(ws, consts, box, (0.5, 1.0, 2.0, 4.0)):
+    t = frame.t
     for pair, mat in ((Pair.P_QCL, frame.p), (Pair.Q_QCL, frame.q)):
         ref = commutator_closed(pair, consts, box, t).chi
         res = oracle_commutator(ws, mat, frame.qcl, ws.vacuum, chi_ref=ref)

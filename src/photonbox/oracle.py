@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidTime, StepError
+from .dynamics import _check_grid
+from .errors import ConfigError, StepError
 from .operators import BoxParams, PhysConstants
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "OracleCommutator",
     "build_workspace",
     "oracle_evolve",
+    "oracle_evolve_grid",
     "oracle_commutator",
 ]
 
@@ -132,6 +135,100 @@ def build_workspace(config: OracleConfig, consts: PhysConstants) -> OracleWorksp
     )
 
 
+def oracle_evolve_grid(
+    workspace: OracleWorkspace,
+    consts: PhysConstants,
+    box: BoxParams,
+    ts: Sequence[float],
+) -> list[OracleFrame]:
+    """Matrix frames at an ascending grid of backward times, in one pass.
+
+    Q and P follow dQ/dt = P/M, dP/dt = -m*g*I - k*Q under classical
+    fourth-order stepping, integrated once from t = 0 across the grid.  The
+    clock matrix at each grid time is then
+
+        Qcl(t) = t*I - (g/c**2) * integral of Q over [0, t]
+
+    where the integral is a running sum of one composite Simpson quadrature
+    per leg between consecutive grid times, over that leg's ODE nodes.  Each
+    leg takes an even number of equal steps, at least 2 and each no longer
+    than the configured step, so its panels pair up and it ends on its grid
+    time.
+
+    Raises
+    ------
+    InvalidTime
+        If a time is negative or not finite, or the grid is not ascending.
+    StepError
+        If the configured step exceeds the last grid time while that is
+        positive.
+    """
+    ts = [float(t) for t in ts]
+    _check_grid(ts)
+    cfg = workspace.config
+    if ts and 0 < ts[-1] < cfg.step:
+        raise StepError(f"step {cfg.step!r} exceeds target time {ts[-1]!r}")
+    n_dim = cfg.n
+    eye = np.eye(n_dim)
+    M = box.M
+    k = box.spring_k
+    mg = box.m * consts.g
+    g_c2 = consts.g / (consts.c * consts.c)
+
+    # Q and P stacked as one (2, n, n) state, stepped in place.  The
+    # equations of motion have real coefficients, so the arithmetic runs on
+    # the float64 view of the complex state, real and imaginary parts side
+    # by side: numpy would otherwise multiply each entry by a complex
+    # scalar.  In that view the real diagonal of a block has stride 2n + 2.
+    y = np.stack((workspace.q0, workspace.p0))
+    yr = y.view(np.float64)
+    k1, k2, k3, k4, scratch = (np.empty_like(yr) for _ in range(5))
+    simpson = np.empty_like(yr[0])
+    integral = np.zeros((n_dim, n_dim), dtype=complex)  # of Q over [0, t]
+    diag = 2 * n_dim + 2
+
+    def derivative(state: np.ndarray, out: np.ndarray) -> None:
+        np.divide(state[1], M, out=out[0])
+        np.multiply(state[0], -k, out=out[1])
+        source = out[1].reshape(-1)[::diag]
+        source -= mg
+
+    frames = []
+    t_prev = 0.0
+    for t in ts:
+        dt = t - t_prev
+        if dt > 0:
+            steps = max(2, math.ceil(dt / cfg.step - 1e-12))
+            steps += steps % 2
+            h = dt / steps
+            np.copyto(simpson, yr[0])  # node 0, weight 1
+            for i in range(1, steps + 1):
+                derivative(yr, k1)
+                np.multiply(k1, 0.5 * h, out=scratch)
+                scratch += yr
+                derivative(scratch, k2)
+                np.multiply(k2, 0.5 * h, out=scratch)
+                scratch += yr
+                derivative(scratch, k3)
+                np.multiply(k3, h, out=scratch)
+                scratch += yr
+                derivative(scratch, k4)
+                k2 += k3
+                k2 *= 2.0
+                k1 += k2
+                k1 += k4
+                k1 *= h / 6.0
+                yr += k1
+                weight = 1.0 if i == steps else (4.0 if i % 2 else 2.0)
+                np.multiply(yr[0], weight, out=scratch[0])
+                simpson += scratch[0]
+            integral += (h / 3.0) * simpson.view(complex)
+        qcl = t * eye - g_c2 * integral
+        frames.append(OracleFrame(t=t, q=y[0].copy(), p=y[1].copy(), qcl=qcl))
+        t_prev = t
+    return frames
+
+
 def oracle_evolve(
     workspace: OracleWorkspace,
     consts: PhysConstants,
@@ -140,13 +237,8 @@ def oracle_evolve(
 ) -> OracleFrame:
     """Integrate the matrix equations of motion to backward time t.
 
-    Q and P follow dQ/dt = P/M, dP/dt = -m*g*I - k*Q under classical
-    fourth-order stepping; the clock matrix is then assembled as
-
-        Qcl(t) = t*I - (g/c**2) * integral of Q over [0, t]
-
-    with the integral evaluated by composite Simpson quadrature over the
-    ODE nodes (the step count is forced even so panels pair up).
+    The single-time view of :func:`oracle_evolve_grid`; at t = 0 it returns
+    the initial matrices and a zero clock matrix.
 
     Raises
     ------
@@ -155,51 +247,7 @@ def oracle_evolve(
     StepError
         If the configured step exceeds a positive target time.
     """
-    if not math.isfinite(t) or t < 0:
-        raise InvalidTime(f"elapsed time must be finite and >= 0, got {t!r}")
-    cfg = workspace.config
-    n_dim = cfg.n
-    eye = np.eye(n_dim, dtype=complex)
-    if t == 0:
-        return OracleFrame(t=0.0, q=workspace.q0.copy(), p=workspace.p0.copy(), qcl=np.zeros_like(eye))
-    if cfg.step > t:
-        raise StepError(f"step {cfg.step!r} exceeds target time {t!r}")
-
-    steps = max(2, math.ceil(t / cfg.step - 1e-12))
-    if steps % 2:
-        steps += 1
-    h = t / steps
-
-    M = box.M
-    k = box.spring_k
-    g = consts.g
-    c2 = consts.c * consts.c
-    mg_eye = (box.m * g) * eye
-
-    q = workspace.q0.copy()
-    p = workspace.p0.copy()
-    simpson = q.copy()  # node 0, weight 1
-    for i in range(1, steps + 1):
-        k1q = p / M
-        k1p = -mg_eye - k * q
-        q2 = q + 0.5 * h * k1q
-        p2 = p + 0.5 * h * k1p
-        k2q = p2 / M
-        k2p = -mg_eye - k * q2
-        q3 = q + 0.5 * h * k2q
-        p3 = p + 0.5 * h * k2p
-        k3q = p3 / M
-        k3p = -mg_eye - k * q3
-        q4 = q + h * k3q
-        p4 = p + h * k3p
-        k4q = p4 / M
-        k4p = -mg_eye - k * q4
-        q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        weight = 1.0 if i == steps else (4.0 if i % 2 else 2.0)
-        simpson += weight * q
-    qcl = t * eye - (g / c2) * (h / 3.0) * simpson
-    return OracleFrame(t=t, q=q, p=p, qcl=qcl)
+    return oracle_evolve_grid(workspace, consts, box, [t])[0]
 
 
 def oracle_commutator(

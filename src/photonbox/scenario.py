@@ -24,7 +24,7 @@ from .dynamics import (
 )
 from .errors import InvalidTime, RangeError
 from .operators import BoxParams, Harmonic, PhysConstants, commutator
-from .oracle import OracleConfig, build_workspace, oracle_commutator, oracle_evolve
+from .oracle import OracleConfig, build_workspace, oracle_commutator, oracle_evolve_grid
 from .states import (
     BoundCheck,
     GaussianState,
@@ -231,8 +231,16 @@ def verify(
     * the symplectic invariant chi(Q, P) = 1 on both frame routes,
 
     and, when ``use_oracle`` is set, the truncated-Fock matrix commutators
-    (restricted block and vacuum probe) against the engine's chi on a
-    coarser grid.  All deviations are measured relative to max(1, |ref|).
+    (restricted block and vacuum probe) against the engine's chi at five
+    evenly spaced times, integrated in one pass by
+    :func:`~photonbox.oracle.oracle_evolve_grid`.  All deviations are
+    measured relative to max(1, |ref|).
+
+    Raises
+    ------
+    StepError
+        If ``use_oracle`` is set and the oracle step exceeds the last oracle
+        time, so no positive time could be compared.
     """
     if grid < 2:
         raise RangeError(f"grid must be >= 2, got {grid}")
@@ -290,10 +298,10 @@ def verify(
             T_o = min(T, 4.0 / box.omega)
         else:
             T_o = min(T, 4.0)
-        ts_o = [float(t) for t in np.linspace(0.0, T_o, 5) if t == 0.0 or t >= cfg.step]
+        ts_o = [float(t) for t in np.linspace(0.0, T_o, 5)]
+        refs = closed_form_grid(consts, box, ts_o)[1].tolist()
         block_p = block_q = probe_p = probe_q = 0.0
-        for t, (ref_p, ref_q) in zip(ts_o, closed_form_grid(consts, box, ts_o)[1].tolist()):
-            mats = oracle_evolve(ws, consts, box, t)
+        for mats, (ref_p, ref_q) in zip(oracle_evolve_grid(ws, consts, box, ts_o), refs):
             oc_p = oracle_commutator(ws, mats.p, mats.qcl, ws.vacuum, chi_ref=ref_p)
             oc_q = oracle_commutator(ws, mats.q, mats.qcl, ws.vacuum, chi_ref=ref_q)
             block_p = max(block_p, oc_p.block_dev / max(1.0, abs(ref_p)))

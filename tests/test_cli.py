@@ -2,23 +2,40 @@
 
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
 
 from hypothesis import given, strategies as st
 
-from photonbox import SweepRow
+import photonbox.scenario
+from photonbox import SweepRow, oracle_evolve_grid
 from photonbox.cli import main, sci, sci17, sweep_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
 CONFIG = DATA / "reference_config.json"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "photonbox", *args], capture_output=True, text=True
+        [sys.executable, "-m", "photonbox", *args], capture_output=True, text=True, env=env
     )
+
+
+def write_config(tmp_path, t_emit, potential=None, oracle=None):
+    cfg = json.loads(CONFIG.read_text())
+    cfg["time"]["t_emit"] = t_emit
+    if potential is not None:
+        cfg["box"]["potential"] = potential
+    if oracle is not None:
+        cfg["oracle"] = oracle
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +231,40 @@ def test_verify_fails_at_unreachable_tolerance():
     proc = run_cli("verify", "--config", str(CONFIG), "--tol", "1e-16")
     assert proc.returncode == 2
     assert "FAIL" in proc.stdout
+
+
+def test_verify_oracle_compares_every_positive_time(tmp_path, monkeypatch, capsys):
+    # Legs of 0.125 are shorter than the 0.2 step; each still takes 2 steps.
+    cfg = write_config(tmp_path, 0.5, {"type": "harmonic", "k": 1000.0}, {"step": 0.2})
+    grids = []
+
+    def recording(workspace, consts, box, ts):
+        grids.append(list(ts))
+        return oracle_evolve_grid(workspace, consts, box, ts)
+
+    monkeypatch.setattr(photonbox.scenario, "oracle_evolve_grid", recording)
+    assert main(["verify", "--config", str(cfg), "--oracle"]) == 0
+    assert grids == [[0.0, 0.125, 0.25, 0.375, 0.5]]
+    lines = capsys.readouterr().out.splitlines()
+    oracle_lines = [line for line in lines if line.startswith("oracle_")]
+    assert len(oracle_lines) == 4
+    for line in lines:
+        assert line.split()[-1] == "pass"
+    for line in oracle_lines:
+        assert float(line.split()[1].removeprefix("max_dev=")) > 0.0
+
+
+def test_verify_oracle_step_beyond_horizon_exits_1(tmp_path):
+    # Default step 1e-3 against t_emit 1e-4, then a 1.0 step against 0.5:
+    # no positive time could be compared, so there is no verdict to pass.
+    for t_emit, oracle in ((1e-4, None), (0.5, {"step": 1.0})):
+        cfg = write_config(tmp_path, t_emit, oracle=oracle)
+        proc = run_cli("verify", "--config", str(cfg), "--oracle")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "exceeds target time" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 # ---------------------------------------------------------------------------

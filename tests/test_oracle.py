@@ -19,6 +19,7 @@ from photonbox import (
     commutator_closed,
     oracle_commutator,
     oracle_evolve,
+    oracle_evolve_grid,
 )
 
 
@@ -35,6 +36,43 @@ def workspace(consts):
 def restricted(ws, mat):
     r = ws.config.n - ws.config.buffer
     return mat[:r, :r]
+
+
+def reference_evolve(ws, consts, box, t):
+    """Per-time reference: separate Q and P stepped from t = 0 to t, one RK4
+    stage at a time, with Qcl from one composite Simpson sum over the nodes."""
+    n = ws.config.n
+    eye = np.eye(n, dtype=complex)
+    if t == 0:
+        return ws.q0.copy(), ws.p0.copy(), np.zeros_like(eye)
+    steps = max(2, math.ceil(t / ws.config.step - 1e-12))
+    if steps % 2:
+        steps += 1
+    h = t / steps
+    M, k = box.M, box.spring_k
+    mg_eye = (box.m * consts.g) * eye
+    q, p = ws.q0.copy(), ws.p0.copy()
+    simpson = q.copy()
+    for i in range(1, steps + 1):
+        k1q = p / M
+        k1p = -mg_eye - k * q
+        q2 = q + 0.5 * h * k1q
+        p2 = p + 0.5 * h * k1p
+        k2q = p2 / M
+        k2p = -mg_eye - k * q2
+        q3 = q + 0.5 * h * k2q
+        p3 = p + 0.5 * h * k2p
+        k3q = p3 / M
+        k3p = -mg_eye - k * q3
+        q4 = q + h * k3q
+        p4 = p + h * k3p
+        k4q = p4 / M
+        k4p = -mg_eye - k * q4
+        q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        simpson += (1.0 if i == steps else (4.0 if i % 2 else 2.0)) * q
+    qcl = t * eye - (consts.g / consts.c**2) * (h / 3.0) * simpson
+    return q, p, qcl
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +164,50 @@ def test_clock_reduces_to_time_without_gravity(workspace):
     fr = oracle_evolve(workspace, consts0, box, 1.5)
     dev = np.max(np.abs(restricted(workspace, fr.qcl - 1.5 * np.eye(workspace.config.n))))
     assert dev < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# grid evolution
+# ---------------------------------------------------------------------------
+
+
+# Uneven, with t = 0, a repeated time and a leg whose step count is odd
+# before it is forced even (0.2505 / 1e-3 rounds up to 251).
+GRID = (0.0, 0.2505, 0.2505, 0.6, 1.25)
+
+
+@pytest.mark.parametrize(
+    "potential", [FreeFall(), Harmonic(k=1000.0)], ids=["free", "harmonic"]
+)
+def test_grid_matches_per_time_reference(workspace, consts, potential):
+    box = BoxParams(M=1000.0, m=1.0, potential=potential)
+    frames = oracle_evolve_grid(workspace, consts, box, GRID)
+    assert [fr.t for fr in frames] == list(GRID)
+    # The legs place their nodes differently from one pass out of t = 0, so
+    # the two differ by truncation error of order step**4, not only by
+    # rounding; 1e-9 absolute is far above both and was fixed in advance.
+    for fr in frames:
+        want = reference_evolve(workspace, consts, box, fr.t)
+        for got, ref in zip((fr.q, fr.p, fr.qcl), want):
+            assert np.max(np.abs(restricted(workspace, got - ref))) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "ts", [(-1.0,), (0.0, math.nan), (0.5, math.inf), (1.0, 0.5)], ids=str
+)
+def test_grid_rejects_bad_times(workspace, consts, ts):
+    box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
+    with pytest.raises(InvalidTime):
+        oracle_evolve_grid(workspace, consts, box, ts)
+
+
+def test_grid_step_exceeding_horizon_rejected(workspace, consts):
+    box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
+    with pytest.raises(StepError):
+        oracle_evolve_grid(workspace, consts, box, (0.0, 5e-4, 6e-4))
+    # Legs shorter than the step are fine once the last time reaches it.
+    frames = oracle_evolve_grid(workspace, consts, box, (0.0, 5e-4, 2e-3))
+    assert [fr.t for fr in frames] == [0.0, 5e-4, 2e-3]
 
 
 # ---------------------------------------------------------------------------
