@@ -19,8 +19,9 @@ provided for both the operator frames and the two clock commutators:
 
 * closed form (:func:`closed_form_grid`, with :func:`evolve_closed` and
   :func:`commutator_closed` as its single-time views), and
-* fixed-step classical fourth-order integration (:func:`evolve_numeric`,
-  :func:`commutator_ode`).
+* fixed-step classical fourth-order integration (:func:`evolve_numeric_grid`,
+  :func:`commutator_ode_grid`, with :func:`evolve_numeric` and
+  :func:`commutator_ode` as their single-time views).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .operators import (
     Harmonic,
     OperatorCoeffs,
     PhysConstants,
-    commutator,
 )
 
 __all__ = [
@@ -118,7 +118,7 @@ class HeisenbergFrame:
 
     def symplectic_chi(self) -> float:
         """chi of [Q(t), P(t)]; equals 1 for any unitary evolution."""
-        return commutator(self.Q, self.P).chi
+        return float(_chi(*self.coefficients()[:2]))
 
 
 def _check_time(t: float) -> None:
@@ -292,11 +292,6 @@ def _rk4_maps(G: np.ndarray, src: np.ndarray, h: float) -> tuple[np.ndarray, np.
     return R, r
 
 
-def _leg_steps(dt: float, step: float) -> tuple[int, float]:
-    n = max(1, math.ceil(dt / step - 1e-12))
-    return n, dt / n
-
-
 def _frame_generator(consts: PhysConstants, box: BoxParams) -> tuple[np.ndarray, np.ndarray]:
     g = consts.g
     c2 = consts.c * consts.c
@@ -330,35 +325,64 @@ def _check_grid(ts: Sequence[float]) -> None:
         prev = t
 
 
+def _rk4_grid(
+    G: np.ndarray, src: np.ndarray, y0: np.ndarray, ts: Sequence[float], step: float
+) -> np.ndarray:
+    """Integrate y' = G y + src from y0 at t = 0 across an ascending grid.
+
+    Returns shape (len(ts), *y0.shape): y at each grid time.  Each leg between
+    consecutive grid times takes equal steps no longer than ``step``.
+    """
+    _check_grid(ts)
+    out = np.empty((len(ts), *y0.shape))
+    y = y0
+    t_prev = 0.0
+    for i, t in enumerate(ts):
+        dt = t - t_prev
+        if dt > 0:
+            n = max(1, math.ceil(dt / step - 1e-12))
+            R, r = _rk4_maps(G, src, dt / n)
+            for _ in range(n):
+                y = R @ y + r
+        out[i] = y
+        t_prev = t
+    return out
+
+
+def _single_time_opts(t: float, opts: NumericOptions | None) -> NumericOptions:
+    """The options for one target time t, once t and the step are checked."""
+    opts = opts or NumericOptions()
+    _check_time(t)
+    if t > 0 and opts.step > t:
+        raise InvalidStep(f"step {opts.step!r} exceeds target time {t!r}")
+    return opts
+
+
+def _chi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """chi of [X, Y] for coefficient rows stacked along the last axis.
+
+    The array form of :func:`~photonbox.operators.commutator`: only the
+    canonical pair contributes, chi = a_q(X)*a_p(Y) - a_p(X)*a_q(Y).
+    """
+    return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+
+
 def evolve_numeric_grid(
     consts: PhysConstants,
     box: BoxParams,
     ts: Sequence[float],
     opts: NumericOptions | None = None,
-) -> list[HeisenbergFrame]:
+) -> np.ndarray:
     """Numeric Heisenberg frames at an ascending grid of backward times.
 
     The coefficient system is integrated once from t = 0, emitting a frame
     at each grid time, so a dense grid costs no more than a single
-    integration to the final time.
+    integration to the final time.  The result has shape (len(ts), 3, 5),
+    laid out like the frames of :func:`closed_form_grid`.
     """
     opts = opts or NumericOptions()
-    _check_grid(ts)
     G, src = _frame_generator(consts, box)
-    rows = np.zeros((3, 5))
-    rows[0, 0] = rows[1, 1] = rows[2, 2] = 1.0
-    frames = []
-    t_prev = 0.0
-    for t in ts:
-        dt = t - t_prev
-        if dt > 0:
-            n, h = _leg_steps(dt, opts.step)
-            R, r = _rk4_maps(G, src, h)
-            for _ in range(n):
-                rows = R @ rows + r
-        frames.append(HeisenbergFrame.from_coefficients(t, rows))
-        t_prev = t
-    return frames
+    return _rk4_grid(G, src, np.eye(3, 5), ts, opts.step)  # identity frame at t = 0
 
 
 def evolve_numeric(
@@ -384,11 +408,8 @@ def evolve_numeric(
     InvalidStep
         If the step exceeds a positive target time.
     """
-    opts = opts or NumericOptions()
-    _check_time(t)
-    if t > 0 and opts.step > t:
-        raise InvalidStep(f"step {opts.step!r} exceeds target time {t!r}")
-    return evolve_numeric_grid(consts, box, [t], opts)[0]
+    opts = _single_time_opts(t, opts)
+    return HeisenbergFrame.from_coefficients(t, evolve_numeric_grid(consts, box, [t], opts)[0])
 
 
 def commutator_ode_grid(
@@ -400,28 +421,16 @@ def commutator_ode_grid(
     """Both clock commutators on an ascending time grid, by integration.
 
     Returns an array of shape (len(ts), 2) holding (chi_p_qcl, chi_q_qcl)
-    per grid time, obtained by integrating
+    per grid time, laid out like the commutators of
+    :func:`closed_form_grid`, obtained by integrating
 
         chi_p' = g/c**2 - k*chi_q,    chi_q' = chi_p/M
 
     from chi_p = chi_q = 0 at t = 0.
     """
     opts = opts or NumericOptions()
-    _check_grid(ts)
     G, src = _chi_generator(consts, box)
-    v = np.zeros(2)
-    out = np.empty((len(ts), 2))
-    t_prev = 0.0
-    for i, t in enumerate(ts):
-        dt = t - t_prev
-        if dt > 0:
-            n, h = _leg_steps(dt, opts.step)
-            R, r = _rk4_maps(G, src, h)
-            for _ in range(n):
-                v = R @ v + r
-        out[i] = v
-        t_prev = t
-    return out
+    return _rk4_grid(G, src, np.zeros(2), ts, opts.step)
 
 
 def commutator_ode(
@@ -436,9 +445,6 @@ def commutator_ode(
     Independent of the closed forms in :func:`commutator_closed`; the two
     routes should agree to the integrator's accuracy.
     """
-    opts = opts or NumericOptions()
-    _check_time(t)
-    if t > 0 and opts.step > t:
-        raise InvalidStep(f"step {opts.step!r} exceeds target time {t!r}")
+    opts = _single_time_opts(t, opts)
     chi_p, chi_q = commutator_ode_grid(consts, box, [t], opts)[0]
     return CommutatorValue(float(chi_p if pair is Pair.P_QCL else chi_q))

@@ -9,7 +9,6 @@ __all__ = [
     "InvalidMixture",
     "NoElapsedTime",
     "ConfigError",
-    "StepError",
     "RangeError",
 ]
 
@@ -23,7 +22,7 @@ class InvalidTime(PhotonBoxError):
 
 
 class InvalidStep(PhotonBoxError):
-    """An integration step size is unusable for the requested interval."""
+    """An integration or quadrature step is unusable for the requested interval."""
 
 
 class InvalidState(PhotonBoxError):
@@ -44,10 +43,6 @@ class NoElapsedTime(PhotonBoxError):
 
 class ConfigError(PhotonBoxError):
     """A configuration value (workspace or config file) is invalid."""
-
-
-class StepError(PhotonBoxError):
-    """A quadrature or ODE step layout is invalid."""
 
 
 class RangeError(PhotonBoxError):

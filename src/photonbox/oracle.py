@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import _check_grid
-from .errors import ConfigError, StepError
+from .errors import ConfigError, InvalidStep
 from .operators import BoxParams, PhysConstants
 
 __all__ = [
@@ -159,7 +159,7 @@ def oracle_evolve_grid(
     ------
     InvalidTime
         If a time is negative or not finite, or the grid is not ascending.
-    StepError
+    InvalidStep
         If the configured step exceeds the last grid time while that is
         positive.
     """
@@ -167,7 +167,9 @@ def oracle_evolve_grid(
     _check_grid(ts)
     cfg = workspace.config
     if ts and 0 < ts[-1] < cfg.step:
-        raise StepError(f"step {cfg.step!r} exceeds target time {ts[-1]!r}")
+        raise InvalidStep(
+            f"oracle.step {cfg.step!r} exceeds target time {ts[-1]!r} (the oracle horizon)"
+        )
     n_dim = cfg.n
     eye = np.eye(n_dim)
     M = box.M
@@ -244,7 +246,7 @@ def oracle_evolve(
     ------
     InvalidTime
         If t is negative or not finite.
-    StepError
+    InvalidStep
         If the configured step exceeds a positive target time.
     """
     return oracle_evolve_grid(workspace, consts, box, [t])[0]

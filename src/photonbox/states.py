@@ -131,7 +131,7 @@ class GaussianState:
         """
         sigma = self.sigma
         scale = max(1.0, float(np.abs(sigma).max()))
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-10 * scale):
+        if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
             raise InvalidState("sigma must be symmetric")
         min_eig = float(np.linalg.eigvalsh(sigma).min())
         if min_eig < -1e-10 * scale:

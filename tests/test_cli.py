@@ -263,8 +263,21 @@ def test_verify_oracle_step_beyond_horizon_exits_1(tmp_path):
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert "exceeds target time" in proc.stderr
+        assert "oracle.step" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_verify_unstable_integration_fails_cleanly(tmp_path):
+    # w = 1e5 against the default step 1e-3: the fourth-order map amplifies
+    # every step, the numeric frames overflow, and the checks on them fail.
+    cfg = write_config(tmp_path, 4.0, potential={"type": "harmonic", "k": 1e13})
+    proc = run_cli("verify", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    lines = dict(line.split(None, 1) for line in proc.stdout.splitlines())
+    assert lines["frame_closed_vs_rk4"].endswith("FAIL")
+    assert lines["chi_frames_vs_closed"].endswith("pass")
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ from photonbox import (
     ConfigError,
     FreeFall,
     Harmonic,
+    InvalidStep,
     InvalidTime,
     OracleConfig,
     Pair,
     PhysConstants,
-    StepError,
     build_workspace,
     commutator_closed,
     oracle_commutator,
@@ -136,7 +136,7 @@ def test_negative_time_rejected(workspace, consts):
 
 def test_step_exceeding_time_rejected(workspace, consts):
     box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
-    with pytest.raises(StepError):
+    with pytest.raises(InvalidStep):
         oracle_evolve(workspace, consts, box, 1e-4)
 
 
@@ -203,7 +203,7 @@ def test_grid_rejects_bad_times(workspace, consts, ts):
 
 def test_grid_step_exceeding_horizon_rejected(workspace, consts):
     box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
-    with pytest.raises(StepError):
+    with pytest.raises(InvalidStep):
         oracle_evolve_grid(workspace, consts, box, (0.0, 5e-4, 6e-4))
     # Legs shorter than the step are fine once the last time reaches it.
     frames = oracle_evolve_grid(workspace, consts, box, (0.0, 5e-4, 2e-3))

@@ -8,6 +8,12 @@ path (no ``closed_form_grid``, ``evolve_closed``, ``propagate_state`` or
 ``mass_uncertainty``), and the core must reproduce it bit for bit: the
 arithmetic and its order are unchanged, and ``np.sin``/``np.cos`` agree
 with ``math.sin``/``math.cos`` on every value these grids produce.
+
+`verify` has a scalar reference too: the per-frame, per-coefficient
+deviation loop over ``HeisenbergFrame`` objects, one ``commutator`` call
+per pair and frame, and running maxima over the oracle times, fed by the
+same scalar closed forms and by its own per-leg RK4 loop.  `verify`'s
+array form must reproduce every ``max_dev`` and verdict bit for bit.
 """
 
 import dataclasses
@@ -21,14 +27,23 @@ from photonbox import (
     BoxParams,
     FreeFall,
     Harmonic,
+    HeisenbergFrame,
     InvalidTime,
     Measurement,
+    NumericOptions,
+    OperatorCoeffs,
+    OracleConfig,
     PhysConstants,
     Route,
     Scenario,
     SweepRow,
+    build_workspace,
+    commutator,
+    oracle_commutator,
+    oracle_evolve_grid,
     run_scenario,
     sweep,
+    verify,
 )
 
 DEGENERACY_ATOL = 1e-12
@@ -294,3 +309,193 @@ def test_overflow_names_coefficient_and_first_time():
         run_scenario(s)
     with pytest.raises(InvalidTime, match=r"Q\.a_m is not finite at t=2\.5e\+299"):
         sweep(s, 0.0, 1e300, 5)
+
+
+# ---------------------------------------------------------------------------
+# verify: scalar deviation reference
+# ---------------------------------------------------------------------------
+
+COEFFS = ("a_q", "a_p", "a_cl", "a_1", "a_m")
+
+
+def ref_unit_floor_dev(value, ref):
+    return abs(value - ref) / max(1.0, abs(ref))
+
+
+def ref_frame_dev(numeric, closed):
+    dev = 0.0
+    for name in ("Q", "P", "Qcl"):
+        num_op = getattr(numeric, name)
+        ref_op = getattr(closed, name)
+        for coeff in COEFFS:
+            dev = max(dev, ref_unit_floor_dev(getattr(num_op, coeff), getattr(ref_op, coeff)))
+    return dev
+
+
+def ref_rk4_grid(G, src, y, ts, step):
+    """y' = G y + src from y at t = 0: one affine RK4 map per leg, iterated."""
+    eye = np.eye(G.shape[0])
+    out = []
+    t_prev = 0.0
+    for t in ts:
+        dt = t - t_prev
+        if dt > 0:
+            n = max(1, math.ceil(dt / step - 1e-12))
+            h = dt / n
+            hg = h * G
+            hg2 = hg @ hg
+            hg3 = hg2 @ hg
+            hg4 = hg3 @ hg
+            R = eye + hg + hg2 / 2.0 + hg3 / 6.0 + hg4 / 24.0
+            r = h * ((eye + hg / 2.0 + hg2 / 6.0 + hg3 / 24.0) @ src)
+            for _ in range(n):
+                y = R @ y + r
+        out.append(y)
+        t_prev = t
+    return out
+
+
+def ref_heisenberg(t, rows):
+    return HeisenbergFrame(t, *(OperatorCoeffs(*row) for row in rows))
+
+
+def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6, t_max=None):
+    """(name, max_dev, tol, passed) per check, computed one frame at a time."""
+    consts, box = s.constants, s.box
+    g = consts.g
+    c2 = consts.c * consts.c
+    T = t_max if t_max is not None else (s.t_emit if s.t_emit > 0 else 4.0)
+    ts = [float(t) for t in np.linspace(0.0, T, grid)]
+
+    closed = [ref_heisenberg(t, ref_frame(consts, box, t)) for t in ts]
+    chi_closed = [ref_chi(consts, box, t) for t in ts]
+    G = np.array([[0.0, 1.0 / box.M, 0.0], [-box.spring_k, 0.0, 0.0], [-g / c2, 0.0, 0.0]])
+    src = np.zeros((3, 5))
+    src[1, 4] = -g
+    src[2, 3] = 1.0
+    rows = ref_rk4_grid(G, src, np.eye(3, 5), ts, s.numeric.step)
+    numeric = [ref_heisenberg(t, r.tolist()) for t, r in zip(ts, rows)]
+    G = np.array([[0.0, -box.spring_k], [1.0 / box.M, 0.0]])
+    chi_ode = ref_rk4_grid(G, np.array([g / c2, 0.0]), np.zeros(2), ts, s.numeric.step)
+
+    frame_dev = max(ref_frame_dev(n, c) for n, c in zip(numeric, closed))
+    ode_dev = max(
+        max(
+            ref_unit_floor_dev(float(ode[0]), ref[0]),
+            ref_unit_floor_dev(float(ode[1]), ref[1]),
+        )
+        for ode, ref in zip(chi_ode, chi_closed)
+    )
+    algebra_dev = rk4_algebra_dev = sympl_closed_dev = sympl_rk4_dev = 0.0
+    for frame_c, frame_n, ref in zip(closed, numeric, chi_closed):
+        algebra_dev = max(
+            algebra_dev,
+            ref_unit_floor_dev(commutator(frame_c.P, frame_c.Qcl).chi, ref[0]),
+            ref_unit_floor_dev(commutator(frame_c.Q, frame_c.Qcl).chi, ref[1]),
+        )
+        rk4_algebra_dev = max(
+            rk4_algebra_dev,
+            ref_unit_floor_dev(commutator(frame_n.P, frame_n.Qcl).chi, ref[0]),
+            ref_unit_floor_dev(commutator(frame_n.Q, frame_n.Qcl).chi, ref[1]),
+        )
+        sympl_closed_dev = max(sympl_closed_dev, abs(commutator(frame_c.Q, frame_c.P).chi - 1.0))
+        sympl_rk4_dev = max(sympl_rk4_dev, abs(commutator(frame_n.Q, frame_n.P).chi - 1.0))
+    checks = [
+        ("frame_closed_vs_rk4", frame_dev, tol),
+        ("chi_closed_vs_ode", ode_dev, tol),
+        ("chi_frames_vs_closed", algebra_dev, tol),
+        ("chi_rk4_frames_vs_closed", rk4_algebra_dev, tol),
+        ("symplectic_closed", sympl_closed_dev, tol),
+        ("symplectic_rk4", sympl_rk4_dev, tol),
+    ]
+
+    if use_oracle:
+        ws = build_workspace(s.oracle or OracleConfig(), consts)
+        if isinstance(box.potential, Harmonic):
+            T_o = min(T, 4.0 / box.omega)
+        else:
+            T_o = min(T, 4.0)
+        ts_o = [float(t) for t in np.linspace(0.0, T_o, 5)]
+        block_p = block_q = probe_p = probe_q = 0.0
+        for t, mats in zip(ts_o, oracle_evolve_grid(ws, consts, box, ts_o)):
+            ref_p, ref_q = ref_chi(consts, box, t)
+            oc_p = oracle_commutator(ws, mats.p, mats.qcl, ws.vacuum, chi_ref=ref_p)
+            oc_q = oracle_commutator(ws, mats.q, mats.qcl, ws.vacuum, chi_ref=ref_q)
+            block_p = max(block_p, oc_p.block_dev / max(1.0, abs(ref_p)))
+            block_q = max(block_q, oc_q.block_dev / max(1.0, abs(ref_q)))
+            probe_p = max(probe_p, abs(oc_p.probe_chi - ref_p) / max(1.0, abs(ref_p)))
+            probe_q = max(probe_q, abs(oc_q.probe_chi - ref_q) / max(1.0, abs(ref_q)))
+        checks += [
+            ("oracle_block_p_qcl", block_p, oracle_tol),
+            ("oracle_block_q_qcl", block_q, oracle_tol),
+            ("oracle_probe_p_qcl", probe_p, oracle_tol),
+            ("oracle_probe_q_qcl", probe_q, oracle_tol),
+        ]
+    return [(name, dev, tol, dev <= tol) for name, dev, tol in checks]
+
+
+def assert_verify_matches(s, **kwargs):
+    got = verify(s, **kwargs).checks
+    ref = ref_verify(s, **kwargs)
+    assert [(c.name, bits(c.max_dev), bits(c.tol), c.passed) for c in got] == [
+        (name, bits(dev), bits(tol), passed) for name, dev, tol, passed in ref
+    ]
+    return got
+
+
+def verify_cases(rng, s):
+    """Grids of 2, 3 and 100 points, with and without t_max, at several steps and tolerances."""
+    for grid in (2, 3, 100):
+        step = rng.choice((1e-3, 0.01, 0.05))
+        tol = rng.choice((1e-9, 1e-12, 1e-15))
+        yield dataclasses.replace(s, numeric=NumericOptions(step=step)), dict(grid=grid, tol=tol)
+        t_max = rng.uniform(0.5, 4.0)
+        yield s, dict(grid=grid, tol=tol, t_max=t_max)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_free_fall_and_harmonic(seed):
+    rng = random.Random(f"verify:{seed}")
+    verdicts = set()
+    for route, potential in (("p", FreeFall()), ("q", Harmonic(k=10 ** rng.uniform(2, 4)))):
+        t_emit = 0.0 if seed == 0 and route == "p" else rng.uniform(0.5, 4.0)
+        s = scenario(rng, unit_consts(rng), 1000.0, potential, route, t_emit=t_emit)
+        for case, kwargs in verify_cases(rng, s):
+            verdicts.update(c.passed for c in assert_verify_matches(case, **kwargs))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_soft_spring(seed):
+    # M = 1000 with w*t in [5e-3, 5e-2], as in test_soft_spring_sweep_and_run
+    rng = random.Random(f"verify-soft:{seed}")
+    t = rng.uniform(0.5, 4.0)
+    w = 10 ** rng.uniform(math.log10(5e-3), math.log10(5e-2)) / t
+    s = scenario(rng, unit_consts(rng), 1000.0, Harmonic(k=1000.0 * w * w), "q", t_emit=t)
+    for case, kwargs in verify_cases(rng, s):
+        assert_verify_matches(case, **kwargs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_si_units(seed):
+    rng = random.Random(f"verify-si:{seed}")
+    consts = PhysConstants(**SI)
+    for route, potential in (("p", FreeFall()), ("q", Harmonic(k=rng.uniform(1.0, 100.0)))):
+        dx = 10 ** rng.uniform(-11, -8) if route == "p" else 10 ** rng.uniform(-10, -6)
+        s = scenario(rng, consts, rng.uniform(0.5, 2.0), potential, route, dx, rng.uniform(0.5, 4.0))
+        for case, kwargs in verify_cases(rng, s):
+            assert_verify_matches(case, **kwargs)
+
+
+@pytest.mark.parametrize("potential", [FreeFall(), Harmonic(k=1000.0)], ids=("free", "harmonic"))
+def test_verify_oracle(potential):
+    rng = random.Random("verify-oracle")
+    s = scenario(rng, PhysConstants(), 1000.0, potential, "p", t_emit=rng.uniform(0.5, 2.0))
+    s = dataclasses.replace(s, oracle=OracleConfig(n=24, buffer=4))
+    got = assert_verify_matches(s, grid=20, use_oracle=True)
+    assert [c.name for c in got][6:] == [
+        "oracle_block_p_qcl",
+        "oracle_block_q_qcl",
+        "oracle_probe_p_qcl",
+        "oracle_probe_q_qcl",
+    ]
