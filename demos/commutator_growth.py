@@ -8,14 +8,7 @@ sin/cos oscillations on a spring, recommuting at every full period.
 
 import math
 
-from photonbox import (
-    BoxParams,
-    FreeFall,
-    Harmonic,
-    Pair,
-    PhysConstants,
-    commutator_closed,
-)
+from photonbox import BoxParams, FreeFall, Harmonic, PhysConstants, closed_form_grid
 
 consts = PhysConstants(hbar=1.0, c=1.0, g=1.0)
 ff = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
@@ -23,18 +16,17 @@ ho = BoxParams(M=1000.0, m=1.0, potential=Harmonic(k=1000.0))
 
 print("free fall: chi(P, Qcl) grows like g*t, chi(Q, Qcl) like g*t^2/(2M)")
 print(f"{'t':>8} {'chi_p_qcl':>14} {'chi_q_qcl':>14}")
-for t in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
-    cp = commutator_closed(Pair.P_QCL, consts, ff, t).chi
-    cq = commutator_closed(Pair.Q_QCL, consts, ff, t).chi
+ts = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+_, chis = closed_form_grid(consts, ff, ts)
+for t, (cp, cq) in zip(ts, chis.tolist()):
     print(f"{t:>8.2f} {cp:>14.6e} {cq:>14.6e}")
 
 print()
 print("harmonic suspension (omega = 1): oscillation and revival")
 print(f"{'omega*t':>8} {'chi_p_qcl':>14} {'chi_q_qcl':>14}")
-for frac, label in ((0.25, "pi/2"), (0.5, "pi"), (0.75, "3pi/2"), (1.0, "2pi")):
-    t = 2.0 * math.pi * frac
-    cp = commutator_closed(Pair.P_QCL, consts, ho, t).chi
-    cq = commutator_closed(Pair.Q_QCL, consts, ho, t).chi
+fractions = {"pi/2": 0.25, "pi": 0.5, "3pi/2": 0.75, "2pi": 1.0}  # of a period
+_, chis = closed_form_grid(consts, ho, [2.0 * math.pi * frac for frac in fractions.values()])
+for label, (cp, cq) in zip(fractions, chis.tolist()):
     print(f"{label:>8} {cp:>14.6e} {cq:>14.6e}")
 
 print()

@@ -13,7 +13,7 @@ from photonbox import (
     FreeFall,
     PhysConstants,
     Route,
-    evolve_closed,
+    closed_form_grid,
     prepare_post_measurement_state,
     propagate_state,
     time_energy_diagnostic,
@@ -22,23 +22,22 @@ from photonbox import (
 consts = PhysConstants(hbar=1.0, c=1.0, g=1.0)
 box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
 state0 = prepare_post_measurement_state(Route.P, 0.5, 0.0, consts)
+ts = (0.5, 1.0, 2.0, 4.0)
+frames, _ = closed_form_grid(consts, box, ts)
+states = [propagate_state(frame, state0, box.m, hbar=consts.hbar) for frame in frames]
 
 print("free fall, momentum route, device_dx = 0.5")
 print(f"{'t':>6} {'dH':>12} {'dqcl':>12} {'denominator':>12} {'lhs':>12}")
-for t in (0.5, 1.0, 2.0, 4.0):
-    frame = evolve_closed(consts, box, t)
-    state = propagate_state(frame, state0, box.m, hbar=consts.hbar)
-    d = time_energy_diagnostic(state, frame, consts, box, box.m)
+for t, state in zip(ts, states):
+    d = time_energy_diagnostic(state, t, consts, box, box.m)
     print(f"{t:>6.2f} {d.dH:>12.8f} {d.dqcl:>12.8f} {d.denom:>12.8f} {d.lhs:>12.8f}")
 
 print()
 print("same, but dividing by the mean clock rate instead of the reading")
 print(f"{'t':>6} {'denominator':>12} {'lhs':>12} {'hbar/2':>8}")
-for t in (0.5, 1.0, 2.0, 4.0):
-    frame = evolve_closed(consts, box, t)
-    state = propagate_state(frame, state0, box.m, hbar=consts.hbar)
+for t, state in zip(ts, states):
     d = time_energy_diagnostic(
-        state, frame, consts, box, box.m, denominator=Denominator.MEAN_CLOCK_RATE
+        state, t, consts, box, box.m, denominator=Denominator.MEAN_CLOCK_RATE
     )
     print(f"{t:>6.2f} {d.denom:>12.8f} {d.lhs:>12.8f} {d.bound:>8}")
 

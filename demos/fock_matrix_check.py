@@ -15,7 +15,7 @@ from photonbox import (
     Pair,
     PhysConstants,
     build_workspace,
-    commutator_closed,
+    closed_form_grid,
     oracle_commutator,
     oracle_evolve_grid,
 )
@@ -34,10 +34,11 @@ print(f"canonical commutator block deviation at build time: {ccr_dev:.3e}")
 print()
 
 print(f"{'t':>6} {'pair':>8} {'engine chi':>14} {'block dev':>12} {'probe dev':>12}")
-for frame in oracle_evolve_grid(ws, consts, box, (0.5, 1.0, 2.0, 4.0)):
+ts = (0.5, 1.0, 2.0, 4.0)
+_, chis = closed_form_grid(consts, box, ts)
+for frame, refs in zip(oracle_evolve_grid(ws, consts, box, ts), chis.tolist()):
     t = frame.t
-    for pair, mat in ((Pair.P_QCL, frame.p), (Pair.Q_QCL, frame.q)):
-        ref = commutator_closed(pair, consts, box, t).chi
+    for pair, mat, ref in zip((Pair.P_QCL, Pair.Q_QCL), (frame.p, frame.q), refs):
         res = oracle_commutator(ws, mat, frame.qcl, ws.vacuum, chi_ref=ref)
         probe_dev = abs(res.probe_chi - ref)
         print(f"{t:>6.2f} {pair.value:>8} {ref:>14.6e} {res.block_dev:>12.3e} {probe_dev:>12.3e}")

@@ -5,171 +5,27 @@ fall, with a gravitationally red-shifted clock attached.  The package
 propagates operator coefficients and Gaussian statistics, infers photon
 energy and arrival-time uncertainties from a delayed choice of final
 measurement, and checks the resulting time-energy product against hbar/2.
+
+Every public name of the submodules below is re-exported here; each
+submodule's ``__all__`` is the one list of its public names.
 """
 
-from .dynamics import (
-    HeisenbergFrame,
-    NumericOptions,
-    Pair,
-    closed_form_grid,
-    commutator_closed,
-    commutator_ode,
-    commutator_ode_grid,
-    evolve_closed,
-    evolve_numeric,
-    evolve_numeric_grid,
-)
-from .errors import (
-    ConfigError,
-    InvalidMixture,
-    InvalidPrecision,
-    InvalidState,
-    InvalidStep,
-    InvalidTime,
-    NoElapsedTime,
-    PhotonBoxError,
-    RangeError,
-)
-from .operators import (
-    IDENTITY,
-    INITIAL_CLOCK,
-    INITIAL_MOMENTUM,
-    INITIAL_POSITION,
-    MASS,
-    BoxParams,
-    CommutatorValue,
-    FreeFall,
-    Harmonic,
-    OperatorCoeffs,
-    PhysConstants,
-    commutator,
-    linear_combine,
-    mean_of,
-)
-from .oracle import (
-    OracleCommutator,
-    OracleConfig,
-    OracleFrame,
-    OracleWorkspace,
-    build_workspace,
-    oracle_commutator,
-    oracle_evolve,
-    oracle_evolve_grid,
-)
-from .scenario import (
-    CheckResult,
-    Measurement,
-    RunResult,
-    Scenario,
-    SweepRow,
-    VerificationReport,
-    run_scenario,
-    sweep,
-    verify,
-)
-from .states import (
-    BOUND_SLACK,
-    DEGENERACY_ATOL,
-    MIN_DEVICE_PRECISION,
-    BoundCheck,
-    Denominator,
-    GaussianState,
-    InferenceGrid,
-    InferenceReport,
-    MassEstimate,
-    MassMixture,
-    MixtureMoments,
-    Route,
-    TimeEnergyDiagnostic,
-    check_bound,
-    infer_grid,
-    mass_uncertainty,
-    mixture_statistics,
-    photon_inference,
-    prepare_post_measurement_state,
-    propagate_state,
-    time_energy_diagnostic,
-)
+from . import dynamics, errors, operators, oracle, scenario, states
+from .dynamics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .scenario import *  # noqa: F401,F403
+from .states import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "PhotonBoxError",
-    "InvalidTime",
-    "InvalidStep",
-    "InvalidState",
-    "InvalidPrecision",
-    "InvalidMixture",
-    "NoElapsedTime",
-    "ConfigError",
-    "RangeError",
-    # operators
-    "PhysConstants",
-    "FreeFall",
-    "Harmonic",
-    "BoxParams",
-    "OperatorCoeffs",
-    "CommutatorValue",
-    "INITIAL_POSITION",
-    "INITIAL_MOMENTUM",
-    "INITIAL_CLOCK",
-    "IDENTITY",
-    "MASS",
-    "commutator",
-    "linear_combine",
-    "mean_of",
-    # dynamics
-    "Pair",
-    "NumericOptions",
-    "HeisenbergFrame",
-    "closed_form_grid",
-    "evolve_closed",
-    "evolve_numeric",
-    "evolve_numeric_grid",
-    "commutator_closed",
-    "commutator_ode",
-    "commutator_ode_grid",
-    # states
-    "Route",
-    "Denominator",
-    "GaussianState",
-    "MassMixture",
-    "MassEstimate",
-    "BoundCheck",
-    "InferenceReport",
-    "InferenceGrid",
-    "MixtureMoments",
-    "TimeEnergyDiagnostic",
-    "BOUND_SLACK",
-    "DEGENERACY_ATOL",
-    "MIN_DEVICE_PRECISION",
-    "infer_grid",
-    "propagate_state",
-    "check_bound",
-    "mass_uncertainty",
-    "photon_inference",
-    "prepare_post_measurement_state",
-    "mixture_statistics",
-    "time_energy_diagnostic",
-    # oracle
-    "OracleConfig",
-    "OracleWorkspace",
-    "OracleFrame",
-    "OracleCommutator",
-    "build_workspace",
-    "oracle_evolve",
-    "oracle_evolve_grid",
-    "oracle_commutator",
-    # scenario
-    "Measurement",
-    "Scenario",
-    "RunResult",
-    "SweepRow",
-    "CheckResult",
-    "VerificationReport",
-    "run_scenario",
-    "sweep",
-    "verify",
+    *errors.__all__,
+    *operators.__all__,
+    *dynamics.__all__,
+    *states.__all__,
+    *oracle.__all__,
+    *scenario.__all__,
 ]

@@ -259,7 +259,7 @@ def build_scenario(doc: Any) -> Scenario:
 def _build(cls, path, **kwargs):
     try:
         return cls(**kwargs)
-    except (ValueError, TypeError, PhotonBoxError) as exc:
+    except PhotonBoxError as exc:
         raise ConfigError(f"invalid {path}: {exc}") from exc
 
 
@@ -268,46 +268,49 @@ def _build(cls, path, **kwargs):
 # =============================================================================
 
 
+def _text_lines(doc: dict[str, Any], prefix: str = "") -> Iterable[str]:
+    """``key = value`` lines of a document, in order; floats in :func:`sci` form.
+
+    A nested value prints under its own key, prefixed with its group's name
+    except for the spreads: ``chi.p_qcl`` prints as ``chi_p_qcl`` and
+    ``spreads.dq`` as ``dq``.
+    """
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _text_lines(value, "" if key == "spreads" else f"{key}_")
+        elif isinstance(value, bool):
+            yield f"{prefix}{key} = {_fmt_bool(value)}"
+        elif isinstance(value, float):
+            yield f"{prefix}{key} = {sci(value)}"
+        else:
+            yield f"{prefix}{key} = {value}"
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     s = load_config(args.config)
     result = run_scenario(s)
     report = result.report
-    lines = [
-        ("route", report.route.value),
-        ("t_emit", sci(report.t)),
-        ("dq", sci(result.dq)),
-        ("dp", sci(result.dp)),
-        ("dqcl", sci(result.dqcl)),
-        ("chi_p_qcl", sci(result.chi_p_qcl)),
-        ("chi_q_qcl", sci(result.chi_q_qcl)),
-        ("dm", sci(report.dm)),
-        ("dE", sci(report.dE)),
-        ("dT", sci(report.dT)),
-        ("product", sci(report.product)),
-        ("bound", sci(report.bound)),
-        ("ok", _fmt_bool(report.ok)),
-        ("valid", _fmt_bool(report.valid)),
-        ("degenerate", _fmt_bool(report.degenerate)),
-    ]
-    for key, value in lines:
-        print(f"{key} = {value}")
+    # One ordered mapping is the --out document and, flattened, the stdout
+    # lines.  Non-finite values are held as the tokens sci prints for them.
+    doc = {
+        "route": report.route.value,
+        "t_emit": report.t,
+        "spreads": {"dq": result.dq, "dp": result.dp, "dqcl": result.dqcl},
+        "chi": {"p_qcl": result.chi_p_qcl, "q_qcl": result.chi_q_qcl},
+        "dm": _jsonable(report.dm),
+        "dE": _jsonable(report.dE),
+        "dT": report.dT,
+        "product": _jsonable(report.product),
+        "bound": report.bound,
+        "ok": report.ok,
+        "valid": report.valid,
+        "degenerate": report.degenerate,
+    }
+    for line in _text_lines(doc):
+        print(line)
     if args.out:
-        payload = {
-            "route": report.route.value,
-            "t_emit": report.t,
-            "spreads": {"dq": result.dq, "dp": result.dp, "dqcl": result.dqcl},
-            "chi": {"p_qcl": result.chi_p_qcl, "q_qcl": result.chi_q_qcl},
-            "dm": _jsonable(report.dm),
-            "dE": _jsonable(report.dE),
-            "dT": report.dT,
-            "product": _jsonable(report.product),
-            "bound": report.bound,
-            "ok": report.ok,
-            "valid": report.valid,
-            "degenerate": report.degenerate,
-        }
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(doc, fh, indent=2)
             fh.write("\n")
     return EXIT_OK
 

@@ -13,15 +13,17 @@ suspension.  The clock variable qcl is kinematic: it has no conjugate
 momentum and exerts no back-action on the box.
 
 Because the equations are linear, the propagated operators stay affine in
-the initial set {q(0), p(0), qcl(0), 1, m} and are represented as
-:class:`~photonbox.operators.OperatorCoeffs`.  Two independent routes are
-provided for both the operator frames and the two clock commutators:
+the initial set {q(0), p(0), qcl(0), 1, m}.  A frame is the (3, 5) array of
+their coefficients: rows Q(t), P(t), Qcl(t), columns the coefficients of
+q(0), p(0), qcl(0), 1 and m, in the field order of
+:class:`~photonbox.operators.OperatorCoeffs`.  A grid of N times gives an
+(N, 3, 5) array of frames and an (N, 2) array of the two clock commutators.
+Two independent routes compute both:
 
 * closed form (:func:`closed_form_grid`, with :func:`evolve_closed` and
   :func:`commutator_closed` as its single-time views), and
-* fixed-step classical fourth-order integration (:func:`evolve_numeric_grid`,
-  :func:`commutator_ode_grid`, with :func:`evolve_numeric` and
-  :func:`commutator_ode` as their single-time views).
+* fixed-step classical fourth-order integration (:func:`evolve_numeric_grid`
+  and :func:`commutator_ode_grid`).
 """
 
 from __future__ import annotations
@@ -34,24 +36,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidStep, InvalidTime
-from .operators import (
-    BoxParams,
-    CommutatorValue,
-    Harmonic,
-    OperatorCoeffs,
-    PhysConstants,
-)
+from .operators import BoxParams, Harmonic, PhysConstants
 
 __all__ = [
     "Pair",
     "NumericOptions",
-    "HeisenbergFrame",
     "closed_form_grid",
     "evolve_closed",
-    "evolve_numeric",
     "evolve_numeric_grid",
     "commutator_closed",
-    "commutator_ode",
     "commutator_ode_grid",
 ]
 
@@ -85,40 +78,6 @@ class NumericOptions:
     def __post_init__(self) -> None:
         if not math.isfinite(self.step) or self.step <= 0:
             raise InvalidStep(f"step must be finite and > 0, got {self.step!r}")
-
-
-@dataclass(frozen=True)
-class HeisenbergFrame:
-    """The propagated observables Q(t), P(t), Qcl(t) at backward time t."""
-
-    t: float
-    Q: OperatorCoeffs
-    P: OperatorCoeffs
-    Qcl: OperatorCoeffs
-
-    @classmethod
-    def from_coefficients(cls, t: float, rows: np.ndarray) -> HeisenbergFrame:
-        """Frame from a (3, 5) coefficient block, as returned by :func:`closed_form_grid`."""
-        Q, P, Qcl = (OperatorCoeffs(*row) for row in rows.tolist())
-        return cls(t=t, Q=Q, P=P, Qcl=Qcl)
-
-    def coefficients(self) -> np.ndarray:
-        """The (3, 5) coefficient block of Q, P, Qcl; inverse of :meth:`from_coefficients`."""
-        return np.array(
-            [[getattr(op, c) for c in _COEFFS] for op in (self.Q, self.P, self.Qcl)]
-        )
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """3x3 matrix of (a_q, a_p, a_cl) rows for Q, P, Qcl.
-
-        This is the linear map that transports moments of the initial
-        operators to moments of the propagated ones.
-        """
-        return self.coefficients()[:, :3]
-
-    def symplectic_chi(self) -> float:
-        """chi of [Q(t), P(t)]; equals 1 for any unitary evolution."""
-        return float(_chi(*self.coefficients()[:2]))
 
 
 def _check_time(t: float) -> None:
@@ -216,7 +175,7 @@ def closed_form_grid(
     return frames, chis
 
 
-def evolve_closed(consts: PhysConstants, box: BoxParams, t: float) -> HeisenbergFrame:
+def evolve_closed(consts: PhysConstants, box: BoxParams, t: float) -> np.ndarray:
     """Closed-form Heisenberg frame at backward time t.
 
     The single-time case of :func:`closed_form_grid`.
@@ -232,17 +191,18 @@ def evolve_closed(consts: PhysConstants, box: BoxParams, t: float) -> Heisenberg
 
     Returns
     -------
-    HeisenbergFrame
-        Q(t), P(t), Qcl(t) as affine combinations of the initial set.  At
-        t = 0 the frame is the identity.
+    ndarray, shape (3, 5)
+        Q(t), P(t), Qcl(t) as affine combinations of the initial set, laid
+        out as one frame of :func:`closed_form_grid`.  At t = 0 the frame
+        is the identity.
     """
     frames, _ = closed_form_grid(consts, box, [t])
-    return HeisenbergFrame.from_coefficients(t, frames[0])
+    return frames[0]
 
 
 def commutator_closed(
     pair: Pair, consts: PhysConstants, box: BoxParams, t: float
-) -> CommutatorValue:
+) -> float:
     """Closed-form clock commutator at backward time t.
 
     The single-time case of :func:`closed_form_grid`.
@@ -256,11 +216,11 @@ def commutator_closed(
 
     Returns
     -------
-    CommutatorValue
+    float
         chi with [X(t), Qcl(t)] = i*hbar*chi.
     """
     _, chis = closed_form_grid(consts, box, [t])
-    return CommutatorValue(float(chis[0, 0 if pair is Pair.P_QCL else 1]))
+    return float(chis[0, 0 if pair is Pair.P_QCL else 1])
 
 
 # =============================================================================
@@ -349,24 +309,6 @@ def _rk4_grid(
     return out
 
 
-def _single_time_opts(t: float, opts: NumericOptions | None) -> NumericOptions:
-    """The options for one target time t, once t and the step are checked."""
-    opts = opts or NumericOptions()
-    _check_time(t)
-    if t > 0 and opts.step > t:
-        raise InvalidStep(f"step {opts.step!r} exceeds target time {t!r}")
-    return opts
-
-
-def _chi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """chi of [X, Y] for coefficient rows stacked along the last axis.
-
-    The array form of :func:`~photonbox.operators.commutator`: only the
-    canonical pair contributes, chi = a_q(X)*a_p(Y) - a_p(X)*a_q(Y).
-    """
-    return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
-
-
 def evolve_numeric_grid(
     consts: PhysConstants,
     box: BoxParams,
@@ -375,41 +317,25 @@ def evolve_numeric_grid(
 ) -> np.ndarray:
     """Numeric Heisenberg frames at an ascending grid of backward times.
 
-    The coefficient system is integrated once from t = 0, emitting a frame
-    at each grid time, so a dense grid costs no more than a single
-    integration to the final time.  The result has shape (len(ts), 3, 5),
-    laid out like the frames of :func:`closed_form_grid`.
-    """
-    opts = opts or NumericOptions()
-    G, src = _frame_generator(consts, box)
-    return _rk4_grid(G, src, np.eye(3, 5), ts, opts.step)  # identity frame at t = 0
-
-
-def evolve_numeric(
-    consts: PhysConstants,
-    box: BoxParams,
-    t: float,
-    opts: NumericOptions | None = None,
-) -> HeisenbergFrame:
-    """Heisenberg frame at backward time t by fourth-order integration.
-
     Integrates the coefficient equations
 
         aQ' = aP/M,    aP' = -g*e_m - k*aQ,    aQcl' = e_1 - (g/c**2)*aQ
 
-    from the identity frame at t = 0.  Free-fall coefficients are cubic
+    once from the identity frame at t = 0, emitting a frame at each grid
+    time, so a dense grid costs no more than a single integration to the
+    final time.  The result has shape (len(ts), 3, 5), laid out like the
+    frames of :func:`closed_form_grid`.  Free-fall coefficients are cubic
     polynomials in t, so the result is exact there; for the harmonic case
     the global error scales as step**4.
 
     Raises
     ------
     InvalidTime
-        If t is negative or not finite.
-    InvalidStep
-        If the step exceeds a positive target time.
+        If a time is negative or not finite, or the grid is not ascending.
     """
-    opts = _single_time_opts(t, opts)
-    return HeisenbergFrame.from_coefficients(t, evolve_numeric_grid(consts, box, [t], opts)[0])
+    opts = opts or NumericOptions()
+    G, src = _frame_generator(consts, box)
+    return _rk4_grid(G, src, np.eye(3, 5), ts, opts.step)  # identity frame at t = 0
 
 
 def commutator_ode_grid(
@@ -426,25 +352,9 @@ def commutator_ode_grid(
 
         chi_p' = g/c**2 - k*chi_q,    chi_q' = chi_p/M
 
-    from chi_p = chi_q = 0 at t = 0.
+    from chi_p = chi_q = 0 at t = 0.  Independent of the closed forms; the
+    two routes should agree to the integrator's accuracy.
     """
     opts = opts or NumericOptions()
     G, src = _chi_generator(consts, box)
     return _rk4_grid(G, src, np.zeros(2), ts, opts.step)
-
-
-def commutator_ode(
-    pair: Pair,
-    consts: PhysConstants,
-    box: BoxParams,
-    t: float,
-    opts: NumericOptions | None = None,
-) -> CommutatorValue:
-    """Clock commutator at backward time t via the commutator equations.
-
-    Independent of the closed forms in :func:`commutator_closed`; the two
-    routes should agree to the integrator's accuracy.
-    """
-    opts = _single_time_opts(t, opts)
-    chi_p, chi_q = commutator_ode_grid(consts, box, [t], opts)[0]
-    return CommutatorValue(float(chi_p if pair is Pair.P_QCL else chi_q))

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
+
+from .errors import ConfigError
 
 __all__ = [
     "PhysConstants",
@@ -29,14 +31,12 @@ __all__ = [
     "Potential",
     "BoxParams",
     "OperatorCoeffs",
-    "CommutatorValue",
     "INITIAL_POSITION",
     "INITIAL_MOMENTUM",
     "INITIAL_CLOCK",
     "IDENTITY",
     "MASS",
     "commutator",
-    "linear_combine",
     "mean_of",
 ]
 
@@ -44,7 +44,7 @@ __all__ = [
 def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,11 @@ class PhysConstants:
     def __post_init__(self) -> None:
         _require_finite(hbar=self.hbar, c=self.c, g=self.g)
         if self.hbar <= 0:
-            raise ValueError("hbar must be > 0")
+            raise ConfigError("hbar must be > 0")
         if self.c <= 0:
-            raise ValueError("c must be > 0")
+            raise ConfigError("c must be > 0")
         if self.g < 0:
-            raise ValueError("g must be >= 0")
+            raise ConfigError("g must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class Harmonic:
     def __post_init__(self) -> None:
         _require_finite(k=self.k)
         if self.k <= 0:
-            raise ValueError("k must be > 0")
+            raise ConfigError("k must be > 0")
 
 
 Potential = FreeFall | Harmonic
@@ -105,13 +105,13 @@ class BoxParams:
     def __post_init__(self) -> None:
         _require_finite(M=self.M, m=self.m)
         if self.M <= 0:
-            raise ValueError("M must be > 0")
+            raise ConfigError("M must be > 0")
         if self.m < 0:
-            raise ValueError("m must be >= 0")
+            raise ConfigError("m must be >= 0")
         if self.m >= self.M:
-            raise ValueError("m must be < M")
+            raise ConfigError("m must be < M")
         if not isinstance(self.potential, (FreeFall, Harmonic)):
-            raise TypeError("potential must be FreeFall or Harmonic")
+            raise ConfigError("potential must be FreeFall or Harmonic")
 
     @property
     def spring_k(self) -> float:
@@ -128,8 +128,10 @@ class BoxParams:
 class OperatorCoeffs:
     """Coefficients of an operator over {q(0), p(0), qcl(0), 1, m}.
 
-    Instances are immutable; all arithmetic goes through the free functions
-    in this module.
+    The fields are, in order, the five columns of a frame row (see
+    :func:`~photonbox.dynamics.closed_form_grid`), so ``OperatorCoeffs(*row)``
+    names one row.  Instances are immutable; all arithmetic goes through the
+    free functions in this module.
     """
 
     a_q: float = 0.0
@@ -152,21 +154,7 @@ IDENTITY = OperatorCoeffs(a_1=1.0)
 MASS = OperatorCoeffs(a_m=1.0)
 
 
-@dataclass(frozen=True)
-class CommutatorValue:
-    """The real scalar chi in [X, Y] = i*hbar*chi.
-
-    The clock reading, the identity, and the mass parameter are central, so
-    chi carries the full commutator content of any two affine operators.
-    """
-
-    chi: float
-
-    def __post_init__(self) -> None:
-        _require_finite(chi=self.chi)
-
-
-def commutator(x: OperatorCoeffs, y: OperatorCoeffs) -> CommutatorValue:
+def commutator(x: OperatorCoeffs, y: OperatorCoeffs) -> float:
     """Commutator of two affine operators.
 
     Parameters
@@ -176,38 +164,12 @@ def commutator(x: OperatorCoeffs, y: OperatorCoeffs) -> CommutatorValue:
 
     Returns
     -------
-    CommutatorValue
-        chi such that [X, Y] = i*hbar*chi.  Only the canonical pair
+    float
+        chi such that [X, Y] = i*hbar*chi.  The clock reading, the identity
+        and the mass parameter are central, so only the canonical pair
         contributes: chi = a_q(X)*a_p(Y) - a_p(X)*a_q(Y).
     """
-    return CommutatorValue(x.a_q * y.a_p - x.a_p * y.a_q)
-
-
-def linear_combine(
-    terms: Iterable[tuple[float, OperatorCoeffs]],
-) -> OperatorCoeffs:
-    """Weighted sum of affine operators.
-
-    Parameters
-    ----------
-    terms : iterable of (weight, OperatorCoeffs)
-        Finite real weights paired with operators.
-
-    Returns
-    -------
-    OperatorCoeffs
-        The coefficient-wise weighted sum.
-    """
-    a_q = a_p = a_cl = a_1 = a_m = 0.0
-    for weight, op in terms:
-        if not math.isfinite(weight):
-            raise ValueError(f"weight must be finite, got {weight!r}")
-        a_q += weight * op.a_q
-        a_p += weight * op.a_p
-        a_cl += weight * op.a_cl
-        a_1 += weight * op.a_1
-        a_m += weight * op.a_m
-    return OperatorCoeffs(a_q=a_q, a_p=a_p, a_cl=a_cl, a_1=a_1, a_m=a_m)
+    return x.a_q * y.a_p - x.a_p * y.a_q
 
 
 def mean_of(x: OperatorCoeffs, mu: Sequence[float], m: float) -> float:

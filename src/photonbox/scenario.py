@@ -15,10 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
-    HeisenbergFrame,
     NumericOptions,
     Pair,
-    _chi,
     closed_form_grid,
     commutator_ode_grid,
     evolve_numeric_grid,
@@ -83,10 +81,14 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Inference report plus the frame and commutator summary behind it."""
+    """Inference report plus the frame and commutator summary behind it.
+
+    ``frame`` is the (3, 5) frame at t_emit, as from
+    :func:`~photonbox.dynamics.evolve_closed`.
+    """
 
     report: InferenceReport
-    frame: HeisenbergFrame
+    frame: np.ndarray
     chi_p_qcl: float
     chi_q_qcl: float
     dq: float
@@ -151,7 +153,7 @@ def run_scenario(s: Scenario) -> RunResult:
     dq, dp, dqcl = grid.spreads[0].tolist()
     return RunResult(
         report=grid.report(0, s.measurement.route),
-        frame=grid.frame(0),
+        frame=grid.frames[0],
         chi_p_qcl=chi_p,
         chi_q_qcl=chi_q,
         dq=dq,
@@ -194,6 +196,15 @@ def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> list[SweepRow]
     return [SweepRow(*row) for row in zip(*columns)]
 
 
+def _chi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """chi of [X, Y] for coefficient rows stacked along the last axis.
+
+    The array form of :func:`~photonbox.operators.commutator`: only the
+    canonical pair contributes, chi = a_q(X)*a_p(Y) - a_p(X)*a_q(Y).
+    """
+    return x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]
+
+
 def _max_rel_dev(diff: np.ndarray, ref: np.ndarray) -> float:
     """Largest |value - ref| relative to max(1, |ref|), given diff = value - ref."""
     return float((np.abs(diff) / np.maximum(1.0, np.abs(ref))).max())
@@ -226,6 +237,9 @@ def verify(
 
     Raises
     ------
+    RangeError
+        If ``grid`` is below 2, or ``tol`` or ``oracle_tol`` is negative or
+        not finite (an infinite tolerance would pass every check).
     InvalidStep
         If ``use_oracle`` is set and the oracle step exceeds the oracle
         horizon (the last oracle time), so no positive time could be
@@ -233,6 +247,9 @@ def verify(
     """
     if grid < 2:
         raise RangeError(f"grid must be >= 2, got {grid}")
+    for name, value in (("tol", tol), ("oracle_tol", oracle_tol)):
+        if not (math.isfinite(value) and value >= 0):
+            raise RangeError(f"{name} must be finite and >= 0, got {value!r}")
     consts, box = s.constants, s.box
     T = t_max if t_max is not None else (s.t_emit if s.t_emit > 0 else 4.0)
     ts = np.linspace(0.0, T, grid)

@@ -1,8 +1,9 @@
 """Gaussian states, uncertainty bounds, and photon energy/arrival inference.
 
 A Gaussian state collects the first and second moments of the fluctuations
-of (q, p, qcl).  Propagation is exact: the frame coefficients form a linear
-map S, means transport affinely, and the covariance transports as
+of (q, p, qcl).  Propagation is exact: along a (3, 5) frame (see
+:mod:`photonbox.dynamics`) the coefficients of q(0), p(0), qcl(0) form a
+linear map S, means transport affinely, and the covariance transports as
 S Sigma S^T.  On top of that this module implements
 
 * the Robertson bound check dX*dY >= hbar*|chi|/2 for the clock pairs,
@@ -23,14 +24,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import HeisenbergFrame, Pair, closed_form_grid
+from .dynamics import Pair, _check_time, closed_form_grid
 from .errors import (
     InvalidMixture,
     InvalidPrecision,
     InvalidState,
     NoElapsedTime,
 )
-from .operators import BoxParams, CommutatorValue, Harmonic, PhysConstants, mean_of
+from .operators import BoxParams, Harmonic, PhysConstants
 
 __all__ = [
     "Route",
@@ -230,9 +231,13 @@ class TimeEnergyDiagnostic:
 
 
 def _propagate(
-    frames: np.ndarray, state0: GaussianState, m: float, ts: np.ndarray
+    frames: np.ndarray, state0: GaussianState, m: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Means (N, 3) and covariances (N, 3, 3) of Q, P, Qcl along frames (N, 3, 5)."""
+    """Means (..., 3) and covariances (..., 3, 3) of Q, P, Qcl along frames (..., 3, 5).
+
+    ``m`` broadcasts against the means.  A moment that overflows comes out
+    inf or nan, without numpy warnings; callers check.
+    """
     mu_q, mu_p, mu_cl = state0.mu.tolist()
     a = frames
     S = frames[..., :3]
@@ -241,12 +246,6 @@ def _propagate(
         mu_t = a[..., 0] * mu_q + a[..., 1] * mu_p + a[..., 2] * mu_cl + a[..., 3] + a[..., 4] * m
         sigma_t = S @ state0.sigma @ S.swapaxes(-1, -2)
         sigma_t = 0.5 * (sigma_t + sigma_t.swapaxes(-1, -2))
-        all_finite = math.isfinite(mu_t.sum() + sigma_t.sum())
-    if not all_finite:  # the sum of finite values may still overflow; then look closer
-        finite = np.isfinite(mu_t).all(axis=1) & np.isfinite(sigma_t).all(axis=(1, 2))
-        if not finite.all():
-            t = float(ts[np.argmin(finite)])
-            raise InvalidState(f"propagated moments are not finite at t={t!r}")
     return mu_t, sigma_t
 
 
@@ -282,8 +281,8 @@ class InferenceGrid:
     Route columns are (P, Q) and pair columns (P_QCL, Q_QCL).  ``spreads``
     holds (dq, dp, dqcl); the arrival-time spread is dT = dqcl.  On a
     degenerate entry (no mass information) dm, dE and product are ``inf``.
-    The methods give one time's frame, report and bound check as the
-    single-time functions return them.
+    The methods give one time's report and bound check as the single-time
+    functions return them.
     """
 
     t: np.ndarray  # (N,)
@@ -296,9 +295,6 @@ class InferenceGrid:
     degenerate: np.ndarray  # (N, 2)
     valid: np.ndarray  # (N,)
     hbar: float
-
-    def frame(self, i: int) -> HeisenbergFrame:
-        return HeisenbergFrame.from_coefficients(float(self.t[i]), self.frames[i])
 
     def report(self, i: int, route: Route) -> InferenceReport:
         j = _ROUTES.index(route)
@@ -344,8 +340,15 @@ def infer_grid(
     state0.validate(consts.hbar)
     t = np.asarray(ts, dtype=float)
     frames, chi = closed_form_grid(consts, box, t)
+    mu, sigma = _propagate(frames, state0, box.m)
     # The means are unused here, but an overflowing mean still raises.
-    _, sigma = _propagate(frames, state0, box.m, t)
+    with np.errstate(all="ignore"):
+        all_finite = math.isfinite(mu.sum() + sigma.sum())
+    if not all_finite:  # the sum of finite values may still overflow; then look closer
+        finite = np.isfinite(mu).all(axis=1) & np.isfinite(sigma).all(axis=(1, 2))
+        if not finite.all():
+            bad_t = float(t[np.argmin(finite)])
+            raise InvalidState(f"propagated moments are not finite at t={bad_t!r}")
     spreads = _spreads(sigma)
     # Route P measures P(t) (row 1, spread dp); route Q measures Q(t) (row 0, dq).
     dm, degenerate, valid = _mass_rule(frames[:, 1::-1, 4], spreads[:, 1::-1], t, box)
@@ -369,7 +372,7 @@ def infer_grid(
 
 
 def propagate_state(
-    frame: HeisenbergFrame,
+    frame: np.ndarray,
     state0: GaussianState,
     m: float,
     hbar: float | None = None,
@@ -378,8 +381,9 @@ def propagate_state(
 
     Parameters
     ----------
-    frame : HeisenbergFrame
-        Frame at the target backward time.
+    frame : ndarray, shape (3, 5)
+        Frame at the target backward time, as from
+        :func:`~photonbox.dynamics.evolve_closed`.
     state0 : GaussianState
         Moments of the initial operators.
     m : float
@@ -392,28 +396,33 @@ def propagate_state(
     -------
     GaussianState
         Moments of Q(t), P(t), Qcl(t): mu_X = mean_of(X) and
-        Sigma(t) = S Sigma(0) S^T with S the frame coefficient matrix.
+        Sigma(t) = S Sigma(0) S^T with S the frame's first three columns.
+
+    Raises
+    ------
+    InvalidState
+        If ``state0`` is invalid, or a propagated moment overflows.
     """
     state0.validate(hbar)
-    mu_t, sigma_t = _propagate(frame.coefficients()[None], state0, m, np.array([frame.t]))
-    return GaussianState(mu=mu_t[0], sigma=sigma_t[0])
+    mu_t, sigma_t = _propagate(frame, state0, m)
+    return GaussianState(mu=mu_t, sigma=sigma_t)
 
 
 def check_bound(
     state_t: GaussianState,
-    chi: CommutatorValue,
+    chi: float,
     pair: Pair,
     consts: PhysConstants,
 ) -> BoundCheck:
     """Robertson bound dX*dY >= hbar*|chi|/2 for one clock pair.
 
     ``state_t`` must hold the propagated moments at the same time the
-    commutator was evaluated.  The comparison carries a relative slack of
+    commutator chi was evaluated.  The comparison carries a relative slack of
     ``BOUND_SLACK`` so saturating states pass.
     """
     spreads = state_t.spreads
     dx = float(spreads[1] if pair is Pair.P_QCL else spreads[0])
-    return _robertson(dx, float(spreads[2]), chi.chi, consts.hbar)
+    return _robertson(dx, float(spreads[2]), chi, consts.hbar)
 
 
 def _robertson(dx: float, dy: float, chi: float, hbar: float) -> BoundCheck:
@@ -429,20 +438,21 @@ def _robertson(dx: float, dy: float, chi: float, hbar: float) -> BoundCheck:
 
 
 def mass_uncertainty(
-    frame: HeisenbergFrame,
+    frame: np.ndarray,
+    t: float,
     route: Route,
     dx: float,
-    consts: PhysConstants,
     box: BoxParams,
 ) -> MassEstimate:
     """Photon mass spread from a measured box spread.
 
-    The measured observable X(t) carries the photon mass through its a_m
-    coefficient, so a spread dX translates into dm = dX/|a_m(X(t))|.  For
-    free fall this reproduces dm = dP/(g*t) on the momentum route and
-    dm = 2*M*dQ/(g*t**2) on the position route; for the harmonic
-    suspension the same rule yields the spring-constant forms with
-    1 - cos(w*t) and sin(w*t).
+    ``frame`` is the (3, 5) frame at backward time t, as from
+    :func:`~photonbox.dynamics.evolve_closed`.  The measured observable X(t)
+    carries the photon mass through its a_m coefficient, so a spread dX
+    translates into dm = dX/|a_m(X(t))|.  For free fall this reproduces
+    dm = dP/(g*t) on the momentum route and dm = 2*M*dQ/(g*t**2) on the
+    position route; for the harmonic suspension the same rule yields the
+    spring-constant forms with 1 - cos(w*t) and sin(w*t).
 
     When |a_m| has vanished (t = 0, or a full period of the suspension)
     the measurement carries no mass information: ``dm`` is returned as
@@ -450,11 +460,19 @@ def mass_uncertainty(
 
     The ``valid`` flag reports the side condition w*t < 0.1*M/m under
     which the harmonic analysis is trustworthy; free fall is always valid.
+
+    Raises
+    ------
+    InvalidTime
+        If t is negative or not finite.
+    InvalidPrecision
+        If dx is negative or not finite.
     """
+    _check_time(t)
     if not (math.isfinite(dx) and dx >= 0):
-        raise ValueError(f"dx must be finite and >= 0, got {dx!r}")
-    op = frame.P if route is Route.P else frame.Q
-    dm, degenerate, valid = _mass_rule(np.array(op.a_m), np.array(dx), np.array(frame.t), box)
+        raise InvalidPrecision(f"dx must be finite and >= 0, got {dx!r}")
+    a_m = frame[1 if route is Route.P else 0, 4]  # P(t) or Q(t), coefficient of m
+    dm, degenerate, valid = _mass_rule(np.array(a_m), np.array(dx), np.array(t), box)
     return MassEstimate(dm=float(dm), valid=bool(valid), degenerate=bool(degenerate))
 
 
@@ -512,35 +530,32 @@ def prepare_post_measurement_state(
 
 
 def mixture_statistics(
-    frame: HeisenbergFrame,
+    frame: np.ndarray,
     mixture: MassMixture,
     state0: GaussianState,
 ) -> MixtureMoments:
     """Total moments of (Q, P, Qcl) under a classical mass mixture.
 
-    Each component shares the quantum state but carries its own mass, so
-    the component variances coincide and only the component means differ:
+    ``frame`` is a (3, 5) frame, as from
+    :func:`~photonbox.dynamics.evolve_closed`.  Each component shares the
+    quantum state but carries its own mass, so the component variances
+    coincide and only the component means differ:
 
         total mean = sum_i w_i mu_i,
         total var  = sum_i w_i (var + mu_i**2) - (total mean)**2.
     """
     state0.validate()
-    S = frame.coefficient_matrix()
-    base_var = np.einsum("ij,jk,ik->i", S, state0.sigma, S)
-    ops = (frame.Q, frame.P, frame.Qcl)
-    mean = np.zeros(3)
-    second = np.zeros(3)
-    for weight, m in mixture.components:
-        mu_i = np.array([mean_of(op, state0.mu, m) for op in ops])
-        mean += weight * mu_i
-        second += weight * (base_var + mu_i**2)
+    weights, masses = np.array(mixture.components).T
+    mu_i, sigma = _propagate(frame, state0, masses[:, None])  # (K, 3) means, one covariance
+    mean = weights @ mu_i
+    second = weights @ (np.diagonal(sigma) + mu_i**2)
     var = second - mean**2
     return MixtureMoments(mean=mean, spread=np.sqrt(np.maximum(var, 0.0)))
 
 
 def time_energy_diagnostic(
     state_t: GaussianState,
-    frame: HeisenbergFrame,
+    t: float,
     consts: PhysConstants,
     box: BoxParams,
     m: float,
@@ -548,6 +563,8 @@ def time_energy_diagnostic(
 ) -> TimeEnergyDiagnostic:
     """Energy/time ratio diagnostic dH*dqcl/denom, reported next to hbar/2.
 
+    ``state_t`` holds the propagated moments at backward time t, as from
+    :func:`propagate_state`; t itself only names the time in the error.
     dH is the Gaussian spread of H = p**2/(2M) + m*g*q + V(q) in the
     propagated state, computed from the classical moment formula
 
@@ -577,7 +594,7 @@ def time_energy_diagnostic(
     else:
         denom = 1.0 - (consts.g / (consts.c * consts.c)) * float(mu[0])
     if denom == 0.0:
-        raise NoElapsedTime(f"diagnostic denominator vanishes at t={frame.t}")
+        raise NoElapsedTime(f"diagnostic denominator vanishes at t={t}")
     return TimeEnergyDiagnostic(
         dH=dH,
         dqcl=dqcl,

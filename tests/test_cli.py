@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, strategies as st
 
 import photonbox.scenario
@@ -137,6 +138,46 @@ def test_run_json_out(tmp_path):
     assert doc["chi"]["p_qcl"] == 2.0
 
 
+# The whole `run` output, stdout and --out document, for the reference
+# config (t_emit 2) and for t_emit 0, where dm, dE and product are inf.
+RUN_PINNED = {
+    2.0: (
+        {
+            "route": "p", "t_emit": 2.0,
+            "spreads": {"dq": 1.000000499999875, "dp": 0.5, "dqcl": 2.0000002499999843},
+            "chi": {"p_qcl": 2.0, "q_qcl": 0.002},
+            "dm": 0.25, "dE": 0.25, "dT": 2.0000002499999843, "product": 0.5000000624999961,
+            "bound": 0.5, "ok": True, "valid": True, "degenerate": False,
+        },
+        "route = p\nt_emit = 2e0\ndq = 1.000000499999875e0\ndp = 5e-1\n"
+        "dqcl = 2.0000002499999843e0\nchi_p_qcl = 2e0\nchi_q_qcl = 2e-3\ndm = 2.5e-1\n"
+        "dE = 2.5e-1\ndT = 2.0000002499999843e0\nproduct = 5.000000624999961e-1\n"
+        "bound = 5e-1\nok = true\nvalid = true\ndegenerate = false\n",
+    ),
+    0.0: (
+        {
+            "route": "p", "t_emit": 0.0,
+            "spreads": {"dq": 1.0, "dp": 0.5, "dqcl": 0.0},
+            "chi": {"p_qcl": 0.0, "q_qcl": 0.0},
+            "dm": "inf", "dE": "inf", "dT": 0.0, "product": "inf",
+            "bound": 0.5, "ok": True, "valid": True, "degenerate": True,
+        },
+        "route = p\nt_emit = 0e0\ndq = 1e0\ndp = 5e-1\ndqcl = 0e0\nchi_p_qcl = 0e0\n"
+        "chi_q_qcl = 0e0\ndm = inf\ndE = inf\ndT = 0e0\nproduct = inf\nbound = 5e-1\n"
+        "ok = true\nvalid = true\ndegenerate = true\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("t_emit", sorted(RUN_PINNED))
+def test_run_output_pinned(tmp_path, capsys, t_emit):
+    doc, stdout = RUN_PINNED[t_emit]
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(write_config(tmp_path, t_emit)), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
 def test_run_degenerate_inf_serialization(tmp_path):
     cfg = json.loads(CONFIG.read_text())
     cfg["time"]["t_emit"] = 0.0
@@ -231,6 +272,17 @@ def test_verify_fails_at_unreachable_tolerance():
     proc = run_cli("verify", "--config", str(CONFIG), "--tol", "1e-16")
     assert proc.returncode == 2
     assert "FAIL" in proc.stdout
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_verify_unusable_tolerance_exits_1(tol):
+    # An infinite tolerance would pass every check; nan or a negative one
+    # would fail every check.  Either way there is no verdict to report.
+    proc = run_cli("verify", "--config", str(CONFIG), "--tol", tol, "--oracle")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: tol must be finite and >= 0")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_verify_oracle_compares_every_positive_time(tmp_path, monkeypatch, capsys):

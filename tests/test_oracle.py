@@ -218,7 +218,7 @@ def test_grid_step_exceeding_horizon_rejected(workspace, consts):
 def test_commutator_block_matches_closed_free_fall(workspace, consts):
     box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
     fr = oracle_evolve(workspace, consts, box, 1.0)
-    ref = commutator_closed(Pair.P_QCL, consts, box, 1.0).chi
+    ref = commutator_closed(Pair.P_QCL, consts, box, 1.0)
     res = oracle_commutator(workspace, fr.p, fr.qcl, workspace.vacuum, chi_ref=ref)
     assert res.block_dev < 1e-6
     assert res.probe_chi.real == pytest.approx(1.0, abs=1e-6)
@@ -229,7 +229,7 @@ def test_commutator_block_matches_closed_harmonic(workspace, consts):
     box = BoxParams(M=1000.0, m=1.0, potential=Harmonic(k=1000.0))
     t = math.pi / 2
     fr = oracle_evolve(workspace, consts, box, t)
-    ref = commutator_closed(Pair.Q_QCL, consts, box, t).chi
+    ref = commutator_closed(Pair.Q_QCL, consts, box, t)
     res = oracle_commutator(workspace, fr.q, fr.qcl, workspace.coherent, chi_ref=ref)
     assert res.block_dev < 1e-6
     assert res.probe_chi.real == pytest.approx(1e-3, abs=1e-6)

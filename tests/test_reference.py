@@ -10,10 +10,11 @@ arithmetic and its order are unchanged, and ``np.sin``/``np.cos`` agree
 with ``math.sin``/``math.cos`` on every value these grids produce.
 
 `verify` has a scalar reference too: the per-frame, per-coefficient
-deviation loop over ``HeisenbergFrame`` objects, one ``commutator`` call
-per pair and frame, and running maxima over the oracle times, fed by the
-same scalar closed forms and by its own per-leg RK4 loop.  `verify`'s
-array form must reproduce every ``max_dev`` and verdict bit for bit.
+deviation loop over frames held as tuples of rows, one scalar
+a_q(X)*a_p(Y) - a_p(X)*a_q(Y) per pair and frame, and running maxima over
+the oracle times, fed by the same scalar closed forms and by its own
+per-leg RK4 loop.  `verify`'s array form must reproduce every ``max_dev``
+and verdict bit for bit.
 """
 
 import dataclasses
@@ -27,18 +28,15 @@ from photonbox import (
     BoxParams,
     FreeFall,
     Harmonic,
-    HeisenbergFrame,
     InvalidTime,
     Measurement,
     NumericOptions,
-    OperatorCoeffs,
     OracleConfig,
     PhysConstants,
     Route,
     Scenario,
     SweepRow,
     build_workspace,
-    commutator,
     oracle_commutator,
     oracle_evolve_grid,
     run_scenario,
@@ -211,10 +209,8 @@ def assert_run_matches(s):
         assert bits(getattr(got, name)) == bits(ref[name]), name
     assert bits(got.chi_p_qcl) == bits(ref["chi_p"])
     assert bits(got.chi_q_qcl) == bits(ref["chi_q"])
-    frame = [
-        [bits(getattr(op, c)) for c in ("a_q", "a_p", "a_cl", "a_1", "a_m")]
-        for op in (got.frame.Q, got.frame.P, got.frame.Qcl)
-    ]
+    assert got.frame.shape == (3, 5)
+    frame = [[bits(v) for v in row] for row in got.frame.tolist()]
     assert frame == [[bits(v) for v in row] for row in ref["rows"]]
     pairs = ((got.check_p, ref["dp"], ref["chi_p"]), (got.check_q, ref["dq"], ref["chi_q"]))
     for check, dx, chi in pairs:
@@ -315,21 +311,21 @@ def test_overflow_names_coefficient_and_first_time():
 # verify: scalar deviation reference
 # ---------------------------------------------------------------------------
 
-COEFFS = ("a_q", "a_p", "a_cl", "a_1", "a_m")
-
-
 def ref_unit_floor_dev(value, ref):
     return abs(value - ref) / max(1.0, abs(ref))
 
 
 def ref_frame_dev(numeric, closed):
     dev = 0.0
-    for name in ("Q", "P", "Qcl"):
-        num_op = getattr(numeric, name)
-        ref_op = getattr(closed, name)
-        for coeff in COEFFS:
-            dev = max(dev, ref_unit_floor_dev(getattr(num_op, coeff), getattr(ref_op, coeff)))
+    for num_row, ref_row in zip(numeric, closed):  # rows Q, P, Qcl
+        for value, ref in zip(num_row, ref_row):  # a_q, a_p, a_cl, a_1, a_m
+            dev = max(dev, ref_unit_floor_dev(value, ref))
     return dev
+
+
+def ref_commutator(x, y):
+    """chi of [X, Y] for two rows (a_q, a_p, a_cl, a_1, a_m)."""
+    return x[0] * y[1] - x[1] * y[0]
 
 
 def ref_rk4_grid(G, src, y, ts, step):
@@ -355,10 +351,6 @@ def ref_rk4_grid(G, src, y, ts, step):
     return out
 
 
-def ref_heisenberg(t, rows):
-    return HeisenbergFrame(t, *(OperatorCoeffs(*row) for row in rows))
-
-
 def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6, t_max=None):
     """(name, max_dev, tol, passed) per check, computed one frame at a time."""
     consts, box = s.constants, s.box
@@ -367,14 +359,15 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6, t_max=N
     T = t_max if t_max is not None else (s.t_emit if s.t_emit > 0 else 4.0)
     ts = [float(t) for t in np.linspace(0.0, T, grid)]
 
-    closed = [ref_heisenberg(t, ref_frame(consts, box, t)) for t in ts]
+    # frames as tuples of rows (Q, P, Qcl)
+    closed = [tuple(ref_frame(consts, box, t)) for t in ts]
     chi_closed = [ref_chi(consts, box, t) for t in ts]
     G = np.array([[0.0, 1.0 / box.M, 0.0], [-box.spring_k, 0.0, 0.0], [-g / c2, 0.0, 0.0]])
     src = np.zeros((3, 5))
     src[1, 4] = -g
     src[2, 3] = 1.0
     rows = ref_rk4_grid(G, src, np.eye(3, 5), ts, s.numeric.step)
-    numeric = [ref_heisenberg(t, r.tolist()) for t, r in zip(ts, rows)]
+    numeric = [tuple(r.tolist()) for r in rows]
     G = np.array([[0.0, -box.spring_k], [1.0 / box.M, 0.0]])
     chi_ode = ref_rk4_grid(G, np.array([g / c2, 0.0]), np.zeros(2), ts, s.numeric.step)
 
@@ -387,19 +380,19 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6, t_max=N
         for ode, ref in zip(chi_ode, chi_closed)
     )
     algebra_dev = rk4_algebra_dev = sympl_closed_dev = sympl_rk4_dev = 0.0
-    for frame_c, frame_n, ref in zip(closed, numeric, chi_closed):
+    for (q_c, p_c, qcl_c), (q_n, p_n, qcl_n), ref in zip(closed, numeric, chi_closed):
         algebra_dev = max(
             algebra_dev,
-            ref_unit_floor_dev(commutator(frame_c.P, frame_c.Qcl).chi, ref[0]),
-            ref_unit_floor_dev(commutator(frame_c.Q, frame_c.Qcl).chi, ref[1]),
+            ref_unit_floor_dev(ref_commutator(p_c, qcl_c), ref[0]),
+            ref_unit_floor_dev(ref_commutator(q_c, qcl_c), ref[1]),
         )
         rk4_algebra_dev = max(
             rk4_algebra_dev,
-            ref_unit_floor_dev(commutator(frame_n.P, frame_n.Qcl).chi, ref[0]),
-            ref_unit_floor_dev(commutator(frame_n.Q, frame_n.Qcl).chi, ref[1]),
+            ref_unit_floor_dev(ref_commutator(p_n, qcl_n), ref[0]),
+            ref_unit_floor_dev(ref_commutator(q_n, qcl_n), ref[1]),
         )
-        sympl_closed_dev = max(sympl_closed_dev, abs(commutator(frame_c.Q, frame_c.P).chi - 1.0))
-        sympl_rk4_dev = max(sympl_rk4_dev, abs(commutator(frame_n.Q, frame_n.P).chi - 1.0))
+        sympl_closed_dev = max(sympl_closed_dev, abs(ref_commutator(q_c, p_c) - 1.0))
+        sympl_rk4_dev = max(sympl_rk4_dev, abs(ref_commutator(q_n, p_n) - 1.0))
     checks = [
         ("frame_closed_vs_rk4", frame_dev, tol),
         ("chi_closed_vs_ode", ode_dev, tol),

@@ -14,6 +14,7 @@ from photonbox import (
     InvalidMixture,
     InvalidPrecision,
     InvalidState,
+    InvalidTime,
     MassMixture,
     NoElapsedTime,
     Pair,
@@ -90,12 +91,13 @@ def test_propagation_matches_hand_expansion(consts, ff_box):
     st = propagate_state(fr, st0, 1.0, hbar=consts.hbar)
 
     # means: mu_X = a_q mu_q + a_p mu_p + a_cl mu_cl + a_1 + a_m m
-    assert st.mu[0] == pytest.approx(fr.Q.a_m * 1.0, rel=1e-15)
-    assert st.mu[1] == pytest.approx(fr.P.a_m * 1.0, rel=1e-15)
-    assert st.mu[2] == pytest.approx(fr.Qcl.a_1 + fr.Qcl.a_m * 1.0, rel=1e-15)
+    # frame rows Q, P, Qcl; columns a_q, a_p, a_cl, a_1, a_m
+    assert st.mu[0] == pytest.approx(fr[0, 4] * 1.0, rel=1e-15)
+    assert st.mu[1] == pytest.approx(fr[1, 4] * 1.0, rel=1e-15)
+    assert st.mu[2] == pytest.approx(fr[2, 3] + fr[2, 4] * 1.0, rel=1e-15)
 
     # covariance: sigma_t = S sigma0 S^T with S the coefficient matrix
-    s_mat = fr.coefficient_matrix()
+    s_mat = fr[:, :3]
     expected = s_mat @ st0.sigma @ s_mat.T
     assert np.max(np.abs(st.sigma - expected)) < 1e-14
 
@@ -151,7 +153,7 @@ def test_check_bound_flags_violation(consts, ff_box):
 
 def test_mass_uncertainty_via_p(consts, ff_box):
     fr = evolve_closed(consts, ff_box, 2.0)
-    est = mass_uncertainty(fr, Route.P, 0.5, consts, ff_box)
+    est = mass_uncertainty(fr, 2.0, Route.P, 0.5, ff_box)
     # |a_m| = g*t = 2, dm = 0.5/2
     assert est.dm == 0.25
     assert est.valid and not est.degenerate
@@ -159,14 +161,15 @@ def test_mass_uncertainty_via_p(consts, ff_box):
 
 def test_mass_uncertainty_via_q(consts, ff_box):
     fr = evolve_closed(consts, ff_box, 2.0)
-    est = mass_uncertainty(fr, Route.Q, 1.0, consts, ff_box)
+    est = mass_uncertainty(fr, 2.0, Route.Q, 1.0, ff_box)
     # |a_m| = g*t^2/(2M) = 0.002
     assert est.dm == pytest.approx(500.0, rel=1e-12)
 
 
 def test_mass_uncertainty_harmonic_quarter_period(consts, ho_box):
-    fr = evolve_closed(consts, ho_box, math.pi / 2)
-    est = mass_uncertainty(fr, Route.Q, 1.0, consts, ho_box)
+    t = math.pi / 2
+    fr = evolve_closed(consts, ho_box, t)
+    est = mass_uncertainty(fr, t, Route.Q, 1.0, ho_box)
     # |a_m| = (g/k)(1 - cos wt) = 1e-3
     assert est.dm == pytest.approx(1000.0, rel=1e-12)
     assert est.valid and not est.degenerate
@@ -175,24 +178,35 @@ def test_mass_uncertainty_harmonic_quarter_period(consts, ho_box):
 def test_mass_degenerate_at_zero_time(consts, ff_box):
     fr = evolve_closed(consts, ff_box, 0.0)
     for route in Route:
-        est = mass_uncertainty(fr, route, 0.5, consts, ff_box)
+        est = mass_uncertainty(fr, 0.0, route, 0.5, ff_box)
         assert est.degenerate
         assert est.dm == math.inf
 
 
 def test_mass_degenerate_at_revival(consts, ho_box):
-    fr = evolve_closed(consts, ho_box, 2.0 * math.pi)
+    t = 2.0 * math.pi
+    fr = evolve_closed(consts, ho_box, t)
     for route in Route:
-        est = mass_uncertainty(fr, route, 0.5, consts, ho_box)
+        est = mass_uncertainty(fr, t, route, 0.5, ho_box)
         assert est.degenerate
         assert est.dm == math.inf
+
+
+def test_mass_uncertainty_rejects_bad_input(consts, ff_box):
+    fr = evolve_closed(consts, ff_box, 2.0)
+    for dx in (-0.5, math.nan, math.inf):
+        with pytest.raises(InvalidPrecision):
+            mass_uncertainty(fr, 2.0, Route.P, dx, ff_box)
+    for t in (-2.0, math.nan, math.inf):
+        with pytest.raises(InvalidTime):
+            mass_uncertainty(fr, t, Route.P, 0.5, ff_box)
 
 
 def test_back_action_validity_window(consts):
     # heavy photon on a stiff spring exits the linear-response window
     box = BoxParams(M=10.0, m=5.0, potential=Harmonic(k=10.0))
     fr = evolve_closed(consts, box, 2.0)
-    est = mass_uncertainty(fr, Route.P, 0.1, consts, box)
+    est = mass_uncertainty(fr, 2.0, Route.P, 0.1, box)
     assert not est.valid
 
 
@@ -297,8 +311,8 @@ def test_mixture_two_point_adds_mass_variance(consts, ff_box):
     mix = MassMixture(components=((0.5, 1.0 - delta), (0.5, 1.0 + delta)))
     mm = mixture_statistics(fr, mix, st0)
     base = propagate_state(fr, st0, 1.0, hbar=consts.hbar)
-    for i, op in enumerate((fr.Q, fr.P, fr.Qcl)):
-        expected = math.sqrt(base.spreads[i] ** 2 + (op.a_m * delta) ** 2)
+    for i, a_m in enumerate(fr[:, 4]):
+        expected = math.sqrt(base.spreads[i] ** 2 + (a_m * delta) ** 2)
         assert mm.spread[i] == pytest.approx(expected, rel=1e-12)
     assert np.allclose(mm.mean, base.mu, rtol=1e-13, atol=1e-18)
 
@@ -323,7 +337,7 @@ def test_diagnostic_reference_golden(consts, ff_box):
     st0 = prepare_post_measurement_state(Route.P, 0.5, 0.0, consts)
     fr = evolve_closed(consts, ff_box, 2.0)
     st = propagate_state(fr, st0, 1.0, hbar=consts.hbar)
-    d = time_energy_diagnostic(st, fr, consts, ff_box, 1.0)
+    d = time_energy_diagnostic(st, 2.0, consts, ff_box, 1.0)
     assert d.dH == pytest.approx(1.0000000156249997, rel=1e-13)
     assert d.dqcl == 2.0000002499999843
     assert d.denom == pytest.approx(2.001333333333333, rel=1e-14)
@@ -336,7 +350,7 @@ def test_diagnostic_rate_denominator(consts, ff_box):
     fr = evolve_closed(consts, ff_box, 2.0)
     st = propagate_state(fr, st0, 1.0, hbar=consts.hbar)
     d = time_energy_diagnostic(
-        st, fr, consts, ff_box, 1.0, denominator=Denominator.MEAN_CLOCK_RATE
+        st, 2.0, consts, ff_box, 1.0, denominator=Denominator.MEAN_CLOCK_RATE
     )
     # 1 - (g/c^2) mu_q with mu_q = -0.002
     assert d.denom == pytest.approx(1.002, rel=1e-14)
@@ -348,7 +362,7 @@ def test_diagnostic_raises_with_no_elapsed_time(consts, ff_box):
     fr = evolve_closed(consts, ff_box, 0.0)
     st = propagate_state(fr, st0, 1.0, hbar=consts.hbar)
     with pytest.raises(NoElapsedTime):
-        time_energy_diagnostic(st, fr, consts, ff_box, 1.0)
+        time_energy_diagnostic(st, 0.0, consts, ff_box, 1.0)
 
 
 def test_diagnostic_variance_against_quadrature(consts, ho_box):
@@ -356,7 +370,7 @@ def test_diagnostic_variance_against_quadrature(consts, ho_box):
     st0 = prepare_post_measurement_state(Route.P, 0.4, 0.1, consts)
     fr = evolve_closed(consts, ho_box, 1.3)
     st = propagate_state(fr, st0, 1.0, hbar=consts.hbar)
-    d = time_energy_diagnostic(st, fr, consts, ho_box, 1.0)
+    d = time_energy_diagnostic(st, 1.3, consts, ho_box, 1.0)
 
     cov = st.sigma[:2, :2]
     mu = st.mu[:2]
@@ -387,7 +401,7 @@ def test_diagnostic_time_independent_without_gravity(ff_box):
         fr = evolve_closed(consts0, ff_box, t)
         st = propagate_state(fr, st0, 1.0, hbar=consts0.hbar)
         d = time_energy_diagnostic(
-            st, fr, consts0, ff_box, 1.0, denominator=Denominator.MEAN_CLOCK_RATE
+            st, t, consts0, ff_box, 1.0, denominator=Denominator.MEAN_CLOCK_RATE
         )
         assert d.denom == 1.0
         values.append(d.lhs)
