@@ -3,7 +3,8 @@
 The engine never represents operators as matrices; it tracks five real
 coefficients per observable.  This script rebuilds q, p, and the clock
 reading as dense truncated number-basis matrices, integrates the same
-equations of motion, and compares the commutators entry by entry.
+equations of motion (stepping only the matrix entries they can reach),
+and compares the commutators, dense matrix products, entry by entry.
 """
 
 import numpy as np

@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import operator
+import re
 import sys
 from typing import Any, Iterable
 
@@ -339,8 +340,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Every negative float literal: decimal or exponent form, inf, infinity, nan.
+_NEGATIVE_FLOAT = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that reports usage errors on the config exit code."""
+    """Argument parser that reports usage errors on the config exit code.
+
+    argparse reads an argument as a negative number, not an option name,
+    only if it matches ``_negative_number_matcher``; its own pattern misses
+    exponents and ``-inf``, so ``--tol -1e-3`` would fail as a missing value
+    before the program's own check could name the fault.  No option here
+    looks like a number, so every float literal may be read as one.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_FLOAT
 
     def error(self, message: str):  # noqa: D102 - argparse override
         raise ConfigError(message)

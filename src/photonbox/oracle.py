@@ -5,6 +5,9 @@ purpose.  It builds explicit position and momentum matrices from ladder
 operators in a truncated number basis, integrates the same backward-time
 equations of motion as honest matrix ODEs, assembles the clock matrix by
 quadrature, and evaluates commutators by actual matrix multiplication.
+The equations of motion act entry by entry, so the integration steps only
+the entries they can reach (those of q0 and p0 that are nonzero, and the
+diagonal); the frames it returns, and every commutator, are dense.
 Away from the truncation corner the matrix commutators must reproduce the
 engine's chi values, which is what the scenario-level verification uses.
 
@@ -144,8 +147,12 @@ def oracle_evolve_grid(
     """Matrix frames at an ascending grid of backward times, in one pass.
 
     Q and P follow dQ/dt = P/M, dP/dt = -m*g*I - k*Q under classical
-    fourth-order stepping, integrated once from t = 0 across the grid.  The
-    clock matrix at each grid time is then
+    fourth-order stepping, integrated once from t = 0 across the grid.
+    These act entry by entry, so only the entries they can reach are
+    stepped: those where q0 or p0 is nonzero, and the diagonal.  The rest
+    stay exactly 0, and each frame is scattered back into dense n x n
+    matrices, equal bit for bit to stepping every entry.  The clock matrix
+    at each grid time is then
 
         Qcl(t) = t*I - (g/c**2) * integral of Q over [0, t]
 
@@ -177,23 +184,38 @@ def oracle_evolve_grid(
     mg = box.m * consts.g
     g_c2 = consts.g / (consts.c * consts.c)
 
-    # Q and P stacked as one (2, n, n) state, stepped in place.  The
-    # equations of motion have real coefficients, so the arithmetic runs on
-    # the float64 view of the complex state, real and imaginary parts side
-    # by side: numpy would otherwise multiply each entry by a complex
-    # scalar.  In that view the real diagonal of a block has stride 2n + 2.
-    y = np.stack((workspace.q0, workspace.p0))
+    # The live entries' flat indices, diagonal first, gather Q and P into
+    # one stacked (2, L) complex state, stepped in place.  The coefficients
+    # are real, so the arithmetic runs on the float64 view, real and
+    # imaginary parts side by side (numpy would otherwise multiply each
+    # entry by a complex scalar); there the m*g source acts on the real
+    # diagonal, the slice [0:2n:2] of row P.
+    off_diagonal = (workspace.q0 != 0) | (workspace.p0 != 0)
+    np.fill_diagonal(off_diagonal, False)
+    live = np.concatenate((np.arange(n_dim) * (n_dim + 1), np.flatnonzero(off_diagonal)))
+    y = np.stack((workspace.q0.reshape(-1)[live], workspace.p0.reshape(-1)[live]))
     yr = y.view(np.float64)
     k1, k2, k3, k4, scratch = (np.empty_like(yr) for _ in range(5))
     simpson = np.empty_like(yr[0])
-    integral = np.zeros((n_dim, n_dim), dtype=complex)  # of Q over [0, t]
-    diag = 2 * n_dim + 2
+    integral = np.zeros(len(live), dtype=complex)  # of Q over [0, t]
 
-    def derivative(state: np.ndarray, out: np.ndarray) -> None:
-        np.divide(state[1], M, out=out[0])
-        np.multiply(state[0], -k, out=out[1])
-        source = out[1].reshape(-1)[::diag]
-        source -= mg
+    # Rows Q and P of each float buffer, with P's real diagonal, as views
+    # built once: the stepping loop is bound by numpy's cost per call.
+    y_v, k1_v, k2_v, k3_v, k4_v, scratch_v = (
+        (buf[0], buf[1], buf[1, : 2 * n_dim : 2]) for buf in (yr, k1, k2, k3, k4, scratch)
+    )
+
+    def derivative(state: tuple, out: tuple) -> None:
+        q, p, _ = state
+        dq, dp, source = out
+        np.divide(p, M, out=dq)
+        np.multiply(q, -k, out=dp)
+        np.subtract(source, mg, out=source)
+
+    def dense(entries: np.ndarray) -> np.ndarray:
+        mat = np.zeros(n_dim * n_dim, dtype=complex)
+        mat[live] = entries
+        return mat.reshape(n_dim, n_dim)
 
     frames = []
     t_prev = 0.0
@@ -203,18 +225,18 @@ def oracle_evolve_grid(
             steps = max(2, math.ceil(dt / cfg.step - 1e-12))
             steps += steps % 2
             h = dt / steps
-            np.copyto(simpson, yr[0])  # node 0, weight 1
+            np.copyto(simpson, y_v[0])  # node 0, weight 1
             for i in range(1, steps + 1):
-                derivative(yr, k1)
+                derivative(y_v, k1_v)
                 np.multiply(k1, 0.5 * h, out=scratch)
                 scratch += yr
-                derivative(scratch, k2)
+                derivative(scratch_v, k2_v)
                 np.multiply(k2, 0.5 * h, out=scratch)
                 scratch += yr
-                derivative(scratch, k3)
+                derivative(scratch_v, k3_v)
                 np.multiply(k3, h, out=scratch)
                 scratch += yr
-                derivative(scratch, k4)
+                derivative(scratch_v, k4_v)
                 k2 += k3
                 k2 *= 2.0
                 k1 += k2
@@ -222,11 +244,11 @@ def oracle_evolve_grid(
                 k1 *= h / 6.0
                 yr += k1
                 weight = 1.0 if i == steps else (4.0 if i % 2 else 2.0)
-                np.multiply(yr[0], weight, out=scratch[0])
-                simpson += scratch[0]
+                np.multiply(y_v[0], weight, out=scratch_v[0])
+                simpson += scratch_v[0]
             integral += (h / 3.0) * simpson.view(complex)
-        qcl = t * eye - g_c2 * integral
-        frames.append(OracleFrame(t=t, q=y[0].copy(), p=y[1].copy(), qcl=qcl))
+        qcl = t * eye - g_c2 * dense(integral)
+        frames.append(OracleFrame(t=t, q=dense(y[0]), p=dense(y[1]), qcl=qcl))
         t_prev = t
     return frames
 

@@ -19,11 +19,12 @@ CONFIG = DATA / "reference_config.json"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args):
+def run_cli(*args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "photonbox", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "photonbox", *args],
+        capture_output=True, text=True, env=env, cwd=cwd,
     )
 
 
@@ -285,6 +286,29 @@ def test_verify_unusable_tolerance_exits_1(tol):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--tol", "-1e-3"], "error: tol must be finite and >= 0"),
+        (["verify", "--tol", "-inf"], "error: tol must be finite and >= 0"),
+        (["verify", "--tol", "-.5"], "error: tol must be finite and >= 0"),
+        (["sweep", "--t-min", "-1e-3", "--t-max", "1", "--steps", "4", "--out", "x.csv"],
+         "error: need 0 <= t_min < t_max"),
+    ],
+    ids=["tol-exponent", "tol-inf", "tol-fraction", "t-min-exponent"],
+)
+def test_negative_float_literals_reach_the_checks(tmp_path, args, message):
+    # A negative value must be read as the option's value, so that the
+    # program's own check names the fault, not argparse's "expected one
+    # argument".
+    command, *rest = args
+    proc = run_cli(command, "--config", str(CONFIG), *rest, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_verify_oracle_compares_every_positive_time(tmp_path, monkeypatch, capsys):
     # Legs of 0.125 are shorter than the 0.2 step; each still takes 2 steps.
     cfg = write_config(tmp_path, 0.5, {"type": "harmonic", "k": 1000.0}, {"step": 0.2})
@@ -318,6 +342,47 @@ def test_verify_oracle_step_beyond_horizon_exits_1(tmp_path):
         assert "oracle.step" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+VERIFY_ORACLE_PINNED = {
+    "free": (
+        None,
+        "frame_closed_vs_rk4       max_dev=3.952e-14  tol=1.0e-09  pass\n"
+        "chi_closed_vs_ode         max_dev=3.952e-14  tol=1.0e-09  pass\n"
+        "chi_frames_vs_closed      max_dev=4.337e-19  tol=1.0e-09  pass\n"
+        "chi_rk4_frames_vs_closed  max_dev=3.952e-14  tol=1.0e-09  pass\n"
+        "symplectic_closed         max_dev=0.000e+00  tol=1.0e-09  pass\n"
+        "symplectic_rk4            max_dev=0.000e+00  tol=1.0e-09  pass\n"
+        "oracle_block_p_qcl        max_dev=2.055e-13  tol=1.0e-06  pass\n"
+        "oracle_block_q_qcl        max_dev=1.972e-13  tol=1.0e-06  pass\n"
+        "oracle_probe_p_qcl        max_dev=5.921e-15  tol=1.0e-06  pass\n"
+        "oracle_probe_q_qcl        max_dev=7.850e-17  tol=1.0e-06  pass\n",
+    ),
+    "harmonic": (
+        {"type": "harmonic", "k": 1000.0},
+        "frame_closed_vs_rk4       max_dev=3.952e-14  tol=1.0e-09  pass\n"
+        "chi_closed_vs_ode         max_dev=3.109e-14  tol=1.0e-09  pass\n"
+        "chi_frames_vs_closed      max_dev=2.220e-16  tol=1.0e-09  pass\n"
+        "chi_rk4_frames_vs_closed  max_dev=6.306e-14  tol=1.0e-09  pass\n"
+        "symplectic_closed         max_dev=2.220e-16  tol=1.0e-09  pass\n"
+        "symplectic_rk4            max_dev=8.726e-14  tol=1.0e-09  pass\n"
+        "oracle_block_p_qcl        max_dev=1.728e-11  tol=1.0e-06  pass\n"
+        "oracle_block_q_qcl        max_dev=1.377e-14  tol=1.0e-06  pass\n"
+        "oracle_probe_p_qcl        max_dev=1.743e-14  tol=1.0e-06  pass\n"
+        "oracle_probe_q_qcl        max_dev=2.168e-18  tol=1.0e-06  pass\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_ORACLE_PINNED))
+def test_verify_oracle_output_pinned(tmp_path, capsys, case):
+    # The oracle digits come from the matrix integration alone: the scalar
+    # reference pipeline calls the package's own oracle, so this is the test
+    # that notices when they move.
+    potential, stdout = VERIFY_ORACLE_PINNED[case]
+    cfg = write_config(tmp_path, 2.0, potential, {"n": 24})
+    assert main(["verify", "--config", str(cfg), "--oracle"]) == 0
+    assert capsys.readouterr().out == stdout
 
 
 def test_verify_unstable_integration_fails_cleanly(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from photonbox import (
     BoxParams,
@@ -13,6 +14,7 @@ from photonbox import (
     InvalidStep,
     InvalidTime,
     OracleConfig,
+    OracleWorkspace,
     Pair,
     PhysConstants,
     build_workspace,
@@ -73,6 +75,74 @@ def reference_evolve(ws, consts, box, t):
         simpson += (1.0 if i == steps else (4.0 if i % 2 else 2.0)) * q
     qcl = t * eye - (consts.g / consts.c**2) * (h / 3.0) * simpson
     return q, p, qcl
+
+
+def dense_reference_grid(ws, consts, box, ts):
+    """Grid reference that steps every entry of the n x n matrices.
+
+    The stacked in-place loop over the dense (2, n, n) state, with the same
+    stage arithmetic, step counts and Simpson sums as oracle_evolve_grid;
+    that one steps only the entries that can leave zero, so the two must
+    agree bit for bit.  Returns (q, p, qcl) per grid time.
+    """
+    n_dim = ws.config.n
+    eye = np.eye(n_dim)
+    M, k, mg = box.M, box.spring_k, box.m * consts.g
+    g_c2 = consts.g / (consts.c * consts.c)
+    y = np.stack((ws.q0, ws.p0))
+    yr = y.view(np.float64)
+    k1, k2, k3, k4, scratch = (np.empty_like(yr) for _ in range(5))
+    simpson = np.empty_like(yr[0])
+    integral = np.zeros((n_dim, n_dim), dtype=complex)
+    diag = 2 * n_dim + 2  # stride of the real diagonal in the float view
+
+    def derivative(state, out):
+        np.divide(state[1], M, out=out[0])
+        np.multiply(state[0], -k, out=out[1])
+        source = out[1].reshape(-1)[::diag]
+        source -= mg
+
+    frames = []
+    t_prev = 0.0
+    for t in ts:
+        dt = t - t_prev
+        if dt > 0:
+            steps = max(2, math.ceil(dt / ws.config.step - 1e-12))
+            steps += steps % 2
+            h = dt / steps
+            np.copyto(simpson, yr[0])
+            for i in range(1, steps + 1):
+                derivative(yr, k1)
+                np.multiply(k1, 0.5 * h, out=scratch)
+                scratch += yr
+                derivative(scratch, k2)
+                np.multiply(k2, 0.5 * h, out=scratch)
+                scratch += yr
+                derivative(scratch, k3)
+                np.multiply(k3, h, out=scratch)
+                scratch += yr
+                derivative(scratch, k4)
+                k2 += k3
+                k2 *= 2.0
+                k1 += k2
+                k1 += k4
+                k1 *= h / 6.0
+                yr += k1
+                weight = 1.0 if i == steps else (4.0 if i % 2 else 2.0)
+                np.multiply(yr[0], weight, out=scratch[0])
+                simpson += scratch[0]
+            integral += (h / 3.0) * simpson.view(complex)
+        frames.append((y[0].copy(), y[1].copy(), t * eye - g_c2 * integral))
+        t_prev = t
+    return frames
+
+
+def assert_matches_dense(ws, consts, box, ts):
+    frames = oracle_evolve_grid(ws, consts, box, ts)
+    assert [fr.t for fr in frames] == list(ts)
+    for fr, want in zip(frames, dense_reference_grid(ws, consts, box, ts)):
+        for got, ref in zip((fr.q, fr.p, fr.qcl), want):
+            assert np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +260,50 @@ def test_grid_matches_per_time_reference(workspace, consts, potential):
         want = reference_evolve(workspace, consts, box, fr.t)
         for got, ref in zip((fr.q, fr.p, fr.qcl), want):
             assert np.max(np.abs(restricted(workspace, got - ref))) < 1e-9
+
+
+@pytest.mark.parametrize("n", [16, 40, 60])
+@pytest.mark.parametrize(
+    "potential", [FreeFall(), Harmonic(k=1000.0)], ids=["free", "harmonic"]
+)
+def test_grid_matches_dense_loop_bit_for_bit(consts, n, potential):
+    ws = build_workspace(OracleConfig(n=n, buffer=6, step=1e-3), consts)
+    box = BoxParams(M=1000.0, m=1.0, potential=potential)
+    assert_matches_dense(ws, consts, box, GRID)
+
+
+@pytest.mark.parametrize(
+    "potential", [FreeFall(), Harmonic(k=1000.0)], ids=["free", "harmonic"]
+)
+def test_grid_matches_dense_loop_in_a_rotated_basis(consts, potential):
+    # Conjugating by a real orthogonal matrix keeps q0, p0 Hermitian and
+    # canonical but fills every entry, so no band may be assumed.
+    ws = build_workspace(OracleConfig(n=20, buffer=6, step=1e-3), consts)
+    rot, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((20, 20)))
+    rotated = OracleWorkspace(
+        q0=rot @ ws.q0 @ rot.T, p0=rot @ ws.p0 @ rot.T, vacuum=ws.vacuum,
+        coherent=ws.coherent, config=ws.config, hbar=ws.hbar,
+    )
+    assert np.all(rotated.q0 != 0) and np.all(rotated.p0 != 0)
+    box = BoxParams(M=1000.0, m=1.0, potential=potential)
+    assert_matches_dense(rotated, consts, box, GRID)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    M=st.floats(20.0, 1e4),  # above the largest m
+    m=st.floats(0.1, 10.0),
+    g=st.floats(0.1, 3.0),
+    k=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+    step=st.sampled_from([1e-3, 1e-2]),
+    ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4).map(sorted),
+)
+def test_grid_matches_dense_loop_property(M, m, g, k, step, ts):
+    assume(ts[-1] >= step)
+    consts = PhysConstants(hbar=1.0, c=1.0, g=g)
+    ws = build_workspace(OracleConfig(n=16, buffer=6, step=step), consts)
+    box = BoxParams(M=M, m=m, potential=Harmonic(k=k) if k else FreeFall())
+    assert_matches_dense(ws, consts, box, ts)
 
 
 @pytest.mark.parametrize(
