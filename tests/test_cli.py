@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from hypothesis import given, strategies as st
 
 import photonbox.scenario
 from photonbox import SweepRow, oracle_evolve_grid
-from photonbox.cli import main, sci, sci17, sweep_csv
+from photonbox.cli import _build_parser, main, sci, sci17, sweep_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
 CONFIG = DATA / "reference_config.json"
@@ -395,6 +396,132 @@ def test_verify_unstable_integration_fails_cleanly(tmp_path):
     lines = dict(line.split(None, 1) for line in proc.stdout.splitlines())
     assert lines["frame_closed_vs_rk4"].endswith("FAIL")
     assert lines["chi_frames_vs_closed"].endswith("pass")
+
+
+# ---------------------------------------------------------------------------
+# --out files: created if missing, else overwritten in place and cut to length
+# ---------------------------------------------------------------------------
+
+GOLDEN_ARGS = ["--config", str(CONFIG), "--t-min", "0.5", "--t-max", "4.0"]
+
+
+def sweep_to(out, steps=8):
+    return main(["sweep", *GOLDEN_ARGS, "--steps", str(steps), "--out", str(out)])
+
+
+def test_sweep_rewrite_leaves_no_stale_tail(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert sweep_to(out, 50) == 0
+    longer = out.stat().st_size
+    assert sweep_to(out) == 0
+    assert out.stat().st_size < longer
+    fresh = tmp_path / "fresh.csv"
+    assert sweep_to(fresh) == 0
+    assert out.read_bytes() == fresh.read_bytes() == (DATA / "reference_sweep.csv").read_bytes()
+
+
+def test_run_rewrite_leaves_no_stale_tail(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(write_config(tmp_path, 2.0)), "--out", str(out)]) == 0
+    longer = out.stat().st_size
+    cfg = write_config(tmp_path, 0.0)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.stat().st_size < longer
+    fresh = tmp_path / "fresh.json"
+    assert main(["run", "--config", str(cfg), "--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_out_to_null_device_exits_0(capsys):
+    assert sweep_to(os.devnull) == 0
+    assert main(["run", "--config", str(CONFIG), "--out", os.devnull]) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_to_full_device_exits_3(command):
+    args = ["--config", str(CONFIG), "--out", "/dev/full"]
+    if command == "sweep":
+        args = GOLDEN_ARGS + ["--steps", "8", "--out", "/dev/full"]
+    proc = run_cli(command, *args)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("i/o error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_directory_out_exits_3(tmp_path, capsys):
+    assert sweep_to(tmp_path) == 3
+    assert main(["run", "--config", str(CONFIG), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("i/o error:") for line in err)
+
+
+def test_symlinked_out_writes_through(tmp_path):
+    golden = (DATA / "reference_sweep.csv").read_bytes()
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"stale\n" * 10000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert sweep_to(link) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == golden
+    # A dangling link creates its target, as open(path, "w") does.
+    missing = tmp_path / "missing.csv"
+    dangling = tmp_path / "dangling.csv"
+    dangling.symlink_to(missing)
+    assert sweep_to(dangling) == 0
+    assert dangling.is_symlink()
+    assert missing.read_bytes() == golden
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_out_file_modes(tmp_path):
+    existing = tmp_path / "existing.csv"
+    existing.write_text("old\n")
+    existing.chmod(0o600)
+    assert sweep_to(existing) == 0
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o600
+    # A new file gets the mode open(path, "w") would give it under the umask.
+    old_umask = os.umask(0o027)
+    try:
+        open(tmp_path / "by_open", "w").close()
+        assert sweep_to(tmp_path / "new.csv") == 0
+    finally:
+        os.umask(old_umask)
+    mode = stat.S_IMODE((tmp_path / "new.csv").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "by_open").stat().st_mode) == 0o640
+
+
+def test_main_called_in_sequence_matches_fresh_calls(tmp_path, capsys):
+    # main builds its parser once per process; parsing must leave it as it
+    # was, so each call in a sequence prints and writes what a call on a
+    # freshly built parser does.
+    def calls(d):
+        d.mkdir()
+        return [
+            ["sweep", "--config", str(CONFIG), "--steps", "8"],
+            ["run", "--config", str(CONFIG), "--out", str(d / "report.json")],
+            ["sweep", *GOLDEN_ARGS, "--steps", "8", "--out", str(d / "sweep.csv")],
+            ["verify", "--config", str(CONFIG), "--grid", "10"],
+        ]
+
+    def outcome(argv, d):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, {p.name: p.read_bytes() for p in d.iterdir()}
+
+    _build_parser.cache_clear()
+    seq = tmp_path / "seq"
+    in_sequence = [outcome(argv, seq) for argv in calls(seq)]
+    assert _build_parser.cache_info().misses == 1
+    fresh_dir = tmp_path / "fresh"
+    fresh = []
+    for argv in calls(fresh_dir):
+        _build_parser.cache_clear()
+        fresh.append(outcome(argv, fresh_dir))
+    assert [r[0] for r in in_sequence] == [1, 0, 0, 0]
+    assert in_sequence[0][2].startswith("error: the following arguments are required")
+    assert in_sequence == fresh
 
 
 # ---------------------------------------------------------------------------
