@@ -3,8 +3,9 @@
 The engine never represents operators as matrices; it tracks five real
 coefficients per observable.  This script rebuilds q, p, and the clock
 reading as dense truncated number-basis matrices, integrates the same
-equations of motion (stepping only the matrix entries they can reach),
-and compares the commutators, dense matrix products, entry by entry.
+equations of motion (one fourth-order affine map per step, applied to only
+the matrix entries they can reach), and compares the commutators, dense
+matrix products, entry by entry.
 """
 
 import numpy as np

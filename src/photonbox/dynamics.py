@@ -227,7 +227,8 @@ def commutator_closed(
 # numeric route
 # =============================================================================
 #
-# Both coefficient systems are linear with constant coefficients,
+# Both coefficient systems, and the matrix equations of motion of the
+# oracle (photonbox.oracle), are linear with constant coefficients,
 #
 #     y' = G y + s,
 #
@@ -237,8 +238,10 @@ def commutator_closed(
 #     y  <-  R y + r,      R = sum_{j<=4} (h G)^j / j!,
 #                          r = h * (sum_{j<=3} (h G)^j / (j+1)!) s.
 #
-# Iterating R is arithmetically equivalent to the textbook stage evaluation
-# and keeps the per-step cost at one small matrix product.
+# Iterating R is the textbook stage evaluation up to rounding and keeps the
+# per-step cost at one small matrix product.  Both routes and the oracle
+# step with _rk4_maps, so a fault in it is shared: verify shows one as a
+# failed check of each (the closed forms share nothing with it).
 
 
 def _rk4_maps(G: np.ndarray, src: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:

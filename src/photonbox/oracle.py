@@ -5,9 +5,11 @@ purpose.  It builds explicit position and momentum matrices from ladder
 operators in a truncated number basis, integrates the same backward-time
 equations of motion as honest matrix ODEs, assembles the clock matrix by
 quadrature, and evaluates commutators by actual matrix multiplication.
-The equations of motion act entry by entry, so the integration steps only
-the entries they can reach (those of q0 and p0 that are nonzero, and the
-diagonal); the frames it returns, and every commutator, are dense.
+The equations of motion are linear and act entry by entry, so each
+classical fourth-order step is one affine map, shared with the numeric
+coefficient route, applied to only the entries it can reach (those of q0
+and p0 that are nonzero, and the diagonal); the frames it returns, and
+every commutator, are dense.
 Away from the truncation corner the matrix commutators must reproduce the
 engine's chi values, which is what the scenario-level verification uses.
 
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import _check_grid
+from .dynamics import _check_grid, _rk4_maps
 from .errors import ConfigError, InvalidStep
 from .operators import BoxParams, PhysConstants
 
@@ -146,13 +148,15 @@ def oracle_evolve_grid(
 ) -> list[OracleFrame]:
     """Matrix frames at an ascending grid of backward times, in one pass.
 
-    Q and P follow dQ/dt = P/M, dP/dt = -m*g*I - k*Q under classical
-    fourth-order stepping, integrated once from t = 0 across the grid.
-    These act entry by entry, so only the entries they can reach are
-    stepped: those where q0 or p0 is nonzero, and the diagonal.  The rest
-    stay exactly 0, and each frame is scattered back into dense n x n
-    matrices, equal bit for bit to stepping every entry.  The clock matrix
-    at each grid time is then
+    Q and P follow dQ/dt = P/M, dP/dt = -m*g*I - k*Q, integrated once from
+    t = 0 across the grid by classical fourth-order steps.  The system is
+    linear with constant coefficients and acts entry by entry, so each step
+    is the affine map (Q, P) <- R (Q, P) + r*I of ``dynamics._rk4_maps``,
+    applied as one 3 x 3 matrix product to every stepped entry at once.
+    Only the entries it can reach are stepped: those where q0 or p0 is
+    nonzero, and the diagonal.  The rest stay exactly 0, and each frame is
+    scattered back into dense n x n matrices, equal bit for bit to stepping
+    every entry.  The clock matrix at each grid time is then
 
         Qcl(t) = t*I - (g/c**2) * integral of Q over [0, t]
 
@@ -179,42 +183,28 @@ def oracle_evolve_grid(
         )
     n_dim = cfg.n
     eye = np.eye(n_dim)
-    M = box.M
-    k = box.spring_k
-    mg = box.m * consts.g
+    G = np.array([[0.0, 1.0 / box.M], [-box.spring_k, 0.0]])
+    src = np.array([0.0, -box.m * consts.g])
     g_c2 = consts.g / (consts.c * consts.c)
 
     # The live entries' flat indices, diagonal first, gather Q and P into
-    # one stacked (2, L) complex state, stepped in place.  The coefficients
-    # are real, so the arithmetic runs on the float64 view, real and
-    # imaginary parts side by side (numpy would otherwise multiply each
-    # entry by a complex scalar); there the m*g source acts on the real
-    # diagonal, the slice [0:2n:2] of row P.
+    # rows 0 and 1 of a (3, L) complex state.  The map is real, so it acts on
+    # the float64 view, real and imaginary parts side by side; there row 2
+    # carries the source: 1 at the real diagonal [0:2n:2], 0 elsewhere.
     off_diagonal = (workspace.q0 != 0) | (workspace.p0 != 0)
     np.fill_diagonal(off_diagonal, False)
     live = np.concatenate((np.arange(n_dim) * (n_dim + 1), np.flatnonzero(off_diagonal)))
-    y = np.stack((workspace.q0.reshape(-1)[live], workspace.p0.reshape(-1)[live]))
-    yr = y.view(np.float64)
-    k1, k2, k3, k4, scratch = (np.empty_like(yr) for _ in range(5))
-    simpson = np.empty_like(yr[0])
-    integral = np.zeros(len(live), dtype=complex)  # of Q over [0, t]
-
-    # Rows Q and P of each float buffer, with P's real diagonal, as views
-    # built once: the stepping loop is bound by numpy's cost per call.
-    y_v, k1_v, k2_v, k3_v, k4_v, scratch_v = (
-        (buf[0], buf[1], buf[1, : 2 * n_dim : 2]) for buf in (yr, k1, k2, k3, k4, scratch)
-    )
-
-    def derivative(state: tuple, out: tuple) -> None:
-        q, p, _ = state
-        dq, dp, source = out
-        np.divide(p, M, out=dq)
-        np.multiply(q, -k, out=dp)
-        np.subtract(source, mg, out=source)
+    y = np.zeros((3, len(live)), dtype=complex)
+    y[0] = workspace.q0.reshape(-1)[live]
+    y[1] = workspace.p0.reshape(-1)[live]
+    y[2, :n_dim] = 1.0
+    a = y.view(np.float64)
+    b = np.empty_like(a)  # ping-pong partner of a; each pair of steps ends in a
+    integral = np.zeros_like(a[0])  # of Q over [0, t]
 
     def dense(entries: np.ndarray) -> np.ndarray:
         mat = np.zeros(n_dim * n_dim, dtype=complex)
-        mat[live] = entries
+        mat[live] = entries.view(complex)
         return mat.reshape(n_dim, n_dim)
 
     frames = []
@@ -225,30 +215,21 @@ def oracle_evolve_grid(
             steps = max(2, math.ceil(dt / cfg.step - 1e-12))
             steps += steps % 2
             h = dt / steps
-            np.copyto(simpson, y_v[0])  # node 0, weight 1
-            for i in range(1, steps + 1):
-                derivative(y_v, k1_v)
-                np.multiply(k1, 0.5 * h, out=scratch)
-                scratch += yr
-                derivative(scratch_v, k2_v)
-                np.multiply(k2, 0.5 * h, out=scratch)
-                scratch += yr
-                derivative(scratch_v, k3_v)
-                np.multiply(k3, h, out=scratch)
-                scratch += yr
-                derivative(scratch_v, k4_v)
-                k2 += k3
-                k2 *= 2.0
-                k1 += k2
-                k1 += k4
-                k1 *= h / 6.0
-                yr += k1
-                weight = 1.0 if i == steps else (4.0 if i % 2 else 2.0)
-                np.multiply(y_v[0], weight, out=scratch_v[0])
-                simpson += scratch_v[0]
-            integral += (h / 3.0) * simpson.view(complex)
+            R, r = _rk4_maps(G, src, h)
+            step_map = np.eye(3)
+            step_map[:2, :2] = R
+            step_map[:2, 2] = r
+            # Simpson's first node, and sums over the odd and interior even ones
+            first, odd, even = a[0].copy(), np.zeros_like(a[0]), np.zeros_like(a[0])
+            for i in range(2, steps + 1, 2):
+                np.matmul(step_map, a, out=b)
+                odd += b[0]
+                np.matmul(step_map, b, out=a)
+                if i < steps:
+                    even += a[0]
+            integral += (h / 3.0) * (first + 4.0 * odd + 2.0 * even + a[0])
         qcl = t * eye - g_c2 * dense(integral)
-        frames.append(OracleFrame(t=t, q=dense(y[0]), p=dense(y[1]), qcl=qcl))
+        frames.append(OracleFrame(t=t, q=dense(a[0]), p=dense(a[1]), qcl=qcl))
         t_prev = t
     return frames
 

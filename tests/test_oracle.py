@@ -23,6 +23,7 @@ from photonbox import (
     oracle_evolve,
     oracle_evolve_grid,
 )
+from photonbox.dynamics import _rk4_maps
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +81,55 @@ def reference_evolve(ws, consts, box, t):
 def dense_reference_grid(ws, consts, box, ts):
     """Grid reference that steps every entry of the n x n matrices.
 
-    The stacked in-place loop over the dense (2, n, n) state, with the same
-    stage arithmetic, step counts and Simpson sums as oracle_evolve_grid;
-    that one steps only the entries that can leave zero, so the two must
-    agree bit for bit.  Returns (q, p, qcl) per grid time.
+    The same augmented one-step map, step counts and Simpson sums as
+    oracle_evolve_grid, applied to the dense (3, n, n) state (Q, P and the
+    identity, which carries the m*g source); that one steps only the entries
+    that can leave zero, so the two must agree bit for bit.  Returns
+    (q, p, qcl) per grid time.
+    """
+    n_dim = ws.config.n
+    eye = np.eye(n_dim)
+    G = np.array([[0.0, 1.0 / box.M], [-box.spring_k, 0.0]])
+    src = np.array([0.0, -box.m * consts.g])
+    g_c2 = consts.g / (consts.c * consts.c)
+    y = np.stack((ws.q0, ws.p0, eye.astype(complex))).reshape(3, -1)
+    a = y.view(np.float64)
+    integral = np.zeros_like(a[0])
+
+    def dense(row):
+        return row.view(complex).reshape(n_dim, n_dim)
+
+    frames = []
+    t_prev = 0.0
+    for t in ts:
+        dt = t - t_prev
+        if dt > 0:
+            steps = max(2, math.ceil(dt / ws.config.step - 1e-12))
+            steps += steps % 2
+            h = dt / steps
+            R, r = _rk4_maps(G, src, h)
+            step_map = np.eye(3)
+            step_map[:2, :2] = R
+            step_map[:2, 2] = r
+            first, odd, even = a[0], 0.0, 0.0
+            for i in range(1, steps + 1):
+                a = step_map @ a
+                if i % 2:
+                    odd = odd + a[0]
+                elif i < steps:
+                    even = even + a[0]
+            integral = integral + (h / 3.0) * (first + 4.0 * odd + 2.0 * even + a[0])
+        frames.append((dense(a[0]), dense(a[1]), t * eye - g_c2 * dense(integral)))
+        t_prev = t
+    return frames
+
+
+def stage_reference_grid(ws, consts, box, ts):
+    """Grid reference that steps every entry one RK4 stage at a time.
+
+    The stacked in-place loop over the dense (2, n, n) state, with four
+    derivative evaluations per step and the same step counts and Simpson
+    weights as oracle_evolve_grid.  Returns (q, p, qcl) per grid time.
     """
     n_dim = ws.config.n
     eye = np.eye(n_dim)
@@ -137,12 +183,22 @@ def dense_reference_grid(ws, consts, box, ts):
     return frames
 
 
+# The one-step map and the four stages are the same polynomial in h*G, summed
+# in a different order, so they differ by rounding alone; this bound, relative
+# to max(1, max |entry|), was fixed before any run (the worst seen was 2.5e-13).
+STAGE_BOUND = 1e-11
+
+
 def assert_matches_dense(ws, consts, box, ts):
     frames = oracle_evolve_grid(ws, consts, box, ts)
     assert [fr.t for fr in frames] == list(ts)
-    for fr, want in zip(frames, dense_reference_grid(ws, consts, box, ts)):
-        for got, ref in zip((fr.q, fr.p, fr.qcl), want):
+    exact = dense_reference_grid(ws, consts, box, ts)
+    staged = stage_reference_grid(ws, consts, box, ts)
+    for fr, want, want_staged in zip(frames, exact, staged):
+        for got, ref, ref_staged in zip((fr.q, fr.p, fr.qcl), want, want_staged):
             assert np.array_equal(got, ref)
+            scale = max(1.0, float(np.abs(ref_staged).max()))
+            assert np.abs(got - ref_staged).max() <= STAGE_BOUND * scale
 
 
 # ---------------------------------------------------------------------------

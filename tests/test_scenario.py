@@ -20,6 +20,7 @@ from photonbox import (
     sweep,
     verify,
 )
+from photonbox import dynamics, oracle as oracle_module
 
 
 def make_scenario(t_emit=2.0, potential=None, route=Route.P, device_dx=0.5, oracle=None):
@@ -183,3 +184,30 @@ def test_verify_with_oracle_checks():
     assert "oracle_block_p_qcl" in names
     assert "oracle_probe_q_qcl" in names
     assert rep.all_passed
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["true_map", "no_hg2_term"])
+def test_verify_catches_a_fault_in_the_shared_step_map(monkeypatch, fault):
+    # The numeric route and the oracle both step with dynamics._rk4_maps, so
+    # a wrong map must fail a check of each.  Drop the (h*G)**2 / 2 term of R
+    # wherever it is looked up.  Free fall could not show this fault: the
+    # oracle's 2 x 2 generator is nilpotent there.
+    true_map = dynamics._rk4_maps
+
+    def no_hg2_term(G, src, h):
+        R, r = true_map(G, src, h)
+        hg = h * G
+        return R - hg @ hg / 2.0, r
+
+    if fault:
+        for module in (dynamics, oracle_module):
+            monkeypatch.setattr(module, "_rk4_maps", no_hg2_term)
+    s = make_scenario(
+        potential=Harmonic(k=1000.0), oracle=OracleConfig(n=24, buffer=4, step=1e-3)
+    )
+    passed = {c.name: c.passed for c in verify(s, grid=20, use_oracle=True).checks}
+    if fault:
+        assert not passed["frame_closed_vs_rk4"]
+        assert not passed["oracle_block_p_qcl"]
+    else:
+        assert all(passed.values())
