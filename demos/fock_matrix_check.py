@@ -5,7 +5,8 @@ coefficients per observable.  This script rebuilds q, p, and the clock
 reading as dense truncated number-basis matrices, integrates the same
 equations of motion (one fourth-order affine map per step, applied to only
 the matrix entries they can reach), and compares the commutators, dense
-matrix products, entry by entry.
+matrix products, entry by entry: all four times and both clock pairs come
+from one (4, 3, n, n) stack of frames and one stacked commutator.
 """
 
 import numpy as np
@@ -38,12 +39,15 @@ print()
 print(f"{'t':>6} {'pair':>8} {'engine chi':>14} {'block dev':>12} {'probe dev':>12}")
 ts = (0.5, 1.0, 2.0, 4.0)
 _, chis = closed_form_grid(consts, box, ts)
-for frame, refs in zip(oracle_evolve_grid(ws, consts, box, ts), chis.tolist()):
-    t = frame.t
-    for pair, mat, ref in zip((Pair.P_QCL, Pair.Q_QCL), (frame.p, frame.q), refs):
-        res = oracle_commutator(ws, mat, frame.qcl, ws.vacuum, chi_ref=ref)
-        probe_dev = abs(res.probe_chi - ref)
-        print(f"{t:>6.2f} {pair.value:>8} {ref:>14.6e} {res.block_dev:>12.3e} {probe_dev:>12.3e}")
+frames = oracle_evolve_grid(ws, consts, box, ts)  # (time, Q/P/Qcl, n, n)
+# [P, Qcl] and [Q, Qcl] at every time, in the column order of chis
+chi = oracle_commutator(ws, frames[:, 1::-1], frames[:, 2:])
+block = chi[..., :rsize, :rsize] - chis[..., None, None] * np.eye(rsize)
+block_dev = np.abs(block).max(axis=(-2, -1))
+probe_dev = np.abs((chi @ ws.vacuum) @ ws.vacuum.conj() - chis)
+for t, refs, blocks, probes in zip(ts, chis, block_dev, probe_dev):
+    for pair, ref, blk, prb in zip((Pair.P_QCL, Pair.Q_QCL), refs, blocks, probes):
+        print(f"{t:>6.2f} {pair.value:>8} {ref:>14.6e} {blk:>12.3e} {prb:>12.3e}")
 
 print()
 print("the dense matrices agree with the five-coefficient bookkeeping to")

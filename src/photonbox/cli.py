@@ -141,7 +141,10 @@ def _number(doc: dict, path: str, key: str, default: float | None = None) -> flo
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{path}.{key} must be finite")
     return value
@@ -167,10 +170,15 @@ def load_config(path: str) -> Scenario:
     files; the CLI maps those to exit codes 1 and 3.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text, parse_constant=_reject_nonfinite)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply") from exc
+    except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return build_scenario(doc)
 

@@ -8,14 +8,16 @@ quadrature, and evaluates commutators by actual matrix multiplication.
 The equations of motion are linear and act entry by entry, so each
 classical fourth-order step is one affine map, shared with the numeric
 coefficient route, applied to only the entries it can reach (those of q0
-and p0 that are nonzero, and the diagonal); the frames it returns, and
-every commutator, are dense.
-Away from the truncation corner the matrix commutators must reproduce the
-engine's chi values, which is what the scenario-level verification uses.
+and p0 that are nonzero, and the diagonal).  Like the engine, the oracle
+speaks in arrays: a grid of N times gives one dense (N, 3, n, n) stack of
+Q, P and Qcl, and a commutator is the dense matrix [A, B]/(i*hbar), over
+stacks of any shape.  Away from the truncation corner these matrices must
+reproduce the engine's chi values, which is what the scenario-level
+verification uses.
 
 Truncation contaminates the last basis states, so all block comparisons
-are restricted to the leading (n - buffer) x (n - buffer) block, and probe
-expectation values use vectors with negligible weight near the edge.
+are restricted to the leading (n - buffer) x (n - buffer) block, and the
+probe expectation values use the vacuum, which has no weight near the edge.
 """
 
 from __future__ import annotations
@@ -33,15 +35,11 @@ from .operators import BoxParams, PhysConstants
 __all__ = [
     "OracleConfig",
     "OracleWorkspace",
-    "OracleFrame",
-    "OracleCommutator",
     "build_workspace",
     "oracle_evolve",
     "oracle_evolve_grid",
     "oracle_commutator",
 ]
-
-_COHERENT_AMPLITUDE = 0.5
 
 
 @dataclass(frozen=True)
@@ -68,42 +66,17 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleWorkspace:
-    """Position/momentum matrices, probe vectors, and their configuration."""
+    """Position/momentum matrices, the vacuum probe, and their configuration."""
 
     q0: np.ndarray
     p0: np.ndarray
     vacuum: np.ndarray
-    coherent: np.ndarray
     config: OracleConfig
     hbar: float
 
 
-@dataclass(frozen=True)
-class OracleFrame:
-    """Matrix-valued Q(t), P(t), Qcl(t) at backward time t."""
-
-    t: float
-    q: np.ndarray
-    p: np.ndarray
-    qcl: np.ndarray
-
-
-@dataclass(frozen=True)
-class OracleCommutator:
-    """Probe expectation of a matrix commutator, in the chi convention.
-
-    ``probe_chi`` is <probe| [A, B] |probe> / (i*hbar), which for an exact
-    canonical pair is the engine's real chi.  ``block_dev`` (when a
-    reference was supplied) is the max deviation of the restricted block of
-    [A, B]/(i*hbar) from chi_ref times the identity.
-    """
-
-    probe_chi: complex
-    block_dev: float | None
-
-
 def build_workspace(config: OracleConfig, consts: PhysConstants) -> OracleWorkspace:
-    """Build ladder-operator matrices and probe vectors.
+    """Build ladder-operator matrices and the vacuum probe vector.
 
     Q0 = scale*(a + a^dag)/sqrt(2) and P0 = (hbar/scale)*(a - a^dag)/(i*sqrt(2)),
     so that [Q0, P0] = i*hbar exactly except in the last diagonal entry.
@@ -124,20 +97,13 @@ def build_workspace(config: OracleConfig, consts: PhysConstants) -> OracleWorksp
 
     vacuum = np.zeros(n, dtype=complex)
     vacuum[0] = 1.0
-    amps = np.empty(n)
-    amps[0] = 1.0
-    for j in range(1, n):
-        amps[j] = amps[j - 1] * _COHERENT_AMPLITUDE / math.sqrt(j)
-    coherent = (amps / np.linalg.norm(amps)).astype(complex)
 
     r = n - config.buffer
     ccr = (q0 @ p0 - p0 @ q0) / (1j * consts.hbar)
     dev = float(np.abs(ccr[:r, :r] - np.eye(r)).max())
     if dev > 1e-10:
         raise ConfigError(f"restricted canonical commutator off by {dev}")
-    return OracleWorkspace(
-        q0=q0, p0=p0, vacuum=vacuum, coherent=coherent, config=config, hbar=consts.hbar
-    )
+    return OracleWorkspace(q0=q0, p0=p0, vacuum=vacuum, config=config, hbar=consts.hbar)
 
 
 def oracle_evolve_grid(
@@ -145,8 +111,12 @@ def oracle_evolve_grid(
     consts: PhysConstants,
     box: BoxParams,
     ts: Sequence[float],
-) -> list[OracleFrame]:
+) -> np.ndarray:
     """Matrix frames at an ascending grid of backward times, in one pass.
+
+    Returns a complex array of shape (len(ts), 3, n, n): the matrices Q(t),
+    P(t) and Qcl(t) at each grid time, in the row order of
+    :func:`~photonbox.dynamics.closed_form_grid`'s frames.
 
     Q and P follow dQ/dt = P/M, dP/dt = -m*g*I - k*Q, integrated once from
     t = 0 across the grid by classical fourth-order steps.  The system is
@@ -154,9 +124,9 @@ def oracle_evolve_grid(
     is the affine map (Q, P) <- R (Q, P) + r*I of ``dynamics._rk4_maps``,
     applied as one 3 x 3 matrix product to every stepped entry at once.
     Only the entries it can reach are stepped: those where q0 or p0 is
-    nonzero, and the diagonal.  The rest stay exactly 0, and each frame is
-    scattered back into dense n x n matrices, equal bit for bit to stepping
-    every entry.  The clock matrix at each grid time is then
+    nonzero, and the diagonal.  The rest stay exactly 0, and each grid time
+    writes the stepped entries into the dense frames, equal bit for bit to
+    stepping every entry.  The clock matrix at each grid time is then
 
         Qcl(t) = t*I - (g/c**2) * integral of Q over [0, t]
 
@@ -182,7 +152,6 @@ def oracle_evolve_grid(
             f"oracle.step {cfg.step!r} exceeds target time {ts[-1]!r} (the oracle horizon)"
         )
     n_dim = cfg.n
-    eye = np.eye(n_dim)
     G = np.array([[0.0, 1.0 / box.M], [-box.spring_k, 0.0]])
     src = np.array([0.0, -box.m * consts.g])
     g_c2 = consts.g / (consts.c * consts.c)
@@ -194,22 +163,19 @@ def oracle_evolve_grid(
     off_diagonal = (workspace.q0 != 0) | (workspace.p0 != 0)
     np.fill_diagonal(off_diagonal, False)
     live = np.concatenate((np.arange(n_dim) * (n_dim + 1), np.flatnonzero(off_diagonal)))
+    identity = np.zeros(len(live))  # the live entries of I
+    identity[:n_dim] = 1.0
     y = np.zeros((3, len(live)), dtype=complex)
     y[0] = workspace.q0.reshape(-1)[live]
     y[1] = workspace.p0.reshape(-1)[live]
-    y[2, :n_dim] = 1.0
+    y[2] = identity
     a = y.view(np.float64)
     b = np.empty_like(a)  # ping-pong partner of a; each pair of steps ends in a
     integral = np.zeros_like(a[0])  # of Q over [0, t]
 
-    def dense(entries: np.ndarray) -> np.ndarray:
-        mat = np.zeros(n_dim * n_dim, dtype=complex)
-        mat[live] = entries.view(complex)
-        return mat.reshape(n_dim, n_dim)
-
-    frames = []
+    frames = np.zeros((len(ts), 3, n_dim * n_dim), dtype=complex)
     t_prev = 0.0
-    for t in ts:
+    for t, frame in zip(ts, frames):
         dt = t - t_prev
         if dt > 0:
             steps = max(2, math.ceil(dt / cfg.step - 1e-12))
@@ -228,10 +194,10 @@ def oracle_evolve_grid(
                 if i < steps:
                     even += a[0]
             integral += (h / 3.0) * (first + 4.0 * odd + 2.0 * even + a[0])
-        qcl = t * eye - g_c2 * dense(integral)
-        frames.append(OracleFrame(t=t, q=dense(a[0]), p=dense(a[1]), qcl=qcl))
+        frame[:2, live] = y[:2]
+        frame[2, live] = t * identity - g_c2 * integral.view(complex)
         t_prev = t
-    return frames
+    return frames.reshape(len(ts), 3, n_dim, n_dim)
 
 
 def oracle_evolve(
@@ -239,11 +205,12 @@ def oracle_evolve(
     consts: PhysConstants,
     box: BoxParams,
     t: float,
-) -> OracleFrame:
+) -> np.ndarray:
     """Integrate the matrix equations of motion to backward time t.
 
-    The single-time view of :func:`oracle_evolve_grid`; at t = 0 it returns
-    the initial matrices and a zero clock matrix.
+    The single-time view of :func:`oracle_evolve_grid`: one (3, n, n) frame
+    of Q, P and Qcl.  At t = 0 it holds the initial matrices and a zero
+    clock matrix.
 
     Raises
     ------
@@ -255,33 +222,14 @@ def oracle_evolve(
     return oracle_evolve_grid(workspace, consts, box, [t])[0]
 
 
-def oracle_commutator(
-    workspace: OracleWorkspace,
-    a: np.ndarray,
-    b: np.ndarray,
-    probe: np.ndarray,
-    chi_ref: float | None = None,
-) -> OracleCommutator:
-    """Evaluate [A, B] by matrix multiplication, in the chi convention.
+def oracle_commutator(workspace: OracleWorkspace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The chi matrix [A, B]/(i*hbar), by matrix multiplication.
 
-    Parameters
-    ----------
-    workspace : OracleWorkspace
-        Supplies hbar and the restricted-block size.
-    a, b : ndarray
-        Matrices to commute.
-    probe : ndarray
-        Normalized state vector for the expectation value.
-    chi_ref : float, optional
-        Engine value to compare the restricted block against; when given,
-        ``block_dev`` reports max |[A, B]/(i*hbar) - chi_ref*I| over the
-        leading (n - buffer) block.
+    ``a`` and ``b`` are matrices or stacks of them, broadcast as by
+    ``np.matmul``; for an exact canonical pair the result is the engine's
+    real chi times the identity.  ``workspace`` supplies hbar.
     """
-    chi_mat = (a @ b - b @ a) / (1j * workspace.hbar)
-    probe_chi = complex(probe.conj() @ (chi_mat @ probe))
-    block_dev = None
-    if chi_ref is not None:
-        r = workspace.config.n - workspace.config.buffer
-        block = chi_mat[:r, :r]
-        block_dev = float(np.abs(block - chi_ref * np.eye(r)).max())
-    return OracleCommutator(probe_chi=probe_chi, block_dev=block_dev)
+    chi = (a @ b).astype(complex, copy=False)
+    chi -= b @ a
+    chi /= 1j * workspace.hbar
+    return chi

@@ -121,12 +121,14 @@ def test_criterion_4_matrix_oracle_agreement():
         ws = build_workspace(OracleConfig(n=60, buffer=8, step=1e-3), CONSTS)
         for box in (FF_BOX, HO_BOX):
             for t in (0.5, 1.0, 2.0, 3.0, 4.0):
-                fr = oracle_evolve(ws, CONSTS, box, t)
-                for pair, mat in ((Pair.P_QCL, fr.p), (Pair.Q_QCL, fr.q)):
+                q, p, qcl = oracle_evolve(ws, CONSTS, box, t)
+                for pair, mat in ((Pair.P_QCL, p), (Pair.Q_QCL, q)):
                     ref = commutator_closed(pair, CONSTS, box, t)
-                    res = oracle_commutator(ws, mat, fr.qcl, ws.vacuum, chi_ref=ref)
-                    assert res.block_dev < 1e-6
-                    assert abs(res.probe_chi - ref) < 1e-6
+                    chi = oracle_commutator(ws, mat, qcl)
+                    r = ws.config.n - ws.config.buffer
+                    assert np.abs(chi[:r, :r] - ref * np.eye(r)).max() < 1e-6
+                    probe_chi = ws.vacuum.conj() @ (chi @ ws.vacuum)
+                    assert abs(probe_chi - ref) < 1e-6
         assert time.perf_counter() - start < 10.0
 
 

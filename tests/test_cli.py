@@ -378,8 +378,8 @@ VERIFY_ORACLE_PINNED = {
 @pytest.mark.parametrize("case", sorted(VERIFY_ORACLE_PINNED))
 def test_verify_oracle_output_pinned(tmp_path, capsys, case):
     # The oracle digits come from the matrix integration alone: the scalar
-    # reference pipeline calls the package's own oracle, so this is the test
-    # that notices when they move.
+    # reference pipeline takes its frames from the package's own
+    # oracle_evolve_grid, so this is the test that notices when they move.
     potential, stdout = VERIFY_ORACLE_PINNED[case]
     cfg = write_config(tmp_path, 2.0, potential, {"n": 24})
     assert main(["verify", "--config", str(cfg), "--oracle"]) == 0
@@ -555,6 +555,40 @@ def test_malformed_json_exits_1(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     assert main(["run", "--config", str(p)]) == 1
+
+
+def _assert_config_error(path, capsys, message):
+    assert main(["run", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_integer_literal_beyond_float_range_exits_1(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(CONFIG.read_text().replace("1000.0", "1" + "0" * 400, 1))
+    _assert_config_error(p, capsys, "must be finite")
+
+
+def test_integer_literal_too_long_to_convert_exits_1(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(CONFIG.read_text().replace("1000.0", "1" + "0" * 5000, 1))
+    _assert_config_error(p, capsys, "config is not valid JSON")
+
+
+def test_config_not_utf8_exits_1(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(CONFIG.read_bytes().replace(b'"p"', b'"\xe9"', 1))
+    _assert_config_error(p, capsys, "not valid UTF-8")
+
+
+def test_json_nested_too_deeply_exits_1(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    depth = 10 * sys.getrecursionlimit()
+    p.write_text("[" * depth + "]" * depth)
+    _assert_config_error(p, capsys, "nested too deeply")
 
 
 def test_nonfinite_literal_exits_1(tmp_path):

@@ -191,11 +191,11 @@ STAGE_BOUND = 1e-11
 
 def assert_matches_dense(ws, consts, box, ts):
     frames = oracle_evolve_grid(ws, consts, box, ts)
-    assert [fr.t for fr in frames] == list(ts)
+    assert frames.shape == (len(ts), 3, ws.config.n, ws.config.n)
     exact = dense_reference_grid(ws, consts, box, ts)
     staged = stage_reference_grid(ws, consts, box, ts)
     for fr, want, want_staged in zip(frames, exact, staged):
-        for got, ref, ref_staged in zip((fr.q, fr.p, fr.qcl), want, want_staged):
+        for got, ref, ref_staged in zip(fr, want, want_staged):
             assert np.array_equal(got, ref)
             scale = max(1.0, float(np.abs(ref_staged).max()))
             assert np.abs(got - ref_staged).max() <= STAGE_BOUND * scale
@@ -237,10 +237,6 @@ def test_operators_hermitian(workspace):
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-10
 
 
-def test_coherent_state_normalized(workspace):
-    assert np.linalg.norm(workspace.coherent) == pytest.approx(1.0, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
@@ -249,9 +245,10 @@ def test_coherent_state_normalized(workspace):
 def test_zero_time_returns_initial_operators(workspace, consts):
     box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
     fr = oracle_evolve(workspace, consts, box, 0.0)
-    assert np.array_equal(fr.q, workspace.q0)
-    assert np.array_equal(fr.p, workspace.p0)
-    assert np.all(fr.qcl == 0.0)
+    assert fr.shape == (3, workspace.config.n, workspace.config.n)
+    assert np.array_equal(fr[0], workspace.q0)
+    assert np.array_equal(fr[1], workspace.p0)
+    assert np.all(fr[2] == 0.0)
 
 
 def test_negative_time_rejected(workspace, consts):
@@ -273,14 +270,14 @@ def test_free_fall_matrices_match_closed_form(workspace, consts):
     eye = np.eye(workspace.config.n)
     want_q = workspace.q0 + workspace.p0 / 1000.0 - 0.0005 * eye
     want_p = workspace.p0 - 1.0 * eye
-    assert np.max(np.abs(restricted(workspace, fr.q - want_q))) < 1e-9
-    assert np.max(np.abs(restricted(workspace, fr.p - want_p))) < 1e-9
+    assert np.max(np.abs(restricted(workspace, fr[0] - want_q))) < 1e-9
+    assert np.max(np.abs(restricted(workspace, fr[1] - want_p))) < 1e-9
 
 
 def test_evolved_operators_stay_hermitian(workspace, consts):
     box = BoxParams(M=1000.0, m=1.0, potential=Harmonic(k=1000.0))
     fr = oracle_evolve(workspace, consts, box, 1.0)
-    for mat in (fr.q, fr.p, fr.qcl):
+    for mat in fr:
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-10
 
 
@@ -288,7 +285,7 @@ def test_clock_reduces_to_time_without_gravity(workspace):
     consts0 = PhysConstants(hbar=1.0, c=1.0, g=0.0)
     box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
     fr = oracle_evolve(workspace, consts0, box, 1.5)
-    dev = np.max(np.abs(restricted(workspace, fr.qcl - 1.5 * np.eye(workspace.config.n))))
+    dev = np.max(np.abs(restricted(workspace, fr[2] - 1.5 * np.eye(workspace.config.n))))
     assert dev < 1e-10
 
 
@@ -308,13 +305,13 @@ GRID = (0.0, 0.2505, 0.2505, 0.6, 1.25)
 def test_grid_matches_per_time_reference(workspace, consts, potential):
     box = BoxParams(M=1000.0, m=1.0, potential=potential)
     frames = oracle_evolve_grid(workspace, consts, box, GRID)
-    assert [fr.t for fr in frames] == list(GRID)
+    assert frames.shape == (len(GRID), 3, workspace.config.n, workspace.config.n)
     # The legs place their nodes differently from one pass out of t = 0, so
     # the two differ by truncation error of order step**4, not only by
     # rounding; 1e-9 absolute is far above both and was fixed in advance.
-    for fr in frames:
-        want = reference_evolve(workspace, consts, box, fr.t)
-        for got, ref in zip((fr.q, fr.p, fr.qcl), want):
+    for t, fr in zip(GRID, frames):
+        want = reference_evolve(workspace, consts, box, t)
+        for got, ref in zip(fr, want):
             assert np.max(np.abs(restricted(workspace, got - ref))) < 1e-9
 
 
@@ -338,7 +335,7 @@ def test_grid_matches_dense_loop_in_a_rotated_basis(consts, potential):
     rot, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((20, 20)))
     rotated = OracleWorkspace(
         q0=rot @ ws.q0 @ rot.T, p0=rot @ ws.p0 @ rot.T, vacuum=ws.vacuum,
-        coherent=ws.coherent, config=ws.config, hbar=ws.hbar,
+        config=ws.config, hbar=ws.hbar,
     )
     assert np.all(rotated.q0 != 0) and np.all(rotated.p0 != 0)
     box = BoxParams(M=1000.0, m=1.0, potential=potential)
@@ -377,7 +374,7 @@ def test_grid_step_exceeding_horizon_rejected(workspace, consts):
         oracle_evolve_grid(workspace, consts, box, (0.0, 5e-4, 6e-4))
     # Legs shorter than the step are fine once the last time reaches it.
     frames = oracle_evolve_grid(workspace, consts, box, (0.0, 5e-4, 2e-3))
-    assert [fr.t for fr in frames] == [0.0, 5e-4, 2e-3]
+    assert frames.shape == (3, 3, workspace.config.n, workspace.config.n)
 
 
 # ---------------------------------------------------------------------------
@@ -385,27 +382,60 @@ def test_grid_step_exceeding_horizon_rejected(workspace, consts):
 # ---------------------------------------------------------------------------
 
 
+def block_dev(ws, chi, ref):
+    """max |chi - ref*I| over the restricted block."""
+    r = ws.config.n - ws.config.buffer
+    return float(np.abs(chi[:r, :r] - ref * np.eye(r)).max())
+
+
+def expectation(chi, probe):
+    return complex(probe.conj() @ (chi @ probe))
+
+
 def test_commutator_block_matches_closed_free_fall(workspace, consts):
     box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
-    fr = oracle_evolve(workspace, consts, box, 1.0)
+    q, p, qcl = oracle_evolve(workspace, consts, box, 1.0)
     ref = commutator_closed(Pair.P_QCL, consts, box, 1.0)
-    res = oracle_commutator(workspace, fr.p, fr.qcl, workspace.vacuum, chi_ref=ref)
-    assert res.block_dev < 1e-6
-    assert res.probe_chi.real == pytest.approx(1.0, abs=1e-6)
-    assert abs(res.probe_chi.imag) < 1e-6
+    chi = oracle_commutator(workspace, p, qcl)
+    assert block_dev(workspace, chi, ref) < 1e-6
+    probe_chi = expectation(chi, workspace.vacuum)
+    assert probe_chi.real == pytest.approx(1.0, abs=1e-6)
+    assert abs(probe_chi.imag) < 1e-6
 
 
 def test_commutator_block_matches_closed_harmonic(workspace, consts):
     box = BoxParams(M=1000.0, m=1.0, potential=Harmonic(k=1000.0))
     t = math.pi / 2
-    fr = oracle_evolve(workspace, consts, box, t)
+    q, p, qcl = oracle_evolve(workspace, consts, box, t)
     ref = commutator_closed(Pair.Q_QCL, consts, box, t)
-    res = oracle_commutator(workspace, fr.q, fr.qcl, workspace.coherent, chi_ref=ref)
-    assert res.block_dev < 1e-6
-    assert res.probe_chi.real == pytest.approx(1e-3, abs=1e-6)
+    chi = oracle_commutator(workspace, q, qcl)
+    assert block_dev(workspace, chi, ref) < 1e-6
+    # A coherent state of amplitude 1/2, whose weight near the edge is
+    # negligible, as a probe other than the vacuum.
+    amps = np.empty(workspace.config.n)
+    amps[0] = 1.0
+    for j in range(1, len(amps)):
+        amps[j] = amps[j - 1] * 0.5 / math.sqrt(j)
+    coherent = (amps / np.linalg.norm(amps)).astype(complex)
+    assert expectation(chi, coherent).real == pytest.approx(1e-3, abs=1e-6)
 
 
 def test_probe_without_reference_skips_block(workspace):
-    res = oracle_commutator(workspace, workspace.q0, workspace.p0, workspace.vacuum)
-    assert res.block_dev is None
-    assert res.probe_chi.real == pytest.approx(1.0, rel=1e-10)
+    chi = oracle_commutator(workspace, workspace.q0, workspace.p0)
+    assert expectation(chi, workspace.vacuum).real == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "potential", [FreeFall(), Harmonic(k=1000.0)], ids=["free", "harmonic"]
+)
+def test_commutator_of_a_stack_matches_per_matrix_calls(workspace, consts, potential):
+    # [P, Qcl] and [Q, Qcl] at every grid time in one broadcast call, as
+    # verify takes them, against one call per matrix pair.
+    box = BoxParams(M=1000.0, m=1.0, potential=potential)
+    frames = oracle_evolve_grid(workspace, consts, box, GRID)
+    chi = oracle_commutator(workspace, frames[:, 1::-1], frames[:, 2:])
+    n = workspace.config.n
+    assert chi.shape == (len(GRID), 2, n, n)
+    for got, (q, p, qcl) in zip(chi, frames):
+        assert np.array_equal(got[0], oracle_commutator(workspace, p, qcl))
+        assert np.array_equal(got[1], oracle_commutator(workspace, q, qcl))

@@ -37,7 +37,6 @@ from photonbox import (
     Scenario,
     SweepRow,
     build_workspace,
-    oracle_commutator,
     oracle_evolve_grid,
     run_scenario,
     sweep,
@@ -351,12 +350,12 @@ def ref_rk4_grid(G, src, y, ts, step):
     return out
 
 
-def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6, t_max=None):
+def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
     """(name, max_dev, tol, passed) per check, computed one frame at a time."""
     consts, box = s.constants, s.box
     g = consts.g
     c2 = consts.c * consts.c
-    T = t_max if t_max is not None else (s.t_emit if s.t_emit > 0 else 4.0)
+    T = s.t_emit if s.t_emit > 0 else 4.0
     ts = [float(t) for t in np.linspace(0.0, T, grid)]
 
     # frames as tuples of rows (Q, P, Qcl)
@@ -409,15 +408,22 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6, t_max=N
         else:
             T_o = min(T, 4.0)
         ts_o = [float(t) for t in np.linspace(0.0, T_o, 5)]
+        r = ws.config.n - ws.config.buffer
+        vacuum = ws.vacuum
         block_p = block_q = probe_p = probe_q = 0.0
-        for t, mats in zip(ts_o, oracle_evolve_grid(ws, consts, box, ts_o)):
+        for t, frame in zip(ts_o, oracle_evolve_grid(ws, consts, box, ts_o)):
+            q, p, qcl = frame
             ref_p, ref_q = ref_chi(consts, box, t)
-            oc_p = oracle_commutator(ws, mats.p, mats.qcl, ws.vacuum, chi_ref=ref_p)
-            oc_q = oracle_commutator(ws, mats.q, mats.qcl, ws.vacuum, chi_ref=ref_q)
-            block_p = max(block_p, oc_p.block_dev / max(1.0, abs(ref_p)))
-            block_q = max(block_q, oc_q.block_dev / max(1.0, abs(ref_q)))
-            probe_p = max(probe_p, abs(oc_p.probe_chi - ref_p) / max(1.0, abs(ref_p)))
-            probe_q = max(probe_q, abs(oc_q.probe_chi - ref_q) / max(1.0, abs(ref_q)))
+            devs = []
+            for a, ref in ((p, ref_p), (q, ref_q)):
+                chi = (a @ qcl - qcl @ a) / (1j * consts.hbar)
+                block_dev = float(np.abs(chi[:r, :r] - ref * np.eye(r)).max())
+                probe_chi = complex(vacuum.conj() @ (chi @ vacuum))
+                scale = max(1.0, abs(ref))
+                devs.append((block_dev / scale, abs(probe_chi - ref) / scale))
+            (blk_p, prb_p), (blk_q, prb_q) = devs
+            block_p, block_q = max(block_p, blk_p), max(block_q, blk_q)
+            probe_p, probe_q = max(probe_p, prb_p), max(probe_q, prb_q)
         checks += [
             ("oracle_block_p_qcl", block_p, oracle_tol),
             ("oracle_block_q_qcl", block_q, oracle_tol),
@@ -437,13 +443,14 @@ def assert_verify_matches(s, **kwargs):
 
 
 def verify_cases(rng, s):
-    """Grids of 2, 3 and 100 points, with and without t_max, at several steps and tolerances."""
+    """Grids of 2, 3 and 100 points at several steps and tolerances, each up to the
+    scenario's t_emit and up to a drawn one."""
     for grid in (2, 3, 100):
         step = rng.choice((1e-3, 0.01, 0.05))
         tol = rng.choice((1e-9, 1e-12, 1e-15))
         yield dataclasses.replace(s, numeric=NumericOptions(step=step)), dict(grid=grid, tol=tol)
         t_max = rng.uniform(0.5, 4.0)
-        yield s, dict(grid=grid, tol=tol, t_max=t_max)
+        yield dataclasses.replace(s, t_emit=t_max), dict(grid=grid, tol=tol)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
