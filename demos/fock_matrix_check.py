@@ -3,8 +3,8 @@
 The engine never represents operators as matrices; it tracks five real
 coefficients per observable.  This script rebuilds q, p, and the clock
 reading as dense truncated number-basis matrices, integrates the same
-equations of motion (one fourth-order affine map per step, applied to only
-the matrix entries they can reach), and compares the commutators, dense
+equations of motion (fourth-order steps, each leg folded into one affine
+map and applied to only the matrix entries it can reach), and compares the commutators, dense
 matrix products, entry by entry: all four times and both clock pairs come
 from one (4, 3, n, n) stack of frames and one stacked commutator.
 """

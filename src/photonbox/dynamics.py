@@ -23,7 +23,8 @@ Two independent routes compute both:
 * closed form (:func:`closed_form_grid`, with :func:`evolve_closed` and
   :func:`commutator_closed` as its single-time views), and
 * fixed-step classical fourth-order integration (:func:`evolve_numeric_grid`
-  and :func:`commutator_ode_grid`).
+  and :func:`commutator_ode_grid`), each leg between grid times folded into
+  one affine map.
 """
 
 from __future__ import annotations
@@ -238,10 +239,13 @@ def commutator_closed(
 #     y  <-  R y + r,      R = sum_{j<=4} (h G)^j / j!,
 #                          r = h * (sum_{j<=3} (h G)^j / (j+1)!) s.
 #
-# Iterating R is the textbook stage evaluation up to rounding and keeps the
-# per-step cost at one small matrix product.  Both routes and the oracle
-# step with _rk4_maps, so a fault in it is shared: verify shows one as a
-# failed check of each (the closed forms share nothing with it).
+# In homogeneous form, with the state carried as (y; I), that step is one
+# matrix A = [[R, r], [0, I]], so the n equal steps of a leg between two grid
+# times fold into the single map A**n, which np.linalg.matrix_power builds in
+# O(log n) small products.  It is the stepwise iteration up to rounding, and
+# a leg costs O(log n) products, not n.  Both routes and the oracle build
+# A from _rk4_maps, so a fault in it is shared: verify shows one as a failed
+# check of each (the closed forms share nothing with it).
 
 
 def _rk4_maps(G: np.ndarray, src: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -288,25 +292,53 @@ def _check_grid(ts: Sequence[float]) -> None:
         prev = t
 
 
+def _leg_steps(step: float, t0: float, t1: float, label: str) -> int:
+    """The fewest equal steps, each no longer than ``step``, that span [t0, t1]."""
+    ratio = (t1 - t0) / step
+    if not math.isfinite(ratio):
+        raise InvalidStep(
+            f"{label} {step!r} is too small for the leg from t={t0!r} to t={t1!r}:"
+            " its step count overflows"
+        )
+    return max(1, math.ceil(ratio - 1e-12))
+
+
 def _rk4_grid(
     G: np.ndarray, src: np.ndarray, y0: np.ndarray, ts: Sequence[float], step: float
 ) -> np.ndarray:
     """Integrate y' = G y + src from y0 at t = 0 across an ascending grid.
 
     Returns shape (len(ts), *y0.shape): y at each grid time.  Each leg between
-    consecutive grid times takes equal steps no longer than ``step``.
+    consecutive grid times takes n equal steps no longer than ``step``,
+    applied at once as the power A**n of the homogeneous one-step map (see
+    the comment above :func:`_rk4_maps`).  Leg maps are cached on the exact
+    leg length, so a uniform grid builds only a few.
+
+    Raises
+    ------
+    InvalidStep
+        If a leg's step count overflows a float.
     """
+    ts = [float(t) for t in ts]
     _check_grid(ts)
+    d = G.shape[0]
+    maps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     out = np.empty((len(ts), *y0.shape))
     y = y0
     t_prev = 0.0
     for i, t in enumerate(ts):
         dt = t - t_prev
         if dt > 0:
-            n = max(1, math.ceil(dt / step - 1e-12))
-            R, r = _rk4_maps(G, src, dt / n)
-            for _ in range(n):
-                y = R @ y + r
+            if dt not in maps:
+                n = _leg_steps(step, t_prev, t, "numeric.step")
+                R, r = _rk4_maps(G, src, dt / n)
+                A = np.eye(d + src.size // d)  # (y; I) <- A (y; I)
+                A[:d, :d] = R
+                A[:d, d:] = r.reshape(d, -1)
+                An = np.linalg.matrix_power(A, n)
+                maps[dt] = An[:d, :d], An[:d, d:].reshape(src.shape)
+            R, r = maps[dt]
+            y = R @ y + r
         out[i] = y
         t_prev = t
     return out
@@ -325,16 +357,20 @@ def evolve_numeric_grid(
         aQ' = aP/M,    aP' = -g*e_m - k*aQ,    aQcl' = e_1 - (g/c**2)*aQ
 
     once from the identity frame at t = 0, emitting a frame at each grid
-    time, so a dense grid costs no more than a single integration to the
-    final time.  The result has shape (len(ts), 3, 5), laid out like the
-    frames of :func:`closed_form_grid`.  Free-fall coefficients are cubic
-    polynomials in t, so the result is exact there; for the harmonic case
-    the global error scales as step**4.
+    time.  Each leg between grid times takes equal steps no longer than
+    ``opts.step``, applied at once as a power of the one-step map, so a leg
+    costs O(log steps) small matrix products.  The result has shape
+    (len(ts), 3, 5), laid out like the frames of :func:`closed_form_grid`.
+    Free-fall coefficients are cubic polynomials in t, so the result is
+    exact there up to rounding; for the harmonic case the global error
+    scales as step**4.
 
     Raises
     ------
     InvalidTime
         If a time is negative or not finite, or the grid is not ascending.
+    InvalidStep
+        If the step is so small that a leg's step count overflows a float.
     """
     opts = opts or NumericOptions()
     G, src = _frame_generator(consts, box)
@@ -355,8 +391,14 @@ def commutator_ode_grid(
 
         chi_p' = g/c**2 - k*chi_q,    chi_q' = chi_p/M
 
-    from chi_p = chi_q = 0 at t = 0.  Independent of the closed forms; the
-    two routes should agree to the integrator's accuracy.
+    from chi_p = chi_q = 0 at t = 0, one leg map per leg as in
+    :func:`evolve_numeric_grid`.  Independent of the closed forms; the two
+    routes should agree to the integrator's accuracy.
+
+    Raises
+    ------
+    InvalidTime, InvalidStep
+        As in :func:`evolve_numeric_grid`.
     """
     opts = opts or NumericOptions()
     G, src = _chi_generator(consts, box)

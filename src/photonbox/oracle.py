@@ -7,8 +7,10 @@ equations of motion as honest matrix ODEs, assembles the clock matrix by
 quadrature, and evaluates commutators by actual matrix multiplication.
 The equations of motion are linear and act entry by entry, so each
 classical fourth-order step is one affine map, shared with the numeric
-coefficient route, applied to only the entries it can reach (those of q0
-and p0 that are nonzero, and the diagonal).  Like the engine, the oracle
+coefficient route, and the steps of each leg between grid times, with the
+leg's Simpson sum, fold into one power of a 4 x 4 map over pairs of steps.
+That map is applied to only the entries it can reach (those of q0 and p0
+that are nonzero, and the diagonal).  Like the engine, the oracle
 speaks in arrays: a grid of N times gives one dense (N, 3, n, n) stack of
 Q, P and Qcl, and a commutator is the dense matrix [A, B]/(i*hbar), over
 stacks of any shape.  Away from the truncation corner these matrices must
@@ -28,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import _check_grid, _rk4_maps
+from .dynamics import _check_grid, _leg_steps, _rk4_maps
 from .errors import ConfigError, InvalidStep
 from .operators import BoxParams, PhysConstants
 
@@ -42,9 +44,16 @@ __all__ = [
 ]
 
 
+MAX_N = 2048
+
+
 @dataclass(frozen=True)
 class OracleConfig:
-    """Truncation size, edge buffer, length scale, and ODE step."""
+    """Truncation size, edge buffer, length scale, and ODE step.
+
+    ``n`` is capped at :data:`MAX_N`: each n x n complex matrix takes 16*n**2
+    bytes, 64 MiB at the cap, and a check holds dozens of them.
+    """
 
     n: int = 60
     buffer: int = 8
@@ -52,8 +61,8 @@ class OracleConfig:
     step: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.n < 16:
-            raise ConfigError(f"n must be >= 16, got {self.n}")
+        if not 16 <= self.n <= MAX_N:
+            raise ConfigError(f"n must be between 16 and {MAX_N}, got {self.n}")
         if self.buffer < 1:
             raise ConfigError(f"buffer must be >= 1, got {self.buffer}")
         if self.n <= 2 * self.buffer:
@@ -121,20 +130,23 @@ def oracle_evolve_grid(
     Q and P follow dQ/dt = P/M, dP/dt = -m*g*I - k*Q, integrated once from
     t = 0 across the grid by classical fourth-order steps.  The system is
     linear with constant coefficients and acts entry by entry, so each step
-    is the affine map (Q, P) <- R (Q, P) + r*I of ``dynamics._rk4_maps``,
-    applied as one 3 x 3 matrix product to every stepped entry at once.
-    Only the entries it can reach are stepped: those where q0 or p0 is
-    nonzero, and the diagonal.  The rest stay exactly 0, and each grid time
-    writes the stepped entries into the dense frames, equal bit for bit to
-    stepping every entry.  The clock matrix at each grid time is then
+    is the affine map A: (Q, P, I) <- (R (Q, P) + r*I, I) of
+    ``dynamics._rk4_maps``.  Only the entries it can reach are stepped:
+    those where q0 or p0 is nonzero, and the diagonal.  The rest stay
+    exactly 0, and each grid time writes the stepped entries into the dense
+    frames.  The clock matrix at each grid time is then
 
         Qcl(t) = t*I - (g/c**2) * integral of Q over [0, t]
 
     where the integral is a running sum of one composite Simpson quadrature
     per leg between consecutive grid times, over that leg's ODE nodes.  Each
-    leg takes an even number of equal steps, at least 2 and each no longer
+    leg takes an even number of equal steps h, at least 2 and each no longer
     than the configured step, so its panels pair up and it ends on its grid
-    time.
+    time.  A pair of steps is one 4 x 4 map: A**2 on (Q, P, I), and a fourth
+    row that adds (h/3) * (4*Q_odd + 2*Q_even) for the pair's two nodes.
+    The leg is that map's power, built in O(log steps) products and applied
+    to every stepped entry at once; Simpson's end weights then need only
+    (h/3) * (Q_first - Q_last) more.
 
     Raises
     ------
@@ -142,7 +154,7 @@ def oracle_evolve_grid(
         If a time is negative or not finite, or the grid is not ascending.
     InvalidStep
         If the configured step exceeds the last grid time while that is
-        positive.
+        positive, or is so small that a leg's step count overflows a float.
     """
     ts = [float(t) for t in ts]
     _check_grid(ts)
@@ -170,31 +182,36 @@ def oracle_evolve_grid(
     y[1] = workspace.p0.reshape(-1)[live]
     y[2] = identity
     a = y.view(np.float64)
-    b = np.empty_like(a)  # ping-pong partner of a; each pair of steps ends in a
     integral = np.zeros_like(a[0])  # of Q over [0, t]
 
+    maps: dict[float, tuple[np.ndarray, float]] = {}
     frames = np.zeros((len(ts), 3, n_dim * n_dim), dtype=complex)
     t_prev = 0.0
     for t, frame in zip(ts, frames):
         dt = t - t_prev
         if dt > 0:
-            steps = max(2, math.ceil(dt / cfg.step - 1e-12))
-            steps += steps % 2
-            h = dt / steps
-            R, r = _rk4_maps(G, src, h)
-            step_map = np.eye(3)
-            step_map[:2, :2] = R
-            step_map[:2, 2] = r
-            # Simpson's first node, and sums over the odd and interior even ones
-            first, odd, even = a[0].copy(), np.zeros_like(a[0]), np.zeros_like(a[0])
-            for i in range(2, steps + 1, 2):
-                np.matmul(step_map, a, out=b)
-                odd += b[0]
-                np.matmul(step_map, b, out=a)
-                if i < steps:
-                    even += a[0]
-            integral += (h / 3.0) * (first + 4.0 * odd + 2.0 * even + a[0])
-        frame[:2, live] = y[:2]
+            if dt not in maps:
+                steps = max(2, _leg_steps(cfg.step, t_prev, t, "oracle.step"))
+                steps += steps % 2
+                h = dt / steps
+                R, r = _rk4_maps(G, src, h)
+                A = np.eye(3)  # (Q, P, I) <- A (Q, P, I), one step
+                A[:2, :2] = R
+                A[:2, 2] = r
+                A2 = A @ A
+                # One pair of steps, with row 3 adding the pair's Simpson
+                # weights of Q: h/3 * (4 * middle node + 2 * end node).
+                pair = np.eye(4)
+                pair[:3, :3] = A2
+                pair[3, :3] = (h / 3.0) * (4.0 * A[0] + 2.0 * A2[0])
+                maps[dt] = np.linalg.matrix_power(pair, steps // 2)[:, :3], h / 3.0
+            leg, h3 = maps[dt]
+            # Row 3 sums 4*odd + 2*even nodes, counting the last node twice
+            # and the first not at all; Simpson weighs each end once.
+            out = leg @ a
+            integral += out[3] + h3 * (a[0] - out[0])
+            a = out[:3]
+        frame[:2, live] = a[:2].view(complex)
         frame[2, live] = t * identity - g_c2 * integral.view(complex)
         t_prev = t
     return frames.reshape(len(ts), 3, n_dim, n_dim)

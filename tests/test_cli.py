@@ -7,6 +7,7 @@ import pathlib
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,12 +21,12 @@ CONFIG = DATA / "reference_config.json"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "photonbox", *args],
-        capture_output=True, text=True, env=env, cwd=cwd,
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout,
     )
 
 
@@ -270,8 +271,11 @@ def test_verify_passes():
     assert "FAIL" not in proc.stdout
 
 
-def test_verify_fails_at_unreachable_tolerance():
-    proc = run_cli("verify", "--config", str(CONFIG), "--tol", "1e-16")
+def test_verify_fails_at_unreachable_tolerance(tmp_path):
+    # A spring, not free fall: RK4 is exact for free fall's cubic
+    # coefficients, while a spring's truncation error exceeds 1e-16.
+    cfg = write_config(tmp_path, 2.0, potential={"type": "harmonic", "k": 1000.0})
+    proc = run_cli("verify", "--config", str(cfg), "--tol", "1e-16")
     assert proc.returncode == 2
     assert "FAIL" in proc.stdout
 
@@ -345,32 +349,79 @@ def test_verify_oracle_step_beyond_horizon_exits_1(tmp_path):
         assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("section", ["numeric", "oracle"])
+def test_step_count_overflow_exits_1(tmp_path, section):
+    # 1e-320 is subnormal and positive, so it passes the step check, but a
+    # leg of 0.02 or 0.5 over it is more steps than a float can count.
+    cfg = json.loads(CONFIG.read_text())
+    cfg[section] = {"step": 1e-320}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_cli("verify", "--config", str(path), "--oracle")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {section}.step 1e-320 is too small for the leg from t=0.0")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("n", [10**5, 10**400], ids=["1e5", "401-digit"])
+def test_oracle_n_beyond_cap_exits_1(tmp_path, monkeypatch, capsys, n):
+    # Refused as the config is read, before any n x n matrix exists: n = 1e5
+    # would ask for about 160 GB, and the 401-digit n overflows np.arange.
+    def no_workspace(*args):
+        raise AssertionError("a workspace was built")
+
+    monkeypatch.setattr(photonbox.scenario, "build_workspace", no_workspace)
+    cfg = write_config(tmp_path, 2.0, oracle={"n": n})
+    assert main(["verify", "--config", str(cfg), "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid oracle: n must be between 16 and 2048, got ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_tiny_numeric_step_costs_no_more_than_a_coarse_one(tmp_path):
+    # Each leg between grid times is one power of the step map, so 2e8 steps
+    # of 1e-8 cost about what 2000 do.  One step at a time, this run would
+    # take about 2 x 2e8 Python-level steps.
+    cfg = json.loads(CONFIG.read_text())
+    cfg["numeric"] = {"step": 1e-8}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    start = time.perf_counter()
+    proc = run_cli("verify", "--config", str(path), "--oracle", timeout=60)
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "FAIL" not in proc.stdout
+
+
 VERIFY_ORACLE_PINNED = {
     "free": (
         None,
-        "frame_closed_vs_rk4       max_dev=3.952e-14  tol=1.0e-09  pass\n"
-        "chi_closed_vs_ode         max_dev=3.952e-14  tol=1.0e-09  pass\n"
+        "frame_closed_vs_rk4       max_dev=3.036e-18  tol=1.0e-09  pass\n"
+        "chi_closed_vs_ode         max_dev=1.301e-18  tol=1.0e-09  pass\n"
         "chi_frames_vs_closed      max_dev=4.337e-19  tol=1.0e-09  pass\n"
-        "chi_rk4_frames_vs_closed  max_dev=3.952e-14  tol=1.0e-09  pass\n"
+        "chi_rk4_frames_vs_closed  max_dev=3.686e-18  tol=1.0e-09  pass\n"
         "symplectic_closed         max_dev=0.000e+00  tol=1.0e-09  pass\n"
         "symplectic_rk4            max_dev=0.000e+00  tol=1.0e-09  pass\n"
-        "oracle_block_p_qcl        max_dev=7.327e-14  tol=1.0e-06  pass\n"
-        "oracle_block_q_qcl        max_dev=7.461e-14  tol=1.0e-06  pass\n"
-        "oracle_probe_p_qcl        max_dev=4.441e-15  tol=1.0e-06  pass\n"
-        "oracle_probe_q_qcl        max_dev=8.413e-17  tol=1.0e-06  pass\n",
+        "oracle_block_p_qcl        max_dev=5.107e-15  tol=1.0e-06  pass\n"
+        "oracle_block_q_qcl        max_dev=1.776e-15  tol=1.0e-06  pass\n"
+        "oracle_probe_p_qcl        max_dev=2.220e-16  tol=1.0e-06  pass\n"
+        "oracle_probe_q_qcl        max_dev=4.337e-19  tol=1.0e-06  pass\n",
     ),
     "harmonic": (
         {"type": "harmonic", "k": 1000.0},
-        "frame_closed_vs_rk4       max_dev=3.952e-14  tol=1.0e-09  pass\n"
-        "chi_closed_vs_ode         max_dev=3.109e-14  tol=1.0e-09  pass\n"
+        "frame_closed_vs_rk4       max_dev=4.664e-14  tol=1.0e-09  pass\n"
+        "chi_closed_vs_ode         max_dev=1.543e-14  tol=1.0e-09  pass\n"
         "chi_frames_vs_closed      max_dev=2.220e-16  tol=1.0e-09  pass\n"
-        "chi_rk4_frames_vs_closed  max_dev=6.306e-14  tol=1.0e-09  pass\n"
+        "chi_rk4_frames_vs_closed  max_dev=7.061e-14  tol=1.0e-09  pass\n"
         "symplectic_closed         max_dev=2.220e-16  tol=1.0e-09  pass\n"
-        "symplectic_rk4            max_dev=8.726e-14  tol=1.0e-09  pass\n"
-        "oracle_block_p_qcl        max_dev=2.274e-11  tol=1.0e-06  pass\n"
-        "oracle_block_q_qcl        max_dev=2.354e-14  tol=1.0e-06  pass\n"
-        "oracle_probe_p_qcl        max_dev=4.130e-14  tol=1.0e-06  pass\n"
-        "oracle_probe_q_qcl        max_dev=3.144e-17  tol=1.0e-06  pass\n",
+        "symplectic_rk4            max_dev=8.060e-14  tol=1.0e-09  pass\n"
+        "oracle_block_p_qcl        max_dev=1.819e-12  tol=1.0e-06  pass\n"
+        "oracle_block_q_qcl        max_dev=1.776e-15  tol=1.0e-06  pass\n"
+        "oracle_probe_p_qcl        max_dev=3.886e-15  tol=1.0e-06  pass\n"
+        "oracle_probe_q_qcl        max_dev=2.906e-17  tol=1.0e-06  pass\n",
     ),
 }
 

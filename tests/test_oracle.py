@@ -81,11 +81,12 @@ def reference_evolve(ws, consts, box, t):
 def dense_reference_grid(ws, consts, box, ts):
     """Grid reference that steps every entry of the n x n matrices.
 
-    The same augmented one-step map, step counts and Simpson sums as
-    oracle_evolve_grid, applied to the dense (3, n, n) state (Q, P and the
-    identity, which carries the m*g source); that one steps only the entries
-    that can leave zero, so the two must agree bit for bit.  Returns
-    (q, p, qcl) per grid time.
+    The same augmented one-step map, step counts and Simpson weights as
+    oracle_evolve_grid, iterated one step at a time on the dense (3, n, n)
+    state (Q, P and the identity, which carries the m*g source).  That one
+    steps only the entries that can leave zero, and folds each leg's steps
+    and Simpson sum into one power of the map, so the two differ by
+    rounding alone.  Returns (q, p, qcl) per grid time.
     """
     n_dim = ws.config.n
     eye = np.eye(n_dim)
@@ -183,22 +184,23 @@ def stage_reference_grid(ws, consts, box, ts):
     return frames
 
 
-# The one-step map and the four stages are the same polynomial in h*G, summed
-# in a different order, so they differ by rounding alone; this bound, relative
-# to max(1, max |entry|), was fixed before any run (the worst seen was 2.5e-13).
+# The folded leg map, the iterated one-step map and the four stages are the
+# same polynomial in h*G, summed in a different order, so they differ by
+# rounding alone; this bound, relative to max(1, max |entry|), was fixed before
+# any run (the worst seen, over times up to 4, was 2.3e-13).
 STAGE_BOUND = 1e-11
 
 
 def assert_matches_dense(ws, consts, box, ts):
     frames = oracle_evolve_grid(ws, consts, box, ts)
     assert frames.shape == (len(ts), 3, ws.config.n, ws.config.n)
-    exact = dense_reference_grid(ws, consts, box, ts)
+    stepped = dense_reference_grid(ws, consts, box, ts)
     staged = stage_reference_grid(ws, consts, box, ts)
-    for fr, want, want_staged in zip(frames, exact, staged):
-        for got, ref, ref_staged in zip(fr, want, want_staged):
-            assert np.array_equal(got, ref)
-            scale = max(1.0, float(np.abs(ref_staged).max()))
-            assert np.abs(got - ref_staged).max() <= STAGE_BOUND * scale
+    for fr, want_stepped, want_staged in zip(frames, stepped, staged):
+        for got, *refs in zip(fr, want_stepped, want_staged):
+            for ref in refs:
+                scale = max(1.0, float(np.abs(ref).max()))
+                assert np.abs(got - ref).max() <= STAGE_BOUND * scale
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +224,9 @@ def test_small_workspace_builds(consts):
 def test_config_guards():
     with pytest.raises(ConfigError):
         OracleConfig(n=8)
+    with pytest.raises(ConfigError):
+        OracleConfig(n=2049)
+    assert OracleConfig(n=2048).n == 2048  # the cap itself; nothing is allocated
     with pytest.raises(ConfigError):
         OracleConfig(buffer=0)
     with pytest.raises(ConfigError):
@@ -315,6 +320,8 @@ def test_grid_matches_per_time_reference(workspace, consts, potential):
             assert np.max(np.abs(restricted(workspace, got - ref))) < 1e-9
 
 
+# Compared at STAGE_BOUND, not bit for bit: the dense loop applies the map
+# once per step, while the grid folds each leg into one power of it.
 @pytest.mark.parametrize("n", [16, 40, 60])
 @pytest.mark.parametrize(
     "potential", [FreeFall(), Harmonic(k=1000.0)], ids=["free", "harmonic"]

@@ -12,9 +12,11 @@ with ``math.sin``/``math.cos`` on every value these grids produce.
 `verify` has a scalar reference too: the per-frame, per-coefficient
 deviation loop over frames held as tuples of rows, one scalar
 a_q(X)*a_p(Y) - a_p(X)*a_q(Y) per pair and frame, and running maxima over
-the oracle times, fed by the same scalar closed forms and by its own
-per-leg RK4 loop.  `verify`'s array form must reproduce every ``max_dev``
-and verdict bit for bit.
+the oracle times, fed by the same scalar closed forms and by its own RK4
+loop, which takes one step at a time.  `verify` folds each leg's steps into
+one power of the step map, so the two differ by rounding: every ``max_dev``
+must agree within ``DEV_BOUND``, and every verdict must be the same unless
+the reference's deviation lies within ``DEV_BOUND`` of the tolerance.
 """
 
 import dataclasses
@@ -328,7 +330,8 @@ def ref_commutator(x, y):
 
 
 def ref_rk4_grid(G, src, y, ts, step):
-    """y' = G y + src from y at t = 0: one affine RK4 map per leg, iterated."""
+    """y' = G y + src from y at t = 0: one affine RK4 map per leg, applied
+    once per step."""
     eye = np.eye(G.shape[0])
     out = []
     t_prev = 0.0
@@ -433,12 +436,20 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
     return [(name, dev, tol, dev <= tol) for name, dev, tol in checks]
 
 
+# Stepping one step at a time accumulates about steps * eps of rounding: with
+# at most 4000 steps here (t_emit 4 at step 1e-3) about 5e-13 relative, which
+# this bound doubles.  The folded legs accumulate far less.  The worst max_dev
+# difference seen over these cases was 2.4e-13.
+DEV_BOUND = 1e-12
+
+
 def assert_verify_matches(s, **kwargs):
     got = verify(s, **kwargs).checks
     ref = ref_verify(s, **kwargs)
-    assert [(c.name, bits(c.max_dev), bits(c.tol), c.passed) for c in got] == [
-        (name, bits(dev), bits(tol), passed) for name, dev, tol, passed in ref
-    ]
+    assert [(c.name, bits(c.tol)) for c in got] == [(name, bits(tol)) for name, _, tol, _ in ref]
+    for c, (name, dev, tol, passed) in zip(got, ref):
+        assert c.max_dev == dev or abs(c.max_dev - dev) <= DEV_BOUND, name
+        assert c.passed == passed or abs(dev - tol) <= DEV_BOUND, name
     return got
 
 
