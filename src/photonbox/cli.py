@@ -8,17 +8,15 @@ range, 2 verification failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import decimal
 import functools
 import json
 import math
-import operator
 import os
 import re
 import stat
 import sys
-from typing import Any, Iterable
+from typing import Any, Iterable, get_type_hints
 
 from .dynamics import NumericOptions
 from .errors import ConfigError, PhotonBoxError
@@ -89,21 +87,21 @@ def _fmt_bool(b: bool) -> str:
 
 
 # The sweep CSV schema is SweepRow's: one column per field, in field order.
-# Booleans print as true/false.  Floats print as in sci17: adding 0.0 maps
-# -0.0 to 0.0, and the exponents of the whole body are rewritten at once.
-_SWEEP_FIELDS = dataclasses.fields(SweepRow)
-_IS_BOOL = [f.type in ("bool", bool) for f in _SWEEP_FIELDS]
-SWEEP_HEADER = ",".join(f.name for f in _SWEEP_FIELDS)
+# Floats print as in sci17 and booleans as true/false.  Each line is one `%`
+# of its row, and the body is then rewritten as a whole: True/False to
+# true/false, -0 to 0, bare exponents.  That is exact because every cell lies
+# whole between commas, and no %e form of a nonzero float holds "True",
+# "False" or "0.0000000000000000e+00".
+_IS_BOOL = [t is bool for t in get_type_hints(SweepRow).values()]
+SWEEP_HEADER = ",".join(SweepRow._fields)
 _ROW_LINE = ",".join("%s" if b else "%.16e" for b in _IS_BOOL) + "\n"
-_CELLS = tuple(_fmt_bool if b else functools.partial(operator.add, 0.0) for b in _IS_BOOL)
-_row_values = operator.attrgetter(*(f.name for f in _SWEEP_FIELDS))
 
 
 def sweep_csv(rows: Iterable[SweepRow]) -> str:
     """The sweep CSV: header, then one sci17-formatted line per row, LF endings."""
-    body = "".join(
-        [_ROW_LINE % tuple([cell(v) for cell, v in zip(_CELLS, _row_values(row))]) for row in rows]
-    )
+    body = "".join(map(_ROW_LINE.__mod__, rows))
+    body = body.replace("True", "true").replace("False", "false")
+    body = body.replace("-0.0000000000000000e+00", "0.0000000000000000e+00")
     return SWEEP_HEADER + "\n" + _bare_exponents(body)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +44,11 @@ __all__ = [
     "sweep",
     "verify",
 ]
+
+
+# Largest sweep or verify grid: each grid time holds a (3, 5) frame and a few
+# dozen scalars, so the cap keeps one call below about 2 GB.
+MAX_GRID = 10**6
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,8 @@ class RunResult:
     check_q: BoundCheck
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One measurement time in a sweep; field order matches the CSV schema."""
+class SweepRow(NamedTuple):
+    """One measurement time in a sweep: a tuple whose fields are the CSV columns, in order."""
 
     t: float
     chi_p_qcl: float
@@ -174,14 +178,14 @@ def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> list[SweepRow]
     Raises
     ------
     RangeError
-        If the range is not 0 <= t_min < t_max with steps >= 2.
+        If the range is not 0 <= t_min < t_max with 2 <= steps <= MAX_GRID.
     """
     if not (math.isfinite(t_min) and math.isfinite(t_max)):
         raise RangeError("sweep range must be finite")
     if t_min < 0 or t_max <= t_min:
         raise RangeError(f"need 0 <= t_min < t_max, got [{t_min!r}, {t_max!r}]")
-    if steps < 2:
-        raise RangeError(f"steps must be >= 2, got {steps}")
+    if not 2 <= steps <= MAX_GRID:
+        raise RangeError(f"steps must be between 2 and {MAX_GRID}, got {steps}")
     grid = infer_grid(s.constants, s.box, s.initial_state(), np.linspace(t_min, t_max, steps))
     dq, dp, dqcl = grid.spreads.T.tolist()
     chi_p, chi_q = grid.chi.T.tolist()
@@ -193,7 +197,7 @@ def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> list[SweepRow]
         grid.t.tolist(), chi_p, chi_q, dq, dp, dqcl, dm_p, dm_q, dE_p, dE_q, dqcl,
         prod_p, prod_q, itertools.repeat(grid.hbar / 2.0), grid.valid.tolist(), deg_p, deg_q,
     )
-    return [SweepRow(*row) for row in zip(*columns)]
+    return list(map(SweepRow._make, zip(*columns)))
 
 
 def _chi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -237,15 +241,16 @@ def verify(
     Raises
     ------
     RangeError
-        If ``grid`` is below 2, or ``tol`` or ``oracle_tol`` is negative or
-        not finite (an infinite tolerance would pass every check).
+        If ``grid`` is not between 2 and MAX_GRID, or ``tol`` or
+        ``oracle_tol`` is negative or not finite (an infinite tolerance would
+        pass every check).
     InvalidStep
         If ``use_oracle`` is set and the oracle step exceeds the oracle
         horizon (the last oracle time), so no positive time could be
         compared.
     """
-    if grid < 2:
-        raise RangeError(f"grid must be >= 2, got {grid}")
+    if not 2 <= grid <= MAX_GRID:
+        raise RangeError(f"grid must be between 2 and {MAX_GRID}, got {grid}")
     for name, value in (("tol", tol), ("oracle_tol", oracle_tol)):
         if not (math.isfinite(value) and value >= 0):
             raise RangeError(f"{name} must be finite and >= 0, got {value!r}")

@@ -183,7 +183,7 @@ def bits(value):
 
 
 def row_bits(row):
-    return tuple(bits(v) for v in dataclasses.astuple(row))
+    return tuple(bits(v) for v in tuple(row))
 
 
 def assert_sweep_matches(s, t_min, t_max, steps):
