@@ -1,13 +1,17 @@
 """Command-line interface: run, sweep, and verify subcommands.
 
 Scenarios come from a strict JSON config file (unknown keys are rejected);
-sweep ranges come from flags.  Exit codes: 0 success, 1 invalid config or
-range, 2 verification failure, 3 I/O failure.
+sweep ranges come from flags.  The keys of each config section are the
+fields of its dataclass.  The numeric and oracle sections are optional, and
+a key missing from either takes the default of NumericOptions or
+OracleConfig; every key of the other sections is required.  Exit codes:
+0 success, 1 invalid config or range, 2 verification failure, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import decimal
 import functools
 import json
@@ -16,7 +20,7 @@ import os
 import re
 import stat
 import sys
-from typing import Any, Iterable, get_type_hints
+from typing import Any, Callable, Iterable, get_type_hints
 
 from .dynamics import NumericOptions
 from .errors import ConfigError, PhotonBoxError
@@ -131,14 +135,13 @@ def _check_keys(doc: dict, path: str, required: set[str], optional: set[str] = f
         raise ConfigError(f"missing key(s) in {path}: {', '.join(sorted(missing))}")
 
 
-def _number(doc: dict, path: str, key: str, default: float | None = None) -> float:
-    if key not in doc:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key {path}.{key}")
+def _number(doc: dict, path: str, key: str, integer: bool = False) -> float:
+    """``doc[key]`` as a finite number, or as an integer if ``integer`` is set."""
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number")
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(f"{path}.{key} must be {'an integer' if integer else 'a number'}")
+    if integer:
+        return value
     try:
         value = float(value)
     except OverflowError:  # an integer literal beyond the float range
@@ -148,13 +151,46 @@ def _number(doc: dict, path: str, key: str, default: float | None = None) -> flo
     return value
 
 
-def _integer(doc: dict, path: str, key: str, default: int) -> int:
-    if key not in doc:
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key} must be an integer")
-    return value
+@functools.cache
+def _schema(cls: type) -> dict[str, bool]:
+    """The field names of a config dataclass, each mapped to whether it is an integer."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] is int for f in dataclasses.fields(cls)}
+
+
+def _section(doc: Any, path: str, cls: type, optional: bool = False, **read: Callable) -> Any:
+    """Build ``cls`` from the config section at ``path``: its keys are the fields of ``cls``.
+
+    Each key is read as a finite number, or as an integer where its field is
+    an ``int``, unless ``read`` gives a reader for it.  In a required section
+    every key must be present; in an optional one a missing key takes the
+    field's default.
+    """
+    section = _require_mapping(doc, path)
+    schema = _schema(cls)
+    keys = set(schema)
+    _check_keys(section, path, required=set() if optional else keys, optional=keys)
+    kwargs = {
+        key: read[key](section[key]) if key in read else _number(section, path, key, integer)
+        for key, integer in schema.items()
+        if key in section
+    }
+    return _build(cls, path, **kwargs)
+
+
+def _potential(doc: Any) -> FreeFall | Harmonic:
+    doc = _require_mapping(doc, "box.potential")
+    kind = doc.get("type")
+    if kind not in ("free", "harmonic"):
+        raise ConfigError("box.potential.type must be 'free' or 'harmonic'")
+    fields = {key: value for key, value in doc.items() if key != "type"}
+    return _section(fields, "box.potential", FreeFall if kind == "free" else Harmonic)
+
+
+def _route(value: Any) -> Route:
+    if value not in ("p", "q"):
+        raise ConfigError("measurement.route must be 'p' or 'q'")
+    return Route(value)
 
 
 def _reject_nonfinite(name: str) -> float:
@@ -184,84 +220,21 @@ def load_config(path: str) -> Scenario:
 def build_scenario(doc: Any) -> Scenario:
     """Build a Scenario from a parsed config document."""
     doc = _require_mapping(doc, "config")
-    _check_keys(
-        doc,
-        "config",
-        required={"constants", "box", "measurement", "time"},
-        optional={"numeric", "oracle"},
-    )
-
-    consts_doc = _require_mapping(doc["constants"], "constants")
-    _check_keys(consts_doc, "constants", required={"hbar", "c", "g"})
-    box_doc = _require_mapping(doc["box"], "box")
-    _check_keys(box_doc, "box", required={"M", "m", "potential"})
-    pot_doc = _require_mapping(box_doc["potential"], "box.potential")
-    pot_type = pot_doc.get("type")
-    if pot_type == "free":
-        _check_keys(pot_doc, "box.potential", required={"type"})
-        potential: FreeFall | Harmonic = FreeFall()
-    elif pot_type == "harmonic":
-        _check_keys(pot_doc, "box.potential", required={"type", "k"})
-        potential = _build(Harmonic, "box.potential", k=_number(pot_doc, "box.potential", "k"))
-    else:
-        raise ConfigError("box.potential.type must be 'free' or 'harmonic'")
-
-    meas_doc = _require_mapping(doc["measurement"], "measurement")
-    _check_keys(meas_doc, "measurement", required={"route", "device_dx", "device_dcl"})
-    route_name = meas_doc["route"]
-    if route_name not in ("p", "q"):
-        raise ConfigError("measurement.route must be 'p' or 'q'")
-
+    _check_keys(doc, "config", {"constants", "box", "measurement", "time"}, {"numeric", "oracle"})
     time_doc = _require_mapping(doc["time"], "time")
     _check_keys(time_doc, "time", required={"t_emit"})
-
-    numeric_doc = _require_mapping(doc.get("numeric", {}), "numeric")
-    _check_keys(numeric_doc, "numeric", required=set(), optional={"step"})
-
-    oracle_cfg = None
+    oracle = None
     if "oracle" in doc:
-        oracle_doc = _require_mapping(doc["oracle"], "oracle")
-        _check_keys(oracle_doc, "oracle", required=set(), optional={"n", "buffer", "scale", "step"})
-        oracle_cfg = _build(
-            OracleConfig,
-            "oracle",
-            n=_integer(oracle_doc, "oracle", "n", 60),
-            buffer=_integer(oracle_doc, "oracle", "buffer", 8),
-            scale=_number(oracle_doc, "oracle", "scale", 1.0),
-            step=_number(oracle_doc, "oracle", "step", 1e-3),
-        )
-
-    constants = _build(
-        PhysConstants,
-        "constants",
-        hbar=_number(consts_doc, "constants", "hbar"),
-        c=_number(consts_doc, "constants", "c"),
-        g=_number(consts_doc, "constants", "g"),
-    )
-    box = _build(
-        BoxParams,
-        "box",
-        M=_number(box_doc, "box", "M"),
-        m=_number(box_doc, "box", "m"),
-        potential=potential,
-    )
-    measurement = Measurement(
-        route=Route(route_name),
-        device_dx=_number(meas_doc, "measurement", "device_dx"),
-        device_dcl=_number(meas_doc, "measurement", "device_dcl"),
-    )
-    numeric = _build(
-        NumericOptions, "numeric", step=_number(numeric_doc, "numeric", "step", 1e-3)
-    )
+        oracle = _section(doc["oracle"], "oracle", OracleConfig, optional=True)
     return _build(
         Scenario,
         "config",
-        constants=constants,
-        box=box,
-        measurement=measurement,
+        constants=_section(doc["constants"], "constants", PhysConstants),
+        box=_section(doc["box"], "box", BoxParams, potential=_potential),
+        measurement=_section(doc["measurement"], "measurement", Measurement, route=_route),
         t_emit=_number(time_doc, "time", "t_emit"),
-        numeric=numeric,
-        oracle=oracle_cfg,
+        numeric=_section(doc.get("numeric", {}), "numeric", NumericOptions, optional=True),
+        oracle=oracle,
     )
 
 

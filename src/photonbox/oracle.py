@@ -101,17 +101,19 @@ def build_workspace(config: OracleConfig, consts: PhysConstants) -> OracleWorksp
     lower = np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
     raise_op = lower.conj().T
     sqrt2 = math.sqrt(2.0)
-    q0 = config.scale * (lower + raise_op) / sqrt2
-    p0 = (consts.hbar / config.scale) * (lower - raise_op) / (1j * sqrt2)
+    r = n - config.buffer
+    # A scale so extreme that hbar/scale overflows fills P0 with inf and nan;
+    # the deviation then reads nan, which only `dev <= 1e-10` rejects.
+    with np.errstate(all="ignore"):
+        q0 = config.scale * (lower + raise_op) / sqrt2
+        p0 = (consts.hbar / config.scale) * (lower - raise_op) / (1j * sqrt2)
+        ccr = (q0 @ p0 - p0 @ q0) / (1j * consts.hbar)
+        dev = float(np.abs(ccr[:r, :r] - np.eye(r)).max())
+    if not dev <= 1e-10:
+        raise ConfigError(f"restricted canonical commutator off by {dev}")
 
     vacuum = np.zeros(n, dtype=complex)
     vacuum[0] = 1.0
-
-    r = n - config.buffer
-    ccr = (q0 @ p0 - p0 @ q0) / (1j * consts.hbar)
-    dev = float(np.abs(ccr[:r, :r] - np.eye(r)).max())
-    if dev > 1e-10:
-        raise ConfigError(f"restricted canonical commutator off by {dev}")
     return OracleWorkspace(q0=q0, p0=p0, vacuum=vacuum, config=config, hbar=consts.hbar)
 
 

@@ -291,18 +291,21 @@ def verify(
             T_o = min(T, 4.0)
         ts_o = np.linspace(0.0, T_o, 5)
         refs = closed_form_grid(consts, box, ts_o)[1]
-        frames = oracle_evolve_grid(ws, consts, box, ts_o)
-        # [P, Qcl] and [Q, Qcl] at each time, in the column order of refs
-        chi = oracle_commutator(ws, frames[:, 1::-1], frames[:, 2:])
-        probe = (chi @ ws.vacuum) @ ws.vacuum.conj()
-        r = cfg.n - cfg.buffer
-        block = chi[..., :r, :r]  # a view: the probe above is taken first
-        block -= refs[..., None, None] * np.eye(r)
-        block_dev = np.abs(block).max(axis=(-2, -1))
-        for kind, diff in (("block", block_dev), ("probe", probe - refs)):
-            for j, pair in enumerate(("p_qcl", "q_qcl")):
-                dev = _max_rel_dev(diff[:, j], refs[:, j])
-                table.append((f"oracle_{kind}_{pair}", dev, oracle_tol))
+        # A scale far from the oracle's natural length overflows the matrix
+        # products the same way; those checks then read inf or nan and fail.
+        with np.errstate(over="ignore", invalid="ignore"):
+            frames = oracle_evolve_grid(ws, consts, box, ts_o)
+            # [P, Qcl] and [Q, Qcl] at each time, in the column order of refs
+            chi = oracle_commutator(ws, frames[:, 1::-1], frames[:, 2:])
+            probe = (chi @ ws.vacuum) @ ws.vacuum.conj()
+            r = cfg.n - cfg.buffer
+            block = chi[..., :r, :r]  # a view: the probe above is taken first
+            block -= refs[..., None, None] * np.eye(r)
+            block_dev = np.abs(block).max(axis=(-2, -1))
+            for kind, diff in (("block", block_dev), ("probe", probe - refs)):
+                for j, pair in enumerate(("p_qcl", "q_qcl")):
+                    dev = _max_rel_dev(diff[:, j], refs[:, j])
+                    table.append((f"oracle_{kind}_{pair}", dev, oracle_tol))
     return VerificationReport(
         checks=tuple(CheckResult(name, dev, tol, dev <= tol) for name, dev, tol in table)
     )

@@ -31,7 +31,7 @@ from .errors import (
     InvalidState,
     NoElapsedTime,
 )
-from .operators import BoxParams, Harmonic, PhysConstants
+from .operators import BoxParams, PhysConstants
 
 __all__ = [
     "Route",
@@ -262,10 +262,8 @@ def _mass_rule(
     degenerate = coeff < DEGENERACY_ATOL
     dm = np.full(np.shape(coeff), math.inf)
     np.divide(dx, coeff, out=dm, where=~degenerate)
-    if isinstance(box.potential, Harmonic):
-        valid = box.omega * ts * box.m < 0.1 * box.M
-    else:
-        valid = np.ones(np.shape(ts), dtype=bool)
+    # Free fall has w = 0 and is valid even where 0.1*M underflows to 0.
+    valid = (box.omega * ts * box.m < 0.1 * box.M) | (box.omega == 0.0)
     return dm, degenerate, valid
 
 

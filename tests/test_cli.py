@@ -15,8 +15,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import photonbox.scenario
-from photonbox import SweepRow, oracle_evolve_grid, sweep
-from photonbox.cli import _build_parser, load_config, main, sci, sci17, sweep_csv
+from photonbox import (
+    ConfigError,
+    NumericOptions,
+    OracleConfig,
+    Scenario,
+    SweepRow,
+    oracle_evolve_grid,
+    sweep,
+)
+from photonbox.cli import _build_parser, build_scenario, load_config, main, sci, sci17, sweep_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
 CONFIG = DATA / "reference_config.json"
@@ -543,6 +551,25 @@ def test_verify_unstable_integration_fails_cleanly(tmp_path):
     assert lines["chi_frames_vs_closed"].endswith("pass")
 
 
+@pytest.mark.parametrize("scale", [1e-320, 1e200], ids=["1e-320", "1e200"])
+def test_verify_extreme_oracle_scale_fails_cleanly(tmp_path, scale):
+    # At 1e-320, hbar/scale overflows and the workspace holds inf and nan, so
+    # its self-check reads nan and must refuse it.  At 1e200 the workspace is
+    # finite but the matrix commutators overflow, so those checks fail.
+    cfg = write_config(tmp_path, 2.0, oracle={"scale": scale})
+    proc = run_cli("verify", "--config", str(cfg), "--oracle")
+    if scale < 1:
+        assert proc.returncode == 1
+        assert proc.stderr == "error: restricted canonical commutator off by nan\n"
+        assert proc.stdout == ""
+        return
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    status = {line.split()[0]: line.split()[-1] for line in proc.stdout.splitlines()}
+    assert status["oracle_block_q_qcl"] == "FAIL"
+    assert all(status[name] == "pass" for name in status if not name.startswith("oracle_"))
+
+
 # ---------------------------------------------------------------------------
 # --out files: created if missing, else overwritten in place and cut to length
 # ---------------------------------------------------------------------------
@@ -679,21 +706,123 @@ def test_missing_config_exits_3(capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_unknown_key_exits_1(tmp_path, capsys):
+# ---------------------------------------------------------------------------
+# config schema: each section's keys are the fields of its dataclass
+# ---------------------------------------------------------------------------
+
+
+def full_config(harmonic=True, oracle=True):
+    """The reference config, with a spring and an empty oracle section if asked."""
     cfg = json.loads(CONFIG.read_text())
-    cfg["surprise"] = 1
+    if harmonic:
+        cfg["box"]["potential"] = {"type": "harmonic", "k": 1000.0}
+    if oracle:
+        cfg["oracle"] = {}
+    return cfg
+
+
+def section_of(cfg, path):
+    """The section at a dotted path; ``config`` is the whole document."""
+    if path == "config":
+        return cfg
+    for key in path.split("."):
+        cfg = cfg[key]
+    return cfg
+
+
+def config_error(tmp_path, capsys, cfg):
+    """The stderr of ``run`` on a config it must refuse with exit 1."""
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(p)]) == 1
-    assert "surprise" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
 
 
-def test_nested_unknown_key_exits_1(tmp_path):
-    cfg = json.loads(CONFIG.read_text())
-    cfg["box"]["extra"] = 1
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(p)]) == 1
+SECTIONS = ["config", "constants", "box", "box.potential", "measurement", "time", "numeric",
+            "oracle"]
+# Every key of the required sections; box.potential.type is checked on its own.
+REQUIRED = {
+    "config": "box constants measurement time",
+    "constants": "c g hbar",
+    "box": "M m potential",
+    "box.potential": "k",
+    "measurement": "device_dcl device_dx route",
+    "time": "t_emit",
+}
+REQUIRED_KEYS = [(path, key) for path, keys in REQUIRED.items() for key in keys.split()]
+
+
+@pytest.mark.parametrize("path", SECTIONS)
+def test_unknown_key_exits_1(tmp_path, capsys, path):
+    cfg = full_config()
+    section_of(cfg, path)["extra"] = 1
+    assert config_error(tmp_path, capsys, cfg) == f"error: unknown key(s) in {path}: extra\n"
+
+
+@pytest.mark.parametrize("path, key", REQUIRED_KEYS, ids=[f"{p}.{k}" for p, k in REQUIRED_KEYS])
+def test_missing_key_exits_1(tmp_path, capsys, path, key):
+    cfg = full_config()
+    del section_of(cfg, path)[key]
+    assert config_error(tmp_path, capsys, cfg) == f"error: missing key(s) in {path}: {key}\n"
+
+
+def test_optional_sections_take_the_dataclass_defaults():
+    cfg = full_config(oracle=False)
+    del cfg["numeric"]
+    s = build_scenario(cfg)
+    assert (s.numeric, s.oracle) == (NumericOptions(), None)
+    cfg.update(numeric={}, oracle={})
+    s = build_scenario(cfg)
+    assert (s.numeric, s.oracle) == (NumericOptions(), OracleConfig())
+    cfg["oracle"] = {"buffer": 4, "step": 0.01}
+    assert build_scenario(cfg).oracle == OracleConfig(buffer=4, step=0.01)
+
+
+@pytest.mark.parametrize("key", ["n", "buffer"])
+def test_oracle_integer_fields_refuse_floats(tmp_path, capsys, key):
+    cfg = full_config()
+    cfg["oracle"][key] = 60.0
+    assert config_error(tmp_path, capsys, cfg) == f"error: oracle.{key} must be an integer\n"
+
+
+# JSON values a config key might hold by mistake: non-finite floats are not
+# JSON, and integers beyond 4300 digits are refused as the JSON is parsed.
+JSON_VALUES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=6), st.integers(), max_size=2),
+    st.integers(max_value=-1),
+    st.floats(max_value=0.0, allow_infinity=False, allow_nan=False),
+    st.integers(min_value=2**63, max_value=10**400),
+    st.floats(allow_infinity=False, allow_nan=False),
+)
+
+
+@given(st.data())
+def test_one_key_change_builds_or_names_its_section(data):
+    cfg = full_config(harmonic=data.draw(st.booleans()), oracle=data.draw(st.booleans()))
+    path = data.draw(st.sampled_from([p for p in SECTIONS if p != "oracle" or "oracle" in cfg]))
+    section = section_of(cfg, path)
+    change = data.draw(st.sampled_from(["replace", "drop", "add"] if section else ["add"]))
+    if change == "add":
+        key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in section))
+    else:
+        key = data.draw(st.sampled_from(sorted(section)))
+    if change == "drop":
+        del section[key]
+    else:
+        section[key] = data.draw(JSON_VALUES)
+    # Replacing a whole section touches that section.  Scenario checks
+    # t_emit itself, so its errors name the key rather than the time section.
+    touched = key if path == "config" and change == "replace" else path
+    try:
+        assert isinstance(build_scenario(cfg), Scenario)
+    except ConfigError as exc:
+        assert touched in str(exc) or (touched == "time" and "t_emit" in str(exc))
 
 
 def test_malformed_json_exits_1(tmp_path):

@@ -210,6 +210,15 @@ def test_back_action_validity_window(consts):
     assert not est.valid
 
 
+def test_free_fall_stays_valid_where_the_window_underflows(consts):
+    # 0.1*M rounds to 0 at M = 1e-323, so w*t*m < 0.1*M alone would read
+    # false even at w = 0; free fall is valid at every t.
+    box = BoxParams(M=1e-323, m=0.0)
+    fr = evolve_closed(consts, box, 1e-320)
+    est = mass_uncertainty(fr, 1e-320, Route.P, 0.5, box)
+    assert est.valid and est.degenerate
+
+
 # ---------------------------------------------------------------------------
 # end-to-end inference
 # ---------------------------------------------------------------------------
