@@ -3,10 +3,11 @@
 The engine never represents operators as matrices; it tracks five real
 coefficients per observable.  This script rebuilds q, p, and the clock
 reading as dense truncated number-basis matrices, integrates the same
-equations of motion (fourth-order steps, each leg folded into one affine
-map and applied to only the matrix entries it can reach), and compares the commutators, dense
-matrix products, entry by entry: all four times and both clock pairs come
-from one (4, 3, n, n) stack of frames and one stacked commutator.
+equations of motion, the clock's among them (fourth-order steps, each leg
+folded into one power of the step map and applied to only the matrix
+entries it can reach), and compares the commutators, dense matrix
+products, entry by entry: all four times and both clock pairs come from
+one (4, 3, n, n) stack of frames and one stacked commutator.
 """
 
 import numpy as np

@@ -24,7 +24,7 @@ Two independent routes compute both:
   :func:`commutator_closed` as its single-time views), and
 * fixed-step classical fourth-order integration (:func:`evolve_numeric_grid`
   and :func:`commutator_ode_grid`), each leg between grid times folded into
-  one affine map.
+  one power of the step map.
 """
 
 from __future__ import annotations
@@ -228,59 +228,57 @@ def commutator_closed(
 # numeric route
 # =============================================================================
 #
-# Both coefficient systems, and the matrix equations of motion of the
-# oracle (photonbox.oracle), are linear with constant coefficients,
-#
-#     y' = G y + s,
-#
-# so the four stages of the classical fourth-order scheme combine exactly
-# into one affine update per step,
-#
-#     y  <-  R y + r,      R = sum_{j<=4} (h G)^j / j!,
-#                          r = h * (sum_{j<=3} (h G)^j / (j+1)!) s.
-#
-# In homogeneous form, with the state carried as (y; I), that step is one
-# matrix A = [[R, r], [0, I]], so the n equal steps of a leg between two grid
-# times fold into the single map A**n, which np.linalg.matrix_power builds in
-# O(log n) small products.  It is the stepwise iteration up to rounding, and
-# a leg costs O(log n) products, not n.  Both routes and the oracle build
-# A from _rk4_maps, so a fault in it is shared: verify shows one as a failed
-# check of each (the closed forms share nothing with it).
+# Both coefficient systems, and the oracle's matrix equations of motion
+# (photonbox.oracle), are linear with constant coefficients; with their
+# constants carried as state rows of zero derivative, each is homogeneous,
+# y' = K y.  The four stages of a classical fourth-order step then combine
+# exactly into y <- y + E y, E = hK + (hK)^2/2 + (hK)^3/6 + (hK)^4/24, and
+# the n equal steps of a leg between grid times into y <- y + F y, with
+# I + F = (I + E)^n built by repeated squaring in O(log n) small products,
+# so a leg costs about the same at any step.  F is carried as the increment
+# over I, (I + E)(I + F) = I + (E + F + EF), so at a small step a stiff
+# spring's (h*w)^2/2 is never rounded away against the 1 of I.  A fault in
+# _rk4_step is shared by both routes and the oracle: verify shows one as a
+# failed check of each (the closed forms share nothing with it).
 
 
-def _rk4_maps(G: np.ndarray, src: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    eye = np.eye(G.shape[0])
-    hg = h * G
-    hg2 = hg @ hg
-    hg3 = hg2 @ hg
-    hg4 = hg3 @ hg
-    R = eye + hg + hg2 / 2.0 + hg3 / 6.0 + hg4 / 24.0
-    r = h * ((eye + hg / 2.0 + hg2 / 6.0 + hg3 / 24.0) @ src)
-    return R, r
+def _rk4_step(K: np.ndarray, h: float) -> np.ndarray:
+    """E, with I + E the fourth-order step of y' = K y over h."""
+    hk = h * K
+    hk2 = hk @ hk
+    hk3 = hk2 @ hk
+    return hk + hk2 / 2.0 + hk3 / 6.0 + hk3 @ hk / 24.0
 
 
-def _frame_generator(consts: PhysConstants, box: BoxParams) -> tuple[np.ndarray, np.ndarray]:
+def _leg_increment(E: np.ndarray, n: int) -> np.ndarray:
+    """F, with I + F = (I + E)**n for n >= 1, never forming I + E."""
+    F = None
+    while True:
+        if n & 1:
+            F = E if F is None else E + F + E @ F
+        n >>= 1
+        if not n:
+            return F
+        E = 2.0 * E + E @ E
+
+
+def _frame_generator(consts: PhysConstants, box: BoxParams) -> np.ndarray:
+    """K over the rows (Q, P, Qcl, 1, m) of a frame extended by its constants."""
     g = consts.g
     c2 = consts.c * consts.c
-    G = np.array(
-        [
-            [0.0, 1.0 / box.M, 0.0],
-            [-box.spring_k, 0.0, 0.0],
-            [-g / c2, 0.0, 0.0],
-        ]
-    )
-    src = np.zeros((3, 5))
-    src[1, _SLOT_M] = -g
-    src[2, _SLOT_ONE] = 1.0
-    return G, src
+    K = np.zeros((5, 5))
+    K[0, 1] = 1.0 / box.M
+    K[1, 0] = -box.spring_k
+    K[1, _SLOT_M] = -g
+    K[2, 0] = -g / c2
+    K[2, _SLOT_ONE] = 1.0
+    return K
 
 
-def _chi_generator(consts: PhysConstants, box: BoxParams) -> tuple[np.ndarray, np.ndarray]:
-    g = consts.g
-    c2 = consts.c * consts.c
-    G = np.array([[0.0, -box.spring_k], [1.0 / box.M, 0.0]])
-    src = np.array([g / c2, 0.0])
-    return G, src
+def _chi_generator(consts: PhysConstants, box: BoxParams) -> np.ndarray:
+    """K over (chi_p, chi_q, 1)."""
+    g_c2 = consts.g / (consts.c * consts.c)
+    return np.array([[0.0, -box.spring_k, g_c2], [1.0 / box.M, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def _check_grid(ts: Sequence[float]) -> None:
@@ -304,25 +302,26 @@ def _leg_steps(step: float, t0: float, t1: float, label: str) -> int:
 
 
 def _rk4_grid(
-    G: np.ndarray, src: np.ndarray, y0: np.ndarray, ts: Sequence[float], step: float
+    K: np.ndarray, y0: np.ndarray, ts: Sequence[float], step: float, label: str
 ) -> np.ndarray:
-    """Integrate y' = G y + src from y0 at t = 0 across an ascending grid.
+    """Integrate y' = K y from y0 at t = 0 across an ascending grid.
 
     Returns shape (len(ts), *y0.shape): y at each grid time.  Each leg between
     consecutive grid times takes n equal steps no longer than ``step``,
-    applied at once as the power A**n of the homogeneous one-step map (see
-    the comment above :func:`_rk4_maps`).  Leg maps are cached on the exact
-    leg length, so a uniform grid builds only a few.
+    applied at once as y + F y with I + F the n-th power of the one-step map
+    (see the comment above :func:`_rk4_step`).  Leg maps are cached on the
+    exact leg length, so a uniform grid builds only a few.
 
     Raises
     ------
+    InvalidTime
+        If a time is negative or not finite, or the grid is not ascending.
     InvalidStep
-        If a leg's step count overflows a float.
+        If a leg's step count overflows a float; the message names ``label``.
     """
     ts = [float(t) for t in ts]
     _check_grid(ts)
-    d = G.shape[0]
-    maps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    maps: dict[float, np.ndarray] = {}
     out = np.empty((len(ts), *y0.shape))
     y = y0
     t_prev = 0.0
@@ -330,15 +329,9 @@ def _rk4_grid(
         dt = t - t_prev
         if dt > 0:
             if dt not in maps:
-                n = _leg_steps(step, t_prev, t, "numeric.step")
-                R, r = _rk4_maps(G, src, dt / n)
-                A = np.eye(d + src.size // d)  # (y; I) <- A (y; I)
-                A[:d, :d] = R
-                A[:d, d:] = r.reshape(d, -1)
-                An = np.linalg.matrix_power(A, n)
-                maps[dt] = An[:d, :d], An[:d, d:].reshape(src.shape)
-            R, r = maps[dt]
-            y = R @ y + r
+                n = _leg_steps(step, t_prev, t, label)
+                maps[dt] = _leg_increment(_rk4_step(K, dt / n), n)
+            y = y + maps[dt] @ y
         out[i] = y
         t_prev = t
     return out
@@ -373,8 +366,8 @@ def evolve_numeric_grid(
         If the step is so small that a leg's step count overflows a float.
     """
     opts = opts or NumericOptions()
-    G, src = _frame_generator(consts, box)
-    return _rk4_grid(G, src, np.eye(3, 5), ts, opts.step)  # identity frame at t = 0
+    K = _frame_generator(consts, box)
+    return _rk4_grid(K, np.eye(5), ts, opts.step, "numeric.step")[:, :3]
 
 
 def commutator_ode_grid(
@@ -401,5 +394,5 @@ def commutator_ode_grid(
         As in :func:`evolve_numeric_grid`.
     """
     opts = opts or NumericOptions()
-    G, src = _chi_generator(consts, box)
-    return _rk4_grid(G, src, np.zeros(2), ts, opts.step)
+    K = _chi_generator(consts, box)
+    return _rk4_grid(K, np.array([0.0, 0.0, 1.0]), ts, opts.step, "numeric.step")[:, :2]

@@ -22,7 +22,7 @@ class InvalidTime(PhotonBoxError):
 
 
 class InvalidStep(PhotonBoxError):
-    """An integration or quadrature step is unusable for the requested interval."""
+    """An integration step is unusable for the requested interval."""
 
 
 class InvalidState(PhotonBoxError):

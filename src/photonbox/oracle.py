@@ -3,19 +3,18 @@
 The coefficient engine never touches a Hilbert space; this module does, on
 purpose.  It builds explicit position and momentum matrices from ladder
 operators in a truncated number basis, integrates the same backward-time
-equations of motion as honest matrix ODEs, assembles the clock matrix by
-quadrature, and evaluates commutators by actual matrix multiplication.
-The equations of motion are linear and act entry by entry, so each
-classical fourth-order step is one affine map, shared with the numeric
-coefficient route, and the steps of each leg between grid times, with the
-leg's Simpson sum, fold into one power of a 4 x 4 map over pairs of steps.
-That map is applied to only the entries it can reach (those of q0 and p0
-that are nonzero, and the diagonal).  Like the engine, the oracle
-speaks in arrays: a grid of N times gives one dense (N, 3, n, n) stack of
-Q, P and Qcl, and a commutator is the dense matrix [A, B]/(i*hbar), over
-stacks of any shape.  Away from the truncation corner these matrices must
-reproduce the engine's chi values, which is what the scenario-level
-verification uses.
+equations of motion, the clock matrix's among them, as honest matrix ODEs,
+and evaluates commutators by actual matrix multiplication.  The equations
+of motion are linear and act entry by entry, so the oracle writes them down
+itself as one 4 x 4 homogeneous system over (Q, P, Qcl, I) and steps it
+with the numeric coefficient route's leg loop, one power of the one-step
+map per leg between grid times.  That map is applied to only the entries it
+can reach (those of q0 and p0 that are nonzero, and the diagonal).  Like
+the engine, the oracle speaks in arrays: a grid of N times gives one dense
+(N, 3, n, n) stack of Q, P and Qcl, and a commutator is the dense matrix
+[A, B]/(i*hbar), over stacks of any shape.  Away from the truncation corner
+these matrices must reproduce the engine's chi values, which is what the
+scenario-level verification uses.
 
 Truncation contaminates the last basis states, so all block comparisons
 are restricted to the leading (n - buffer) x (n - buffer) block, and the
@@ -30,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import _check_grid, _leg_steps, _rk4_maps
+from .dynamics import _check_grid, _rk4_grid
 from .errors import ConfigError, InvalidStep
 from .operators import BoxParams, PhysConstants
 
@@ -129,26 +128,17 @@ def oracle_evolve_grid(
     P(t) and Qcl(t) at each grid time, in the row order of
     :func:`~photonbox.dynamics.closed_form_grid`'s frames.
 
-    Q and P follow dQ/dt = P/M, dP/dt = -m*g*I - k*Q, integrated once from
-    t = 0 across the grid by classical fourth-order steps.  The system is
-    linear with constant coefficients and acts entry by entry, so each step
-    is the affine map A: (Q, P, I) <- (R (Q, P) + r*I, I) of
-    ``dynamics._rk4_maps``.  Only the entries it can reach are stepped:
-    those where q0 or p0 is nonzero, and the diagonal.  The rest stay
-    exactly 0, and each grid time writes the stepped entries into the dense
-    frames.  The clock matrix at each grid time is then
+    The matrices follow
 
-        Qcl(t) = t*I - (g/c**2) * integral of Q over [0, t]
+        dQ/dt = P/M,    dP/dt = -m*g*I - k*Q,    dQcl/dt = I - (g/c**2)*Q,
 
-    where the integral is a running sum of one composite Simpson quadrature
-    per leg between consecutive grid times, over that leg's ODE nodes.  Each
-    leg takes an even number of equal steps h, at least 2 and each no longer
-    than the configured step, so its panels pair up and it ends on its grid
-    time.  A pair of steps is one 4 x 4 map: A**2 on (Q, P, I), and a fourth
-    row that adds (h/3) * (4*Q_odd + 2*Q_even) for the pair's two nodes.
-    The leg is that map's power, built in O(log steps) products and applied
-    to every stepped entry at once; Simpson's end weights then need only
-    (h/3) * (Q_first - Q_last) more.
+    from q0, p0 and Qcl = 0 at t = 0: with the constant I carried as a fourth
+    matrix of zero derivative, one homogeneous system (Q, P, Qcl, I)' =
+    K (Q, P, Qcl, I) with a 4 x 4 K written down here, not taken from the
+    engine.  It acts entry by entry, so it is integrated once across the grid
+    by ``dynamics._rk4_grid``, the numeric route's fourth-order leg loop,
+    on only the entries it can reach: those where q0 or p0 is nonzero, and
+    the diagonal.  The rest stay exactly 0.
 
     Raises
     ------
@@ -166,56 +156,25 @@ def oracle_evolve_grid(
             f"oracle.step {cfg.step!r} exceeds target time {ts[-1]!r} (the oracle horizon)"
         )
     n_dim = cfg.n
-    G = np.array([[0.0, 1.0 / box.M], [-box.spring_k, 0.0]])
-    src = np.array([0.0, -box.m * consts.g])
-    g_c2 = consts.g / (consts.c * consts.c)
-
-    # The live entries' flat indices, diagonal first, gather Q and P into
-    # rows 0 and 1 of a (3, L) complex state.  The map is real, so it acts on
-    # the float64 view, real and imaginary parts side by side; there row 2
-    # carries the source: 1 at the real diagonal [0:2n:2], 0 elsewhere.
-    off_diagonal = (workspace.q0 != 0) | (workspace.p0 != 0)
-    np.fill_diagonal(off_diagonal, False)
-    live = np.concatenate((np.arange(n_dim) * (n_dim + 1), np.flatnonzero(off_diagonal)))
-    identity = np.zeros(len(live))  # the live entries of I
-    identity[:n_dim] = 1.0
-    y = np.zeros((3, len(live)), dtype=complex)
-    y[0] = workspace.q0.reshape(-1)[live]
-    y[1] = workspace.p0.reshape(-1)[live]
-    y[2] = identity
-    a = y.view(np.float64)
-    integral = np.zeros_like(a[0])  # of Q over [0, t]
-
-    maps: dict[float, tuple[np.ndarray, float]] = {}
+    K = np.array(
+        [
+            [0.0, 1.0 / box.M, 0.0, 0.0],
+            [-box.spring_k, 0.0, 0.0, -box.m * consts.g],
+            [-consts.g / (consts.c * consts.c), 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    # Gather the live entries into a (4, L) complex state.  K is real, so it
+    # acts on the float64 view, real and imaginary parts side by side.
+    diagonal = np.eye(n_dim, dtype=bool)
+    live = np.flatnonzero((workspace.q0 != 0) | (workspace.p0 != 0) | diagonal)
+    y0 = np.zeros((4, len(live)), dtype=complex)
+    y0[0] = workspace.q0.reshape(-1)[live]
+    y0[1] = workspace.p0.reshape(-1)[live]
+    y0[3] = diagonal.reshape(-1)[live]
+    out = _rk4_grid(K, y0.view(np.float64), ts, cfg.step, "oracle.step")
     frames = np.zeros((len(ts), 3, n_dim * n_dim), dtype=complex)
-    t_prev = 0.0
-    for t, frame in zip(ts, frames):
-        dt = t - t_prev
-        if dt > 0:
-            if dt not in maps:
-                steps = max(2, _leg_steps(cfg.step, t_prev, t, "oracle.step"))
-                steps += steps % 2
-                h = dt / steps
-                R, r = _rk4_maps(G, src, h)
-                A = np.eye(3)  # (Q, P, I) <- A (Q, P, I), one step
-                A[:2, :2] = R
-                A[:2, 2] = r
-                A2 = A @ A
-                # One pair of steps, with row 3 adding the pair's Simpson
-                # weights of Q: h/3 * (4 * middle node + 2 * end node).
-                pair = np.eye(4)
-                pair[:3, :3] = A2
-                pair[3, :3] = (h / 3.0) * (4.0 * A[0] + 2.0 * A2[0])
-                maps[dt] = np.linalg.matrix_power(pair, steps // 2)[:, :3], h / 3.0
-            leg, h3 = maps[dt]
-            # Row 3 sums 4*odd + 2*even nodes, counting the last node twice
-            # and the first not at all; Simpson weighs each end once.
-            out = leg @ a
-            integral += out[3] + h3 * (a[0] - out[0])
-            a = out[:3]
-        frame[:2, live] = a[:2].view(complex)
-        frame[2, live] = t * identity - g_c2 * integral.view(complex)
-        t_prev = t
+    frames[:, :, live] = out[:, :3].view(complex)
     return frames.reshape(len(ts), 3, n_dim, n_dim)
 
 

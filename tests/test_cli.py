@@ -461,17 +461,11 @@ def test_grid_beyond_cap_exits_1(tmp_path, capsys, command):
     assert not (tmp_path / "x.csv").exists()
 
 
-# _rk4_maps forms I + hG + (hG)^2/2 + ... in full, so at a small step the
-# spring's (h*w)^2/2 rounds away against the 1 on the diagonal, and the leg
-# power carries that error n-fold.
-STIFF_SMALL_STEP = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="frame_closed_vs_rk4 reads 7.2e-9 against the 1e-9 tolerance at step 1e-8",
-)
-
-
-@pytest.mark.parametrize("step", [1e-6, pytest.param(1e-8, marks=STIFF_SMALL_STEP)])
+# A map formed as I + hK + (hK)^2/2 + ... rounds the spring's (h*w)^2/2 away
+# against the 1 on the diagonal at a small step, and a leg power carries that
+# error n-fold (frame_closed_vs_rk4 read 7.2e-9 at step 1e-8).  The leg maps
+# are built on their increments over I, so the step may go down to 1e-300.
+@pytest.mark.parametrize("step", [1e-6, 1e-8, 1e-12, 1e-300])
 def test_stiff_spring_verify_passes_at_a_small_numeric_step(tmp_path, capsys, step):
     cfg = json.loads(CONFIG.read_text())
     cfg["box"]["potential"] = {"type": "harmonic", "k": 1000.0}
@@ -502,7 +496,7 @@ VERIFY_ORACLE_PINNED = {
     "free": (
         None,
         "frame_closed_vs_rk4       max_dev=3.036e-18  tol=1.0e-09  pass\n"
-        "chi_closed_vs_ode         max_dev=1.301e-18  tol=1.0e-09  pass\n"
+        "chi_closed_vs_ode         max_dev=2.168e-19  tol=1.0e-09  pass\n"
         "chi_frames_vs_closed      max_dev=4.337e-19  tol=1.0e-09  pass\n"
         "chi_rk4_frames_vs_closed  max_dev=3.686e-18  tol=1.0e-09  pass\n"
         "symplectic_closed         max_dev=0.000e+00  tol=1.0e-09  pass\n"
@@ -514,16 +508,16 @@ VERIFY_ORACLE_PINNED = {
     ),
     "harmonic": (
         {"type": "harmonic", "k": 1000.0},
-        "frame_closed_vs_rk4       max_dev=4.664e-14  tol=1.0e-09  pass\n"
-        "chi_closed_vs_ode         max_dev=1.543e-14  tol=1.0e-09  pass\n"
+        "frame_closed_vs_rk4       max_dev=1.277e-14  tol=1.0e-09  pass\n"
+        "chi_closed_vs_ode         max_dev=5.662e-15  tol=1.0e-09  pass\n"
         "chi_frames_vs_closed      max_dev=2.220e-16  tol=1.0e-09  pass\n"
-        "chi_rk4_frames_vs_closed  max_dev=7.061e-14  tol=1.0e-09  pass\n"
+        "chi_rk4_frames_vs_closed  max_dev=5.773e-15  tol=1.0e-09  pass\n"
         "symplectic_closed         max_dev=2.220e-16  tol=1.0e-09  pass\n"
-        "symplectic_rk4            max_dev=8.060e-14  tol=1.0e-09  pass\n"
+        "symplectic_rk4            max_dev=4.441e-16  tol=1.0e-09  pass\n"
         "oracle_block_p_qcl        max_dev=1.819e-12  tol=1.0e-06  pass\n"
-        "oracle_block_q_qcl        max_dev=1.776e-15  tol=1.0e-06  pass\n"
-        "oracle_probe_p_qcl        max_dev=3.886e-15  tol=1.0e-06  pass\n"
-        "oracle_probe_q_qcl        max_dev=2.906e-17  tol=1.0e-06  pass\n",
+        "oracle_block_q_qcl        max_dev=1.332e-15  tol=1.0e-06  pass\n"
+        "oracle_probe_p_qcl        max_dev=7.105e-15  tol=1.0e-06  pass\n"
+        "oracle_probe_q_qcl        max_dev=1.518e-17  tol=1.0e-06  pass\n",
     ),
 }
 

@@ -23,7 +23,7 @@ from photonbox import (
     evolve_closed,
     evolve_numeric_grid,
 )
-from photonbox.dynamics import _chi_generator, _frame_generator, _rk4_grid, _rk4_maps
+from photonbox.dynamics import _chi_generator, _frame_generator, _rk4_grid, _rk4_step
 
 # Rows and columns of a (3, 5) frame.
 Q, P, QCL = range(3)
@@ -290,14 +290,42 @@ def test_leg_map_matches_stepping(M, k, g, c, t, n):
     consts = PhysConstants(hbar=1.0, c=c, g=g)
     step = t / (n - 0.5)  # ceil(t / step) is n, clear of rounding
     for generator, y0 in (
-        (_frame_generator, np.eye(3, 5)),
-        (_chi_generator, np.zeros(2)),
+        (_frame_generator, np.eye(5)),
+        (_chi_generator, np.array([0.0, 0.0, 1.0])),
     ):
-        G, src = generator(consts, box)
-        R, r = _rk4_maps(G, src, t / n)
+        K = generator(consts, box)
+        E = _rk4_step(K, t / n)
         y = y0
-        for got in _rk4_grid(G, src, y0, [t, 2.0 * t], step):
+        for got in _rk4_grid(K, y0, [t, 2.0 * t], step, "numeric.step"):
             for _ in range(n):
-                y = R @ y + r
+                y = y + E @ y
             scale = max(1.0, float(np.abs(y).max()))
             assert float(np.abs(got - y).max()) <= LEG_BOUND * scale
+
+
+# A leg map formed as I + (a small increment) loses the spring's (h*w)**2/2
+# against the 1 at a small step, and its power carries that loss n-fold; the
+# leg maps are built on their increments over I, so the step may go down to
+# 1e-300.  w*T from 0.1 keeps clear of the closed forms' own cancellation in
+# 1 - cos(wT) at small wT.  The bound, relative to max(1, |ref|), was fixed
+# before any run.
+SMALL_STEP_BOUND = 1e-11
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_step=st.floats(-300.0, -5.0),
+    log_k=st.floats(-2.0, 4.0),
+    log_M=st.floats(1.0, 4.0),
+    wT=st.floats(0.1, 4.0),
+)
+def test_numeric_routes_match_closed_forms_at_any_small_step(log_step, log_k, log_M, wT):
+    box = BoxParams(M=10.0**log_M, m=1.0, potential=Harmonic(k=10.0**log_k))
+    ts = np.linspace(0.0, wT / box.omega, 5)
+    opts = NumericOptions(step=10.0**log_step)
+    closed, chis = closed_form_grid(CONSTS, box, ts)
+    for got, ref in (
+        (evolve_numeric_grid(CONSTS, box, ts, opts), closed),
+        (commutator_ode_grid(CONSTS, box, ts, opts), chis),
+    ):
+        assert np.all(np.abs(got - ref) <= SMALL_STEP_BOUND * np.maximum(1.0, np.abs(ref)))

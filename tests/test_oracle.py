@@ -23,7 +23,7 @@ from photonbox import (
     oracle_evolve,
     oracle_evolve_grid,
 )
-from photonbox.dynamics import _rk4_maps
+from photonbox.dynamics import _rk4_step
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,8 @@ def restricted(ws, mat):
 
 def reference_evolve(ws, consts, box, t):
     """Per-time reference: separate Q and P stepped from t = 0 to t, one RK4
-    stage at a time, with Qcl from one composite Simpson sum over the nodes."""
+    stage at a time, with Qcl from one composite Simpson sum over the nodes,
+    a quadrature the oracle does not use."""
     n = ws.config.n
     eye = np.eye(n, dtype=complex)
     if t == 0:
@@ -78,24 +79,38 @@ def reference_evolve(ws, consts, box, t):
     return q, p, qcl
 
 
+def oracle_generator(consts, box):
+    """K of (Q, P, Qcl, I)' = K (Q, P, Qcl, I), entry by entry."""
+    return np.array(
+        [
+            [0.0, 1.0 / box.M, 0.0, 0.0],
+            [-box.spring_k, 0.0, 0.0, -box.m * consts.g],
+            [-consts.g / consts.c**2, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+
+
+def leg_steps(ws, dt):
+    """The oracle's step count for a leg: the fewest steps within the step."""
+    return max(1, math.ceil(dt / ws.config.step - 1e-12))
+
+
 def dense_reference_grid(ws, consts, box, ts):
     """Grid reference that steps every entry of the n x n matrices.
 
-    The same augmented one-step map, step counts and Simpson weights as
-    oracle_evolve_grid, iterated one step at a time on the dense (3, n, n)
-    state (Q, P and the identity, which carries the m*g source).  That one
-    steps only the entries that can leave zero, and folds each leg's steps
-    and Simpson sum into one power of the map, so the two differ by
-    rounding alone.  Returns (q, p, qcl) per grid time.
+    The same one-step map and step counts as oracle_evolve_grid, applied one
+    step at a time to the dense (4, n, n) state (Q, P, Qcl and the identity,
+    which carries the m*g and clock sources).  That one steps only the
+    entries that can leave zero, and folds each leg's steps into one power
+    of the map, so the two differ by rounding alone.  Returns (q, p, qcl)
+    per grid time.
     """
     n_dim = ws.config.n
-    eye = np.eye(n_dim)
-    G = np.array([[0.0, 1.0 / box.M], [-box.spring_k, 0.0]])
-    src = np.array([0.0, -box.m * consts.g])
-    g_c2 = consts.g / (consts.c * consts.c)
-    y = np.stack((ws.q0, ws.p0, eye.astype(complex))).reshape(3, -1)
+    K = oracle_generator(consts, box)
+    zero = np.zeros((n_dim, n_dim))
+    y = np.stack((ws.q0, ws.p0, zero, np.eye(n_dim))).astype(complex).reshape(4, -1)
     a = y.view(np.float64)
-    integral = np.zeros_like(a[0])
 
     def dense(row):
         return row.view(complex).reshape(n_dim, n_dim)
@@ -105,22 +120,11 @@ def dense_reference_grid(ws, consts, box, ts):
     for t in ts:
         dt = t - t_prev
         if dt > 0:
-            steps = max(2, math.ceil(dt / ws.config.step - 1e-12))
-            steps += steps % 2
-            h = dt / steps
-            R, r = _rk4_maps(G, src, h)
-            step_map = np.eye(3)
-            step_map[:2, :2] = R
-            step_map[:2, 2] = r
-            first, odd, even = a[0], 0.0, 0.0
-            for i in range(1, steps + 1):
-                a = step_map @ a
-                if i % 2:
-                    odd = odd + a[0]
-                elif i < steps:
-                    even = even + a[0]
-            integral = integral + (h / 3.0) * (first + 4.0 * odd + 2.0 * even + a[0])
-        frames.append((dense(a[0]), dense(a[1]), t * eye - g_c2 * dense(integral)))
+            steps = leg_steps(ws, dt)
+            E = _rk4_step(K, dt / steps)
+            for _ in range(steps):
+                a = a + E @ a
+        frames.append(tuple(dense(row) for row in a[:3]))
         t_prev = t
     return frames
 
@@ -128,37 +132,35 @@ def dense_reference_grid(ws, consts, box, ts):
 def stage_reference_grid(ws, consts, box, ts):
     """Grid reference that steps every entry one RK4 stage at a time.
 
-    The stacked in-place loop over the dense (2, n, n) state, with four
-    derivative evaluations per step and the same step counts and Simpson
-    weights as oracle_evolve_grid.  Returns (q, p, qcl) per grid time.
+    The stacked in-place loop over the dense (3, n, n) state of Q, P and Qcl,
+    with four derivative evaluations per step and the same step counts as
+    oracle_evolve_grid.  Returns (q, p, qcl) per grid time.
     """
     n_dim = ws.config.n
-    eye = np.eye(n_dim)
     M, k, mg = box.M, box.spring_k, box.m * consts.g
     g_c2 = consts.g / (consts.c * consts.c)
-    y = np.stack((ws.q0, ws.p0))
+    y = np.stack((ws.q0, ws.p0, np.zeros((n_dim, n_dim), dtype=complex)))
     yr = y.view(np.float64)
     k1, k2, k3, k4, scratch = (np.empty_like(yr) for _ in range(5))
-    simpson = np.empty_like(yr[0])
-    integral = np.zeros((n_dim, n_dim), dtype=complex)
     diag = 2 * n_dim + 2  # stride of the real diagonal in the float view
 
     def derivative(state, out):
         np.divide(state[1], M, out=out[0])
         np.multiply(state[0], -k, out=out[1])
-        source = out[1].reshape(-1)[::diag]
-        source -= mg
+        np.multiply(state[0], -g_c2, out=out[2])
+        force = out[1].reshape(-1)[::diag]
+        force -= mg
+        clock = out[2].reshape(-1)[::diag]
+        clock += 1.0
 
     frames = []
     t_prev = 0.0
     for t in ts:
         dt = t - t_prev
         if dt > 0:
-            steps = max(2, math.ceil(dt / ws.config.step - 1e-12))
-            steps += steps % 2
+            steps = leg_steps(ws, dt)
             h = dt / steps
-            np.copyto(simpson, yr[0])
-            for i in range(1, steps + 1):
+            for _ in range(steps):
                 derivative(yr, k1)
                 np.multiply(k1, 0.5 * h, out=scratch)
                 scratch += yr
@@ -175,19 +177,15 @@ def stage_reference_grid(ws, consts, box, ts):
                 k1 += k4
                 k1 *= h / 6.0
                 yr += k1
-                weight = 1.0 if i == steps else (4.0 if i % 2 else 2.0)
-                np.multiply(yr[0], weight, out=scratch[0])
-                simpson += scratch[0]
-            integral += (h / 3.0) * simpson.view(complex)
-        frames.append((y[0].copy(), y[1].copy(), t * eye - g_c2 * integral))
+        frames.append(tuple(y.copy()))
         t_prev = t
     return frames
 
 
 # The folded leg map, the iterated one-step map and the four stages are the
-# same polynomial in h*G, summed in a different order, so they differ by
+# same polynomial in h*K, summed in a different order, so they differ by
 # rounding alone; this bound, relative to max(1, max |entry|), was fixed before
-# any run (the worst seen, over times up to 4, was 2.3e-13).
+# any run (the worst seen, over times up to 4, was 9.0e-14).
 STAGE_BOUND = 1e-11
 
 
@@ -300,7 +298,7 @@ def test_clock_reduces_to_time_without_gravity(workspace):
 
 
 # Uneven, with t = 0, a repeated time and a leg whose step count is odd
-# before it is forced even (0.2505 / 1e-3 rounds up to 251).
+# (0.2505 / 1e-3 rounds up to 251).
 GRID = (0.0, 0.2505, 0.2505, 0.6, 1.25)
 
 
@@ -311,8 +309,9 @@ def test_grid_matches_per_time_reference(workspace, consts, potential):
     box = BoxParams(M=1000.0, m=1.0, potential=potential)
     frames = oracle_evolve_grid(workspace, consts, box, GRID)
     assert frames.shape == (len(GRID), 3, workspace.config.n, workspace.config.n)
-    # The legs place their nodes differently from one pass out of t = 0, so
-    # the two differ by truncation error of order step**4, not only by
+    # The legs place their nodes differently from one pass out of t = 0, and
+    # the reference takes Qcl by Simpson's rule, not as a fourth RK4 state,
+    # so the two differ by truncation errors of order step**4, not only by
     # rounding; 1e-9 absolute is far above both and was fixed in advance.
     for t, fr in zip(GRID, frames):
         want = reference_evolve(workspace, consts, box, t)

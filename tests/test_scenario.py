@@ -20,7 +20,7 @@ from photonbox import (
     sweep,
     verify,
 )
-from photonbox import dynamics, oracle as oracle_module
+from photonbox import dynamics
 
 
 def make_scenario(t_emit=2.0, potential=None, route=Route.P, device_dx=0.5, oracle=None):
@@ -189,20 +189,18 @@ def test_verify_with_oracle_checks():
 
 @pytest.mark.parametrize("fault", [False, True], ids=["true_map", "no_hg2_term"])
 def test_verify_catches_a_fault_in_the_shared_step_map(monkeypatch, fault):
-    # The numeric route and the oracle both step with dynamics._rk4_maps, so
-    # a wrong map must fail a check of each.  Drop the (h*G)**2 / 2 term of R
-    # wherever it is looked up.  Free fall could not show this fault: the
-    # oracle's 2 x 2 generator is nilpotent there.
-    true_map = dynamics._rk4_maps
+    # The numeric route and the oracle both step with dynamics._rk4_step, so
+    # a wrong map must fail a check of each.  Drop the (h*K)**2 / 2 term of
+    # the step.  It takes a spring: in free fall K is nilpotent, and the
+    # oracle's [P, Qcl] block does not see the fault.
+    true_step = dynamics._rk4_step
 
-    def no_hg2_term(G, src, h):
-        R, r = true_map(G, src, h)
-        hg = h * G
-        return R - hg @ hg / 2.0, r
+    def no_hg2_term(K, h):
+        hk = h * K
+        return true_step(K, h) - hk @ hk / 2.0
 
     if fault:
-        for module in (dynamics, oracle_module):
-            monkeypatch.setattr(module, "_rk4_maps", no_hg2_term)
+        monkeypatch.setattr(dynamics, "_rk4_step", no_hg2_term)
     s = make_scenario(
         potential=Harmonic(k=1000.0), oracle=OracleConfig(n=24, buffer=4, step=1e-3)
     )
