@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import decimal
 import functools
 import json
 import math
@@ -21,6 +20,8 @@ import re
 import stat
 import sys
 from typing import Any, Callable, Iterable, get_type_hints
+
+import numpy as np
 
 from .dynamics import NumericOptions
 from .errors import ConfigError, PhotonBoxError
@@ -54,22 +55,10 @@ def sci(x: float) -> str:
     """Shortest round-trip scientific notation with a bare exponent.
 
     Examples: 0.5 -> ``5e-1``, 2.0 -> ``2e0``, 0.5000000625 ->
-    ``5.000000625e-1``.  Infinities serialize as ``inf``/``-inf``.
+    ``5.000000625e-1``.  Infinities serialize as ``inf``/``-inf``, and zero
+    of either sign as ``0e0``.
     """
-    token = _nonfinite_token(x)
-    if token is not None:
-        return token
-    if x == 0.0:
-        return "0e0"
-    sign, digits, exponent = decimal.Decimal(repr(float(x))).as_tuple()
-    while len(digits) > 1 and digits[-1] == 0:
-        digits = digits[:-1]
-        exponent += 1
-    sci_exp = exponent + len(digits) - 1
-    mantissa = str(digits[0])
-    if len(digits) > 1:
-        mantissa += "." + "".join(str(d) for d in digits[1:])
-    return ("-" if sign else "") + mantissa + "e" + str(sci_exp)
+    return _bare_exponents(np.format_float_scientific(x + 0.0, trim="-"))
 
 
 def _bare_exponents(text: str) -> str:

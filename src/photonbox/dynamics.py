@@ -21,7 +21,8 @@ q(0), p(0), qcl(0), 1 and m, in the field order of
 Two independent routes compute both:
 
 * closed form (:func:`closed_form_grid`, with :func:`evolve_closed` and
-  :func:`commutator_closed` as its single-time views), and
+  :func:`commutator_closed` as its single-time views): one table over
+  cos(w*t) and its integrals, w = sqrt(k/M), so free fall is w = 0; and
 * fixed-step classical fourth-order integration (:func:`evolve_numeric_grid`
   and :func:`commutator_ode_grid`), each leg between grid times folded into
   one power of the step map.
@@ -37,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidStep, InvalidTime
-from .operators import BoxParams, Harmonic, PhysConstants
+from .operators import BoxParams, PhysConstants
 
 __all__ = [
     "Pair",
@@ -100,6 +101,32 @@ def _check_finite(ts: np.ndarray, frames: np.ndarray, chis: np.ndarray) -> None:
             )
 
 
+_SERIES_X = 0.25
+_SERIES = (1.0 / 6652800.0, -1.0 / 60480.0, 1.0 / 840.0, -1.0 / 20.0, 1.0)
+
+
+def _kernels(w: float, t: np.ndarray) -> tuple[np.ndarray | float, ...]:
+    """cos(wt) and its three integrals over t, each free of cancellation.
+
+    Returns cos(wt), sin(wt)/w, (1 - cos(wt))/w**2 as 2*(sin(wt/2)/w)**2, and
+    (t - sin(wt)/w)/w**2.  Below wt = ``_SERIES_X`` that subtraction would
+    lose over 1e-14 relative, so the last is then t**3/6 times the series
+    ``_SERIES`` of 6*(x - sin x)/x**3 in x**2 (highest power first), which
+    truncates below 1e-15 there.  At w = 0 the four are their limits 1, t,
+    t**2/2 and t**3/6, the free-fall kernels.
+    """
+    if w == 0.0:
+        return 1.0, t, t * t / 2.0, t * t * t / 6.0
+    x = w * t
+    s = np.sin(x) / w
+    h = np.sin(0.5 * x) / w
+    d = (t - s) / (w * w)
+    small = x < _SERIES_X
+    if small.any():
+        d = np.where(small, t * t * t / 6.0 * np.polyval(_SERIES, x * x), d)
+    return np.cos(x), s, 2.0 * h * h, d
+
+
 def closed_form_grid(
     consts: PhysConstants, box: BoxParams, ts: Sequence[float] | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -140,38 +167,14 @@ def closed_form_grid(
     M = box.M
     frames = np.zeros((len(t), 3, 5))
     chis = np.empty((len(t), 2))
-    q_row, p_row, qcl_row = frames[:, 0], frames[:, 1], frames[:, 2]
-    qcl_row[:, 2] = 1.0
-    qcl_row[:, 3] = t
+    Q, P, Qcl = frames.transpose(1, 2, 0)  # rows as (5, N) views: Q[j] is column j
     with np.errstate(all="ignore"):
-        if isinstance(box.potential, Harmonic):
-            k = box.potential.k
-            w = math.sqrt(k / M)
-            wt = w * t
-            sw = np.sin(wt)
-            cw = np.cos(wt)
-            q_row[:, 0] = cw
-            q_row[:, 1] = sw / (M * w)
-            q_row[:, 4] = (g / k) * (cw - 1.0)
-            p_row[:, 0] = -M * w * sw
-            p_row[:, 1] = cw
-            p_row[:, 4] = -(M * w * g / k) * sw
-            qcl_row[:, 0] = -(g / c2) * sw / w
-            qcl_row[:, 1] = -(g / c2) * (1.0 - cw) / (M * w * w)
-            qcl_row[:, 4] = -(g * g / (k * c2)) * (sw / w - t)
-            chis[:, 0] = g * sw / (w * c2)
-            chis[:, 1] = g * (1.0 - cw) / (M * w * w * c2)
-        else:
-            q_row[:, 0] = 1.0
-            q_row[:, 1] = t / M
-            q_row[:, 4] = -g * t * t / (2.0 * M)
-            p_row[:, 1] = 1.0
-            p_row[:, 4] = -g * t
-            qcl_row[:, 0] = -(g / c2) * t
-            qcl_row[:, 1] = -(g / c2) * t * t / (2.0 * M)
-            qcl_row[:, 4] = g * g * t * t * t / (6.0 * M * c2)
-            chis[:, 0] = g * t / c2
-            chis[:, 1] = g * t * t / (2.0 * M * c2)
+        cw, s, c, d = _kernels(box.omega, t)
+        Q[0], Q[1], Q[4] = cw, s / M, -g * c / M
+        P[0], P[1], P[4] = -box.spring_k * s, cw, -g * s
+        Qcl[0], Qcl[1], Qcl[2], Qcl[3] = -(g / c2) * s, -(g / c2) * c / M, 1.0, t
+        Qcl[4] = g * g * d / (M * c2)
+        chis[:, 0], chis[:, 1] = g * s / c2, g * c / (M * c2)
         _check_finite(t, frames, chis)
     return frames, chis
 

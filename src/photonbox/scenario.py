@@ -22,7 +22,7 @@ from .dynamics import (
     evolve_numeric_grid,
 )
 from .errors import InvalidTime, RangeError
-from .operators import BoxParams, Harmonic, PhysConstants
+from .operators import BoxParams, PhysConstants
 from .oracle import OracleConfig, build_workspace, oracle_commutator, oracle_evolve_grid
 from .states import (
     BoundCheck,
@@ -284,11 +284,8 @@ def verify(
         cfg = s.oracle or OracleConfig()
         ws = build_workspace(cfg, consts)
         # Truncation is only trustworthy for moderate phase advance, so the
-        # oracle grid stays within t <= 4 (free fall) or w*t <= 4 (harmonic).
-        if isinstance(box.potential, Harmonic):
-            T_o = min(T, 4.0 / box.omega)
-        else:
-            T_o = min(T, 4.0)
+        # oracle grid stays within w*t <= 4 (harmonic) or t <= 4 (free fall).
+        T_o = min(T, 4.0 / (box.omega or 1.0))
         ts_o = np.linspace(0.0, T_o, 5)
         refs = closed_form_grid(consts, box, ts_o)[1]
         # A scale far from the oracle's natural length overflows the matrix

@@ -450,7 +450,8 @@ def mass_uncertainty(
     translates into dm = dX/|a_m(X(t))|.  For free fall this reproduces
     dm = dP/(g*t) on the momentum route and dm = 2*M*dQ/(g*t**2) on the
     position route; for the harmonic suspension the same rule yields the
-    spring-constant forms with 1 - cos(w*t) and sin(w*t).
+    spring-constant forms with 2*sin(w*t/2)**2 and sin(w*t), which reach
+    the free-fall forms as w*t -> 0.
 
     When |a_m| has vanished (t = 0, or a full period of the suspension)
     the measurement carries no mass information: ``dm`` is returned as

@@ -85,11 +85,11 @@ def test_criterion_2_harmonic_commutator_closed_forms():
             chi_p = commutator_closed(Pair.P_QCL, CONSTS, HO_BOX, t)
             chi_q = commutator_closed(Pair.Q_QCL, CONSTS, HO_BOX, t)
             assert chi_p == math.sin(t)
-            assert chi_q == (1.0 - math.cos(t)) / 1000.0
+            assert chi_q == 2.0 * math.sin(t / 2.0) ** 2 / 1000.0  # (1 - cos t)/1000
         # the full-period row is zero to machine precision
         revival = 2.0 * math.pi
         assert abs(commutator_closed(Pair.P_QCL, CONSTS, HO_BOX, revival)) < 1e-15
-        assert commutator_closed(Pair.Q_QCL, CONSTS, HO_BOX, revival) == 0.0
+        assert abs(commutator_closed(Pair.Q_QCL, CONSTS, HO_BOX, revival)) < 1e-30
 
 
 def test_criterion_3_three_way_agreement_and_convergence_order():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -107,7 +108,7 @@ def test_free_fall_commutators_grow(consts, ff_box):
 def test_harmonic_commutators_oscillate(consts, ho_box):
     for t in (0.5, 1.0, 2.0, math.pi):
         assert commutator_closed(Pair.P_QCL, consts, ho_box, t) == math.sin(t)
-        expected = (1.0 - math.cos(t)) / 1000.0
+        expected = 2.0 * math.sin(t / 2.0) ** 2 / 1000.0  # (1 - cos t)/1000
         assert commutator_closed(Pair.Q_QCL, consts, ho_box, t) == expected
 
 
@@ -154,12 +155,73 @@ def test_harmonic_tends_to_free_fall_for_soft_spring(consts, ff_box):
         soft = BoxParams(M=1000.0, m=1.0, potential=Harmonic(k=k))
         fr = evolve_closed(consts, soft, t)
         assert frame_dev(fr, ff) <= 2.0 * k * t + 1e-15
-    # quadratic smallness of the Q row, at a stiffness where the
-    # (cos - 1)/k cancellation noise stays far below the bound
+    # quadratic smallness of the Q row
     soft = BoxParams(M=1000.0, m=1.0, potential=Harmonic(k=1e-4))
     fr = evolve_closed(consts, soft, t)
     q_dev = float(np.abs(fr[Q] - ff[Q]).max())
     assert q_dev <= 2.0 * (soft.omega * t) ** 2
+
+
+def mp_closed_form(consts, box, t):
+    """Frame and chis at the float t and omega, as 50-digit textbook forms."""
+    with mpmath.workdps(50):
+        w, t, g, M, k = map(mpmath.mpf, (box.omega, t, consts.g, box.M, box.spring_k))
+        g_c2 = g / mpmath.mpf(consts.c) ** 2
+        cw = mpmath.cos(w * t)
+        s = mpmath.sin(w * t) / w
+        c = (1 - cw) / w**2
+        d = (t - s) / w**2
+        frame = [
+            [cw, s / M, 0, 0, -g * c / M],
+            [-k * s, cw, 0, 0, -g * s],
+            [-g_c2 * s, -g_c2 * c / M, 1, t, g * g_c2 * d / M],
+        ]
+        return frame, [g_c2 * s, g_c2 * c / M]
+
+
+# w*t across the series threshold and up to 3, short of the zero of sin at pi
+ACCURACY_WT = np.concatenate([np.geomspace(1e-10, 3.0, 120), [0.2499, 0.25, 0.2501]])
+
+
+@pytest.mark.parametrize(
+    "consts, M, t",
+    [(PhysConstants(), 1000.0, 2.0), (PhysConstants(hbar=1.0, c=3.0, g=9.81), 0.7, 0.37)],
+    ids=["unit", "odd"],
+)
+def test_closed_forms_accurate_from_soft_to_stiff(consts, M, t):
+    # Every coefficient that is not a constant 0 or 1, relative to its own size.
+    for wt in ACCURACY_WT:
+        box = BoxParams(M=M, m=0.0, potential=Harmonic(k=M * (wt / t) ** 2))
+        frames, chis = closed_form_grid(consts, box, [t])
+        ref_frame, ref_chis = mp_closed_form(consts, box, t)
+        pairs = [(frames[0, i, j], ref_frame[i][j]) for i in range(3) for j in (A_Q, A_P, A_M)]
+        pairs += list(zip(chis[0], ref_chis))
+        for got, ref in pairs:
+            assert abs(got - ref) <= 1e-13 * abs(ref), (wt, got, float(ref))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_wt=st.floats(-15.0, -7.0),
+    log_M=st.floats(-1.0, 4.0),
+    t=st.floats(1e-3, 1e3),
+    g=st.floats(0.1, 10.0),
+    c=st.floats(1.0, 3.0),
+)
+def test_property_soft_spring_frames_are_free_fall(log_wt, log_M, t, g, c):
+    # Below w*t = 1e-7 a spring's frames differ from free fall's by (w*t)**2
+    # relative; the only entry with no free-fall counterpart is P.a_q = -k*t,
+    # whose share of [Q, P] = a_q(Q)*a_p(P) - a_p(Q)*a_q(P) is (w*t)**2 too.
+    consts = PhysConstants(hbar=1.0, c=c, g=g)
+    M = 10.0**log_M
+    soft = BoxParams(M=M, m=0.0, potential=Harmonic(k=M * (10.0**log_wt / t) ** 2))
+    free = BoxParams(M=M, m=0.0, potential=FreeFall())
+    (frame,), chis = closed_form_grid(consts, soft, [t])
+    (free_frame,), free_chis = closed_form_grid(consts, free, [t])
+    assert abs(frame[P, A_Q] * frame[Q, A_P]) <= 1e-13
+    frame[P, A_Q] = free_frame[P, A_Q]
+    np.testing.assert_allclose(frame, free_frame, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(chis, free_chis, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +368,8 @@ def test_leg_map_matches_stepping(M, k, g, c, t, n):
 # A leg map formed as I + (a small increment) loses the spring's (h*w)**2/2
 # against the 1 at a small step, and its power carries that loss n-fold; the
 # leg maps are built on their increments over I, so the step may go down to
-# 1e-300.  w*T from 0.1 keeps clear of the closed forms' own cancellation in
-# 1 - cos(wT) at small wT.  The bound, relative to max(1, |ref|), was fixed
-# before any run.
+# 1e-300, from a soft spring (w*T of 1e-6) to a stiff one.  The bound,
+# relative to max(1, |ref|), was fixed before any run.
 SMALL_STEP_BOUND = 1e-11
 
 
@@ -317,7 +378,7 @@ SMALL_STEP_BOUND = 1e-11
     log_step=st.floats(-300.0, -5.0),
     log_k=st.floats(-2.0, 4.0),
     log_M=st.floats(1.0, 4.0),
-    wT=st.floats(0.1, 4.0),
+    wT=st.floats(1e-6, 4.0),
 )
 def test_numeric_routes_match_closed_forms_at_any_small_step(log_step, log_k, log_M, wT):
     box = BoxParams(M=10.0**log_M, m=1.0, potential=Harmonic(k=10.0**log_k))

@@ -54,45 +54,41 @@ SI = dict(hbar=1.054571817e-34, c=299792458.0, g=9.81)
 # ---------------------------------------------------------------------------
 
 
+def ref_kernels(w, t):
+    """cos(wt), sin(wt)/w, (1 - cos(wt))/w**2, (t - sin(wt)/w)/w**2; at w = 0 their limits."""
+    x = w * t
+    if w == 0.0:
+        return 1.0, t, t * t / 2.0, t * t * t / 6.0
+    s = math.sin(x) / w
+    h = math.sin(0.5 * x) / w
+    if x < 0.25:
+        series = 1.0 / 6652800.0  # 6*(x - sin x)/x**3 in x**2, by Horner
+        for a in (-1.0 / 60480.0, 1.0 / 840.0, -1.0 / 20.0, 1.0):
+            series = series * (x * x) + a
+        d = t * t * t / 6.0 * series
+    else:
+        d = (t - s) / (w * w)
+    return math.cos(x), s, 2.0 * h * h, d
+
+
 def ref_frame(consts, box, t):
     """Rows Q, P, Qcl of (a_q, a_p, a_cl, a_1, a_m) at backward time t."""
     g = consts.g
     c2 = consts.c * consts.c
     M = box.M
-    if isinstance(box.potential, Harmonic):
-        k = box.potential.k
-        w = math.sqrt(k / M)
-        wt = w * t
-        sw = math.sin(wt)
-        cw = math.cos(wt)
-        return [
-            [cw, sw / (M * w), 0.0, 0.0, (g / k) * (cw - 1.0)],
-            [-M * w * sw, cw, 0.0, 0.0, -(M * w * g / k) * sw],
-            [
-                -(g / c2) * sw / w,
-                -(g / c2) * (1.0 - cw) / (M * w * w),
-                1.0,
-                t,
-                -(g * g / (k * c2)) * (sw / w - t),
-            ],
-        ]
+    cw, s, c, d = ref_kernels(box.omega, t)
     return [
-        [1.0, t / M, 0.0, 0.0, -g * t * t / (2.0 * M)],
-        [0.0, 1.0, 0.0, 0.0, -g * t],
-        [-(g / c2) * t, -(g / c2) * t * t / (2.0 * M), 1.0, t, g * g * t * t * t / (6.0 * M * c2)],
+        [cw, s / M, 0.0, 0.0, -g * c / M],
+        [-box.spring_k * s, cw, 0.0, 0.0, -g * s],
+        [-(g / c2) * s, -(g / c2) * c / M, 1.0, t, g * g * d / (M * c2)],
     ]
 
 
 def ref_chi(consts, box, t):
     """(chi_p_qcl, chi_q_qcl) at backward time t."""
-    g = consts.g
     c2 = consts.c * consts.c
-    M = box.M
-    if isinstance(box.potential, Harmonic):
-        w = math.sqrt(box.potential.k / M)
-        wt = w * t
-        return g * math.sin(wt) / (w * c2), g * (1.0 - math.cos(wt)) / (M * w * w * c2)
-    return g * t / c2, g * t * t / (2.0 * M * c2)
+    _, s, c, _ = ref_kernels(box.omega, t)
+    return consts.g * s / c2, consts.g * c / (box.M * c2)
 
 
 def ref_propagate(rows, state0, m):

@@ -69,6 +69,16 @@ def test_run_harmonic_route_q():
     assert result.report.ok
 
 
+def test_run_soft_spring_route_q_reaches_free_fall():
+    # At k=1e-14 the spring turns 6e-9 rad in t=2, so route q must resolve
+    # the photon mass as in free fall, not read a_m = 0 as degenerate.
+    soft = run_scenario(make_scenario(potential=Harmonic(k=1e-14), route=Route.Q)).report
+    free = run_scenario(make_scenario(route=Route.Q)).report
+    assert not soft.degenerate
+    assert soft.dm == pytest.approx(250.002, rel=1e-6)
+    assert soft.dm == pytest.approx(free.dm, rel=1e-14)
+
+
 def test_negative_emission_time_rejected():
     with pytest.raises(InvalidTime):
         make_scenario(t_emit=-1.0)
@@ -165,6 +175,14 @@ def test_verify_passes_default_grid():
 def test_verify_passes_harmonic():
     rep = verify(make_scenario(potential=Harmonic(k=1000.0), t_emit=3.0), grid=50)
     assert rep.all_passed
+
+
+@pytest.mark.parametrize("k", [1e-14, 1e-10, 1e-6])
+def test_verify_passes_soft_spring(k):
+    # Up to t=20 these springs turn 6e-8 to 6e-4 rad: the closed forms must
+    # hold their digits there, where 1 - cos(wt) rounds away.
+    report = verify(make_scenario(t_emit=20.0, potential=Harmonic(k=k)))
+    assert report.all_passed, [(c.name, c.max_dev) for c in report.checks if not c.passed]
 
 
 def test_verify_reports_failure_at_unreachable_tolerance():
