@@ -43,14 +43,6 @@ EXIT_IO = 3
 # =============================================================================
 
 
-def _nonfinite_token(x: float) -> str | None:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return None
-
-
 def sci(x: float) -> str:
     """Shortest round-trip scientific notation with a bare exponent.
 
@@ -75,10 +67,6 @@ def sci17(x: float) -> str:
     return _bare_exponents("%.16e" % (x + 0.0))
 
 
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
 # The sweep CSV schema is SweepRow's: one column per field, in field order.
 # Floats print as in sci17 and booleans as true/false.  Each line is one `%`
 # of its row, and the body is then rewritten as a whole: True/False to
@@ -99,9 +87,7 @@ def sweep_csv(rows: Iterable[SweepRow]) -> str:
 
 
 def _jsonable(x: Any) -> Any:
-    if isinstance(x, float) and not math.isfinite(x):
-        return _nonfinite_token(x)
-    return x
+    return sci(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
 # =============================================================================
@@ -267,12 +253,10 @@ def _text_lines(doc: dict[str, Any], prefix: str = "") -> Iterable[str]:
     for key, value in doc.items():
         if isinstance(value, dict):
             yield from _text_lines(value, "" if key == "spreads" else f"{key}_")
-        elif isinstance(value, bool):
-            yield f"{prefix}{key} = {_fmt_bool(value)}"
         elif isinstance(value, float):
             yield f"{prefix}{key} = {sci(value)}"
-        else:
-            yield f"{prefix}{key} = {value}"
+        else:  # a string, or a bool, which prints as true/false
+            yield f"{prefix}{key} = {str(value).lower()}"
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -26,6 +26,10 @@ Two independent routes compute both:
 * fixed-step classical fourth-order integration (:func:`evolve_numeric_grid`
   and :func:`commutator_ode_grid`), each leg between grid times folded into
   one power of the step map.
+
+Every grid time must be finite and >= 0; the integrated routes and the
+oracle also need the grid ascending.  The first fault in grid order names
+the InvalidTime error.
 """
 
 from __future__ import annotations
@@ -82,9 +86,18 @@ class NumericOptions:
             raise InvalidStep(f"step must be finite and > 0, got {self.step!r}")
 
 
-def _check_time(t: float) -> None:
-    if not math.isfinite(t) or t < 0:
-        raise InvalidTime(f"elapsed time must be finite and >= 0, got {t!r}")
+def _times(ts: Sequence[float] | np.ndarray | float, ascending: bool = False) -> np.ndarray:
+    """``ts`` as a float array held to the time contract above, ascending if asked."""
+    t = np.asarray(ts, dtype=float)
+    fault = ~(np.isfinite(t) & (t >= 0))
+    if ascending:
+        fault[1:] |= t[1:] < t[:-1]
+    if fault.any():  # the first fault names the error; a bad time that descends is bad
+        first = float(t.flat[np.argmax(fault)])
+        if math.isfinite(first) and first >= 0:
+            raise InvalidTime("grid times must be sorted ascending")
+        raise InvalidTime(f"elapsed time must be finite and >= 0, got {first!r}")
+    return t
 
 
 def _check_finite(ts: np.ndarray, frames: np.ndarray, chis: np.ndarray) -> None:
@@ -158,10 +171,7 @@ def closed_form_grid(
         commutator overflows; the message names it and the first t at
         which it is not finite.
     """
-    t = np.asarray(ts, dtype=float)
-    bad_t = ~(np.isfinite(t) & (t >= 0))
-    if bad_t.any():
-        _check_time(float(t[bad_t][0]))
+    t = _times(ts)
     g = consts.g
     c2 = consts.c * consts.c
     M = box.M
@@ -284,15 +294,6 @@ def _chi_generator(consts: PhysConstants, box: BoxParams) -> np.ndarray:
     return np.array([[0.0, -box.spring_k, g_c2], [1.0 / box.M, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
-def _check_grid(ts: Sequence[float]) -> None:
-    prev = 0.0
-    for t in ts:
-        _check_time(t)
-        if t < prev:
-            raise InvalidTime("grid times must be sorted ascending")
-        prev = t
-
-
 def _leg_steps(step: float, t0: float, t1: float, label: str) -> int:
     """The fewest equal steps, each no longer than ``step``, that span [t0, t1]."""
     ratio = (t1 - t0) / step
@@ -305,9 +306,9 @@ def _leg_steps(step: float, t0: float, t1: float, label: str) -> int:
 
 
 def _rk4_grid(
-    K: np.ndarray, y0: np.ndarray, ts: Sequence[float], step: float, label: str
+    K: np.ndarray, y0: np.ndarray, ts: np.ndarray, step: float, label: str
 ) -> np.ndarray:
-    """Integrate y' = K y from y0 at t = 0 across an ascending grid.
+    """Integrate y' = K y from y0 at t = 0 across a grid checked by :func:`_times`.
 
     Returns shape (len(ts), *y0.shape): y at each grid time.  Each leg between
     consecutive grid times takes n equal steps no longer than ``step``,
@@ -317,18 +318,14 @@ def _rk4_grid(
 
     Raises
     ------
-    InvalidTime
-        If a time is negative or not finite, or the grid is not ascending.
     InvalidStep
         If a leg's step count overflows a float; the message names ``label``.
     """
-    ts = [float(t) for t in ts]
-    _check_grid(ts)
     maps: dict[float, np.ndarray] = {}
     out = np.empty((len(ts), *y0.shape))
     y = y0
     t_prev = 0.0
-    for i, t in enumerate(ts):
+    for i, t in enumerate(map(float, ts)):
         dt = t - t_prev
         if dt > 0:
             if dt not in maps:
@@ -370,7 +367,7 @@ def evolve_numeric_grid(
     """
     opts = opts or NumericOptions()
     K = _frame_generator(consts, box)
-    return _rk4_grid(K, np.eye(5), ts, opts.step, "numeric.step")[:, :3]
+    return _rk4_grid(K, np.eye(5), _times(ts, ascending=True), opts.step, "numeric.step")[:, :3]
 
 
 def commutator_ode_grid(
@@ -398,4 +395,5 @@ def commutator_ode_grid(
     """
     opts = opts or NumericOptions()
     K = _chi_generator(consts, box)
-    return _rk4_grid(K, np.array([0.0, 0.0, 1.0]), ts, opts.step, "numeric.step")[:, :2]
+    y0 = np.array([0.0, 0.0, 1.0])
+    return _rk4_grid(K, y0, _times(ts, ascending=True), opts.step, "numeric.step")[:, :2]

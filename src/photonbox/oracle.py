@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import _check_grid, _rk4_grid
+from .dynamics import _rk4_grid, _times
 from .errors import ConfigError, InvalidStep
 from .operators import BoxParams, PhysConstants
 
@@ -109,7 +109,10 @@ def build_workspace(config: OracleConfig, consts: PhysConstants) -> OracleWorksp
         ccr = (q0 @ p0 - p0 @ q0) / (1j * consts.hbar)
         dev = float(np.abs(ccr[:r, :r] - np.eye(r)).max())
     if not dev <= 1e-10:
-        raise ConfigError(f"restricted canonical commutator off by {dev}")
+        raise ConfigError(
+            f"oracle.scale {config.scale!r} leaves the restricted canonical commutator"
+            f" off by {dev}"
+        )
 
     vacuum = np.zeros(n, dtype=complex)
     vacuum[0] = 1.0
@@ -148,12 +151,12 @@ def oracle_evolve_grid(
         If the configured step exceeds the last grid time while that is
         positive, or is so small that a leg's step count overflows a float.
     """
-    ts = [float(t) for t in ts]
-    _check_grid(ts)
+    ts = _times(ts, ascending=True)
     cfg = workspace.config
-    if ts and 0 < ts[-1] < cfg.step:
+    t_end = float(ts.max(initial=0.0))
+    if 0 < t_end < cfg.step:
         raise InvalidStep(
-            f"oracle.step {cfg.step!r} exceeds target time {ts[-1]!r} (the oracle horizon)"
+            f"oracle.step {cfg.step!r} exceeds target time {t_end!r} (the oracle horizon)"
         )
     n_dim = cfg.n
     K = np.array(

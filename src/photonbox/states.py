@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import Pair, _check_time, closed_form_grid
+from .dynamics import Pair, _times, closed_form_grid
 from .errors import (
     InvalidMixture,
     InvalidPrecision,
@@ -467,11 +467,11 @@ def mass_uncertainty(
     InvalidPrecision
         If dx is negative or not finite.
     """
-    _check_time(t)
+    t = _times(t)
     if not (math.isfinite(dx) and dx >= 0):
         raise InvalidPrecision(f"dx must be finite and >= 0, got {dx!r}")
     a_m = frame[1 if route is Route.P else 0, 4]  # P(t) or Q(t), coefficient of m
-    dm, degenerate, valid = _mass_rule(np.array(a_m), np.array(dx), np.array(t), box)
+    dm, degenerate, valid = _mass_rule(np.array(a_m), np.array(dx), t, box)
     return MassEstimate(dm=float(dm), valid=bool(valid), degenerate=bool(degenerate))
 
 

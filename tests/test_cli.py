@@ -579,7 +579,9 @@ def test_verify_extreme_oracle_scale_fails_cleanly(tmp_path, scale):
     proc = run_cli("verify", "--config", str(cfg), "--oracle")
     if scale < 1:
         assert proc.returncode == 1
-        assert proc.stderr == "error: restricted canonical commutator off by nan\n"
+        assert proc.stderr == (
+            "error: oracle.scale 1e-320 leaves the restricted canonical commutator off by nan\n"
+        )
         assert proc.stdout == ""
         return
     assert proc.returncode == 2
