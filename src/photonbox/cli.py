@@ -111,19 +111,16 @@ def _check_keys(doc: dict, path: str, required: set[str], optional: set[str] = f
 
 
 def _number(doc: dict, path: str, key: str, integer: bool = False) -> float:
-    """``doc[key]`` as a finite number, or as an integer if ``integer`` is set."""
+    """``doc[key]`` as a float (``inf`` past the float range), or as an int if ``integer``."""
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ConfigError(f"{path}.{key} must be {'an integer' if integer else 'a number'}")
     if integer:
         return value
     try:
-        value = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key} must be finite")
-    return value
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 @functools.cache
@@ -136,7 +133,7 @@ def _schema(cls: type) -> dict[str, bool]:
 def _section(doc: Any, path: str, cls: type, optional: bool = False, **read: Callable) -> Any:
     """Build ``cls`` from the config section at ``path``: its keys are the fields of ``cls``.
 
-    Each key is read as a finite number, or as an integer where its field is
+    Each key is read as a float, or as an integer where its field is
     an ``int``, unless ``read`` gives a reader for it.  In a required section
     every key must be present; in an optional one a missing key takes the
     field's default.

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidStep, InvalidTime
+from .errors import InvalidStep, InvalidTime, _require
 from .operators import BoxParams, PhysConstants
 
 __all__ = [
@@ -82,8 +82,7 @@ class NumericOptions:
     step: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.step) or self.step <= 0:
-            raise InvalidStep(f"step must be finite and > 0, got {self.step!r}")
+        _require(InvalidStep, "step", self.step, 0, strict=True)
 
 
 def _times(ts: Sequence[float] | np.ndarray | float, ascending: bool = False) -> np.ndarray:

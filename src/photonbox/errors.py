@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one guard for scalar bounds."""
+
+import math
+import sys
 
 __all__ = [
     "PhotonBoxError",
@@ -47,3 +50,17 @@ class ConfigError(PhotonBoxError):
 
 class RangeError(PhotonBoxError):
     """A sweep range is empty, reversed, or otherwise unusable."""
+
+
+def _require(error: type, name: str, value, low, high=math.inf, strict: bool = False) -> None:
+    """Raise ``error`` unless ``value`` is finite, at most ``high`` and at least ``low``.
+
+    With ``strict`` it must exceed ``low``.  No comparison converts ``value``
+    to a float, so an int past the float range fails its bound, not with an
+    OverflowError.
+    """
+    if (low < value if strict else low <= value) and value <= min(high, sys.float_info.max):
+        return
+    if high < math.inf:
+        raise error(f"{name} must be between {low} and {high}, got {value!r}")
+    raise error(f"{name} must be finite and {'>' if strict else '>='} {low}, got {value!r}")

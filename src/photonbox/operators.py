@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, _require
 
 __all__ = [
     "PhysConstants",
@@ -41,19 +41,13 @@ __all__ = [
 ]
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PhysConstants:
     """Physical constants in the engine's dimensionless unit system.
 
-    ``hbar`` and ``c`` must be strictly positive.  ``g`` may be zero, which
-    switches the gravitational clock coupling off entirely (useful for
-    decoupling checks); it may not be negative.
+    ``hbar`` and ``c`` are finite and > 0, ``g`` finite and >= 0; a bad
+    value raises ConfigError.  ``g = 0`` switches the gravitational clock
+    coupling off entirely (useful for decoupling checks).
     """
 
     hbar: float = 1.0
@@ -61,13 +55,9 @@ class PhysConstants:
     g: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_finite(hbar=self.hbar, c=self.c, g=self.g)
-        if self.hbar <= 0:
-            raise ConfigError("hbar must be > 0")
-        if self.c <= 0:
-            raise ConfigError("c must be > 0")
-        if self.g < 0:
-            raise ConfigError("g must be >= 0")
+        _require(ConfigError, "hbar", self.hbar, 0, strict=True)
+        _require(ConfigError, "c", self.c, 0, strict=True)
+        _require(ConfigError, "g", self.g, 0)
 
 
 @dataclass(frozen=True)
@@ -77,14 +67,12 @@ class FreeFall:
 
 @dataclass(frozen=True)
 class Harmonic:
-    """Box suspended from a spring with spring constant ``k``."""
+    """Box suspended from a spring with spring constant ``k`` (finite and > 0)."""
 
     k: float
 
     def __post_init__(self) -> None:
-        _require_finite(k=self.k)
-        if self.k <= 0:
-            raise ConfigError("k must be > 0")
+        _require(ConfigError, "k", self.k, 0, strict=True)
 
 
 Potential = FreeFall | Harmonic
@@ -94,8 +82,9 @@ Potential = FreeFall | Harmonic
 class BoxParams:
     """Box mass, photon mass, and the suspension potential.
 
-    The photon mass must stay well below the box mass for the measurement
-    analysis to make sense; the constructor only enforces ``0 <= m < M``.
+    ``M`` is finite and > 0, and ``m`` finite, >= 0 and < M; a bad value
+    raises ConfigError.  The photon mass must in fact stay well below
+    the box mass for the measurement analysis to make sense.
     """
 
     M: float
@@ -103,11 +92,8 @@ class BoxParams:
     potential: Potential = field(default_factory=FreeFall)
 
     def __post_init__(self) -> None:
-        _require_finite(M=self.M, m=self.m)
-        if self.M <= 0:
-            raise ConfigError("M must be > 0")
-        if self.m < 0:
-            raise ConfigError("m must be >= 0")
+        _require(ConfigError, "M", self.M, 0, strict=True)
+        _require(ConfigError, "m", self.m, 0)
         if self.m >= self.M:
             raise ConfigError("m must be < M")
         if not isinstance(self.potential, (FreeFall, Harmonic)):
@@ -141,9 +127,9 @@ class OperatorCoeffs:
     a_m: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(
-            a_q=self.a_q, a_p=self.a_p, a_cl=self.a_cl, a_1=self.a_1, a_m=self.a_m
-        )
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 # The five generators of the algebra.

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import _rk4_grid, _times
-from .errors import ConfigError, InvalidStep
+from .errors import ConfigError, InvalidStep, _require
 from .operators import BoxParams, PhysConstants
 
 __all__ = [
@@ -60,16 +60,13 @@ class OracleConfig:
     step: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not 16 <= self.n <= MAX_N:
-            raise ConfigError(f"n must be between 16 and {MAX_N}, got {self.n}")
+        _require(ConfigError, "n", self.n, 16, MAX_N)
         if self.buffer < 1:
             raise ConfigError(f"buffer must be >= 1, got {self.buffer}")
         if self.n <= 2 * self.buffer:
             raise ConfigError(f"n must exceed 2*buffer, got n={self.n}, buffer={self.buffer}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ConfigError(f"scale must be finite and > 0, got {self.scale!r}")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ConfigError(f"step must be finite and > 0, got {self.step!r}")
+        _require(ConfigError, "scale", self.scale, 0, strict=True)
+        _require(ConfigError, "step", self.step, 0, strict=True)
 
 
 @dataclass(frozen=True)

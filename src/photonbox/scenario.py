@@ -21,10 +21,11 @@ from .dynamics import (
     commutator_ode_grid,
     evolve_numeric_grid,
 )
-from .errors import InvalidTime, RangeError
+from .errors import InvalidPrecision, InvalidTime, RangeError, _require
 from .operators import BoxParams, PhysConstants
 from .oracle import OracleConfig, build_workspace, oracle_commutator, oracle_evolve_grid
 from .states import (
+    MIN_DEVICE_PRECISION,
     BoundCheck,
     GaussianState,
     InferenceReport,
@@ -53,11 +54,20 @@ MAX_GRID = 10**6
 
 @dataclass(frozen=True)
 class Measurement:
-    """Final measurement: route, device precision, and clock read-off spread."""
+    """Final measurement: route, device precision, and clock read-off spread.
+
+    ``device_dx`` is finite and >= ``MIN_DEVICE_PRECISION`` (1e-12, an
+    absolute floor in every unit system), and ``device_dcl`` finite and
+    >= 0; a bad value raises InvalidPrecision.
+    """
 
     route: Route
     device_dx: float
     device_dcl: float = 0.0
+
+    def __post_init__(self) -> None:
+        _require(InvalidPrecision, "device_dx", self.device_dx, MIN_DEVICE_PRECISION)
+        _require(InvalidPrecision, "device_dcl", self.device_dcl, 0)
 
 
 @dataclass(frozen=True)
@@ -72,8 +82,7 @@ class Scenario:
     oracle: OracleConfig | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.t_emit) or self.t_emit < 0:
-            raise InvalidTime(f"t_emit must be finite and >= 0, got {self.t_emit!r}")
+        _require(InvalidTime, "t_emit", self.t_emit, 0)
 
     def initial_state(self) -> GaussianState:
         return prepare_post_measurement_state(
@@ -184,8 +193,7 @@ def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> list[SweepRow]
         raise RangeError("sweep range must be finite")
     if t_min < 0 or t_max <= t_min:
         raise RangeError(f"need 0 <= t_min < t_max, got [{t_min!r}, {t_max!r}]")
-    if not 2 <= steps <= MAX_GRID:
-        raise RangeError(f"steps must be between 2 and {MAX_GRID}, got {steps}")
+    _require(RangeError, "steps", steps, 2, MAX_GRID)
     grid = infer_grid(s.constants, s.box, s.initial_state(), np.linspace(t_min, t_max, steps))
     dq, dp, dqcl = grid.spreads.T.tolist()
     chi_p, chi_q = grid.chi.T.tolist()
@@ -249,11 +257,9 @@ def verify(
         horizon (the last oracle time), so no positive time could be
         compared.
     """
-    if not 2 <= grid <= MAX_GRID:
-        raise RangeError(f"grid must be between 2 and {MAX_GRID}, got {grid}")
-    for name, value in (("tol", tol), ("oracle_tol", oracle_tol)):
-        if not (math.isfinite(value) and value >= 0):
-            raise RangeError(f"{name} must be finite and >= 0, got {value!r}")
+    _require(RangeError, "grid", grid, 2, MAX_GRID)
+    _require(RangeError, "tol", tol, 0)
+    _require(RangeError, "oracle_tol", oracle_tol, 0)
     consts, box = s.constants, s.box
     T = s.t_emit if s.t_emit > 0 else 4.0
     ts = np.linspace(0.0, T, grid)

@@ -25,12 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Pair, _times, closed_form_grid
-from .errors import (
-    InvalidMixture,
-    InvalidPrecision,
-    InvalidState,
-    NoElapsedTime,
-)
+from .errors import InvalidMixture, InvalidPrecision, InvalidState, NoElapsedTime, _require
 from .operators import BoxParams, PhysConstants
 
 __all__ = [
@@ -159,12 +154,8 @@ class MassMixture:
             raise InvalidMixture("mixture must have at least one component")
         total = 0.0
         for w, m in comps:
-            if not (math.isfinite(w) and math.isfinite(m)):
-                raise InvalidMixture("weights and masses must be finite")
-            if w <= 0:
-                raise InvalidMixture(f"weights must be > 0, got {w}")
-            if m < 0:
-                raise InvalidMixture(f"masses must be >= 0, got {m}")
+            _require(InvalidMixture, "weight", w, 0, strict=True)
+            _require(InvalidMixture, "mass", m, 0)
             total += w
         if abs(total - 1.0) > 1e-12:
             raise InvalidMixture(f"weights must sum to 1 within 1e-12, got {total}")
@@ -468,8 +459,7 @@ def mass_uncertainty(
         If dx is negative or not finite.
     """
     t = _times(t)
-    if not (math.isfinite(dx) and dx >= 0):
-        raise InvalidPrecision(f"dx must be finite and >= 0, got {dx!r}")
+    _require(InvalidPrecision, "dx", dx, 0)
     a_m = frame[1 if route is Route.P else 0, 4]  # P(t) or Q(t), coefficient of m
     dm, degenerate, valid = _mass_rule(np.array(a_m), np.array(dx), t, box)
     return MassEstimate(dm=float(dm), valid=bool(valid), degenerate=bool(degenerate))
@@ -513,12 +503,8 @@ def prepare_post_measurement_state(
         If device_dx is below ``MIN_DEVICE_PRECISION`` (the conjugate
         spread would diverge) or device_dcl is negative.
     """
-    if not (math.isfinite(device_dx) and device_dx >= MIN_DEVICE_PRECISION):
-        raise InvalidPrecision(
-            f"device_dx must be finite and >= {MIN_DEVICE_PRECISION}, got {device_dx!r}"
-        )
-    if not (math.isfinite(device_dcl) and device_dcl >= 0):
-        raise InvalidPrecision(f"device_dcl must be finite and >= 0, got {device_dcl!r}")
+    _require(InvalidPrecision, "device_dx", device_dx, MIN_DEVICE_PRECISION)
+    _require(InvalidPrecision, "device_dcl", device_dcl, 0)
     conjugate = consts.hbar / (2.0 * device_dx)
     if route is Route.P:
         dq0, dp0 = conjugate, device_dx

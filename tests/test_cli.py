@@ -861,6 +861,32 @@ def _assert_config_error(path, capsys, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["run"], ["sweep", "--t-min", "0.5", "--t-max", "4", "--steps", "8"], ["verify"],
+     ["verify", "--oracle"]],
+    ids=["run", "sweep", "verify", "verify-oracle"],
+)
+@pytest.mark.parametrize(
+    "key, value, text",
+    [("device_dx", 0, "device_dx must be finite and >= 1e-12, got 0.0"),
+     ("device_dcl", -1, "device_dcl must be finite and >= 0, got -1.0")],
+    ids=["device_dx", "device_dcl"],
+)
+def test_invalid_measurement_exits_1_from_every_subcommand(tmp_path, capsys, args, key, value, text):
+    cfg = json.loads(CONFIG.read_text())
+    cfg["measurement"][key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    out_path = tmp_path / "out.csv"
+    out = ["--out", str(out_path)] if args[0] == "sweep" else []
+    assert main([args[0], "--config", str(p), *args[1:], *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid measurement: {text}\n"
+    assert not out_path.exists()
+
+
 def test_integer_literal_beyond_float_range_exits_1(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(CONFIG.read_text().replace("1000.0", "1" + "0" * 400, 1))
