@@ -195,9 +195,6 @@ def build_scenario(doc: Any) -> Scenario:
     _check_keys(doc, "config", {"constants", "box", "measurement", "time"}, {"numeric", "oracle"})
     time_doc = _require_mapping(doc["time"], "time")
     _check_keys(time_doc, "time", required={"t_emit"})
-    oracle = None
-    if "oracle" in doc:
-        oracle = _section(doc["oracle"], "oracle", OracleConfig, optional=True)
     return _build(
         Scenario,
         "config",
@@ -206,7 +203,7 @@ def build_scenario(doc: Any) -> Scenario:
         measurement=_section(doc["measurement"], "measurement", Measurement, route=_route),
         t_emit=_number(time_doc, "time", "t_emit"),
         numeric=_section(doc.get("numeric", {}), "numeric", NumericOptions, optional=True),
-        oracle=oracle,
+        oracle=_section(doc.get("oracle", {}), "oracle", OracleConfig, optional=True),
     )
 
 

@@ -340,7 +340,7 @@ def evolve_numeric_grid(
     consts: PhysConstants,
     box: BoxParams,
     ts: Sequence[float],
-    opts: NumericOptions | None = None,
+    opts: NumericOptions = NumericOptions(),
 ) -> np.ndarray:
     """Numeric Heisenberg frames at an ascending grid of backward times.
 
@@ -364,7 +364,6 @@ def evolve_numeric_grid(
     InvalidStep
         If the step is so small that a leg's step count overflows a float.
     """
-    opts = opts or NumericOptions()
     K = _frame_generator(consts, box)
     return _rk4_grid(K, np.eye(5), _times(ts, ascending=True), opts.step, "numeric.step")[:, :3]
 
@@ -373,7 +372,7 @@ def commutator_ode_grid(
     consts: PhysConstants,
     box: BoxParams,
     ts: Sequence[float],
-    opts: NumericOptions | None = None,
+    opts: NumericOptions = NumericOptions(),
 ) -> np.ndarray:
     """Both clock commutators on an ascending time grid, by integration.
 
@@ -392,7 +391,6 @@ def commutator_ode_grid(
     InvalidTime, InvalidStep
         As in :func:`evolve_numeric_grid`.
     """
-    opts = opts or NumericOptions()
     K = _chi_generator(consts, box)
     y0 = np.array([0.0, 0.0, 1.0])
     return _rk4_grid(K, y0, _times(ts, ascending=True), opts.step, "numeric.step")[:, :2]

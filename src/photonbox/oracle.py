@@ -18,19 +18,21 @@ scenario-level verification uses.
 
 Truncation contaminates the last basis states, so all block comparisons
 are restricted to the leading (n - buffer) x (n - buffer) block, and the
-probe expectation values use the vacuum, which has no weight near the edge.
+probe is the vacuum entry [0, 0] of the commutator stack: the vacuum has
+no weight near the edge.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import _rk4_grid, _times
-from .errors import ConfigError, InvalidStep, _require
+from .errors import ConfigError, _require
 from .operators import BoxParams, PhysConstants
 
 __all__ = [
@@ -48,7 +50,7 @@ MAX_N = 2048
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Truncation size, edge buffer, length scale, and ODE step.
+    """Truncation size and edge buffer (integers), length scale, and ODE step.
 
     ``n`` is capped at :data:`MAX_N`: each n x n complex matrix takes 16*n**2
     bytes, 64 MiB at the cap, and a check holds dozens of them.
@@ -67,21 +69,23 @@ class OracleConfig:
             raise ConfigError(f"n must exceed 2*buffer, got n={self.n}, buffer={self.buffer}")
         _require(ConfigError, "scale", self.scale, 0, strict=True)
         _require(ConfigError, "step", self.step, 0, strict=True)
+        for name, value in (("n", self.n), ("buffer", self.buffer)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class OracleWorkspace:
-    """Position/momentum matrices, the vacuum probe, and their configuration."""
+    """Position/momentum matrices and their configuration."""
 
     q0: np.ndarray
     p0: np.ndarray
-    vacuum: np.ndarray
     config: OracleConfig
     hbar: float
 
 
 def build_workspace(config: OracleConfig, consts: PhysConstants) -> OracleWorkspace:
-    """Build ladder-operator matrices and the vacuum probe vector.
+    """Build the position and momentum matrices from ladder operators.
 
     Q0 = scale*(a + a^dag)/sqrt(2) and P0 = (hbar/scale)*(a - a^dag)/(i*sqrt(2)),
     so that [Q0, P0] = i*hbar exactly except in the last diagonal entry.
@@ -110,10 +114,7 @@ def build_workspace(config: OracleConfig, consts: PhysConstants) -> OracleWorksp
             f"oracle.scale {config.scale!r} leaves the restricted canonical commutator"
             f" off by {dev}"
         )
-
-    vacuum = np.zeros(n, dtype=complex)
-    vacuum[0] = 1.0
-    return OracleWorkspace(q0=q0, p0=p0, vacuum=vacuum, config=config, hbar=consts.hbar)
+    return OracleWorkspace(q0=q0, p0=p0, config=config, hbar=consts.hbar)
 
 
 def oracle_evolve_grid(
@@ -136,25 +137,20 @@ def oracle_evolve_grid(
     matrix of zero derivative, one homogeneous system (Q, P, Qcl, I)' =
     K (Q, P, Qcl, I) with a 4 x 4 K written down here, not taken from the
     engine.  It acts entry by entry, so it is integrated once across the grid
-    by ``dynamics._rk4_grid``, the numeric route's fourth-order leg loop,
-    on only the entries it can reach: those where q0 or p0 is nonzero, and
-    the diagonal.  The rest stay exactly 0.
+    by ``dynamics._rk4_grid``, the numeric route's RK4 leg loop (a leg shorter
+    than the step is one step), on only the entries it can reach: those where
+    q0 or p0 is nonzero, and the diagonal.  The rest stay exactly 0.
 
     Raises
     ------
     InvalidTime
         If a time is negative or not finite, or the grid is not ascending.
     InvalidStep
-        If the configured step exceeds the last grid time while that is
-        positive, or is so small that a leg's step count overflows a float.
+        If the configured step is so small that a leg's step count overflows
+        a float.
     """
     ts = _times(ts, ascending=True)
     cfg = workspace.config
-    t_end = float(ts.max(initial=0.0))
-    if 0 < t_end < cfg.step:
-        raise InvalidStep(
-            f"oracle.step {cfg.step!r} exceeds target time {t_end!r} (the oracle horizon)"
-        )
     n_dim = cfg.n
     K = np.array(
         [
@@ -192,10 +188,8 @@ def oracle_evolve(
 
     Raises
     ------
-    InvalidTime
-        If t is negative or not finite.
-    InvalidStep
-        If the configured step exceeds a positive target time.
+    InvalidTime, InvalidStep
+        As in :func:`oracle_evolve_grid`.
     """
     return oracle_evolve_grid(workspace, consts, box, [t])[0]
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ from .dynamics import (
     commutator_ode_grid,
     evolve_numeric_grid,
 )
-from .errors import InvalidPrecision, InvalidTime, RangeError, _require
+from .errors import ConfigError, InvalidPrecision, InvalidTime, RangeError, _require
 from .operators import BoxParams, PhysConstants
 from .oracle import OracleConfig, build_workspace, oracle_commutator, oracle_evolve_grid
 from .states import (
@@ -56,9 +56,9 @@ MAX_GRID = 10**6
 class Measurement:
     """Final measurement: route, device precision, and clock read-off spread.
 
-    ``device_dx`` is finite and >= ``MIN_DEVICE_PRECISION`` (1e-12, an
-    absolute floor in every unit system), and ``device_dcl`` finite and
-    >= 0; a bad value raises InvalidPrecision.
+    A ``route`` not a :class:`Route` raises ConfigError.  ``device_dx`` is
+    finite and >= ``MIN_DEVICE_PRECISION`` (1e-12, an absolute floor in every
+    unit system), and ``device_dcl`` finite and >= 0, or InvalidPrecision.
     """
 
     route: Route
@@ -66,6 +66,8 @@ class Measurement:
     device_dcl: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.route, Route):
+            raise ConfigError(f"route must be a Route, got {self.route!r}")
         _require(InvalidPrecision, "device_dx", self.device_dx, MIN_DEVICE_PRECISION)
         _require(InvalidPrecision, "device_dcl", self.device_dcl, 0)
 
@@ -78,8 +80,8 @@ class Scenario:
     box: BoxParams
     measurement: Measurement
     t_emit: float
-    numeric: NumericOptions = field(default_factory=NumericOptions)
-    oracle: OracleConfig | None = None
+    numeric: NumericOptions = NumericOptions()
+    oracle: OracleConfig = OracleConfig()
 
     def __post_init__(self) -> None:
         _require(InvalidTime, "t_emit", self.t_emit, 0)
@@ -241,7 +243,7 @@ def verify(
     * the symplectic invariant chi(Q, P) = 1 on both frame routes,
 
     and, when ``use_oracle`` is set, the truncated-Fock matrix commutators
-    (restricted block and vacuum probe) against the engine's chi at five
+    (restricted block and its vacuum entry) against the engine's chi at five
     evenly spaced times, integrated in one pass by
     :func:`~photonbox.oracle.oracle_evolve_grid` and commuted as one stack.
     All deviations are measured relative to max(1, |ref|).
@@ -252,10 +254,6 @@ def verify(
         If ``grid`` is not between 2 and MAX_GRID, or ``tol`` or
         ``oracle_tol`` is negative or not finite (an infinite tolerance would
         pass every check).
-    InvalidStep
-        If ``use_oracle`` is set and the oracle step exceeds the oracle
-        horizon (the last oracle time), so no positive time could be
-        compared.
     """
     _require(RangeError, "grid", grid, 2, MAX_GRID)
     _require(RangeError, "tol", tol, 0)
@@ -287,8 +285,7 @@ def verify(
         ]
 
     if use_oracle:
-        cfg = s.oracle or OracleConfig()
-        ws = build_workspace(cfg, consts)
+        ws = build_workspace(s.oracle, consts)
         # Truncation is only trustworthy for moderate phase advance, so the
         # oracle grid stays within w*t <= 4 (harmonic) or t <= 4 (free fall).
         T_o = min(T, 4.0 / (box.omega or 1.0))
@@ -300,12 +297,12 @@ def verify(
             frames = oracle_evolve_grid(ws, consts, box, ts_o)
             # [P, Qcl] and [Q, Qcl] at each time, in the column order of refs
             chi = oracle_commutator(ws, frames[:, 1::-1], frames[:, 2:])
-            probe = (chi @ ws.vacuum) @ ws.vacuum.conj()
-            r = cfg.n - cfg.buffer
-            block = chi[..., :r, :r]  # a view: the probe above is taken first
+            probe_dev = chi[..., 0, 0] - refs  # a new array, taken before the block is edited
+            r = s.oracle.n - s.oracle.buffer
+            block = chi[..., :r, :r]
             block -= refs[..., None, None] * np.eye(r)
             block_dev = np.abs(block).max(axis=(-2, -1))
-            for kind, diff in (("block", block_dev), ("probe", probe - refs)):
+            for kind, diff in (("block", block_dev), ("probe", probe_dev)):
                 for j, pair in enumerate(("p_qcl", "q_qcl")):
                     dev = _max_rel_dev(diff[:, j], refs[:, j])
                     table.append((f"oracle_{kind}_{pair}", dev, oracle_tol))

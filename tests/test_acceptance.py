@@ -127,7 +127,7 @@ def test_criterion_4_matrix_oracle_agreement():
                     chi = oracle_commutator(ws, mat, qcl)
                     r = ws.config.n - ws.config.buffer
                     assert np.abs(chi[:r, :r] - ref * np.eye(r)).max() < 1e-6
-                    probe_chi = ws.vacuum.conj() @ (chi @ ws.vacuum)
+                    probe_chi = chi[0, 0]  # the vacuum expectation value
                     assert abs(probe_chi - ref) < 1e-6
         assert time.perf_counter() - start < 10.0
 

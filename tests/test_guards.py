@@ -2,8 +2,9 @@
 
 Each guard refuses nan, +inf, -inf and a value just past its bound with one
 error type and one message; a non-strict bound accepts its own limit, and a
-strict one refuses it.  A measurement is refused as it is built, not later
-when the state is prepared from it.
+strict one refuses it.  A value of the wrong type that passes its bounds is
+refused with a text of its own.  A measurement is refused as it is built,
+not later when the state is prepared from it.
 """
 
 import math
@@ -133,10 +134,27 @@ GUARDS = {
     ),
 }
 
+# name: (call with the guarded value, error type, text before ", got ...",
+#        values of the wrong type that pass the bounds)
+TYPES = {
+    "OracleConfig.n": (lambda v: OracleConfig(n=v), ConfigError, "n must be an integer", [60.5]),
+    "OracleConfig.buffer": (
+        lambda v: OracleConfig(buffer=v), ConfigError, "buffer must be an integer",
+        [2.5, math.nan, True],
+    ),
+    "Measurement.route": (
+        lambda v: Measurement(v, 0.5), ConfigError, "route must be a Route", ["p"],
+    ),
+}
+
 REFUSED = [
     pytest.param(call, error, text, value, id=f"{name}-{value!r}")
     for name, (call, error, text, _, past, _) in GUARDS.items()
     for value in (math.nan, math.inf, -math.inf, *past)
+] + [
+    pytest.param(call, error, text, value, id=f"{name}-{value!r}")
+    for name, (call, error, text, values) in TYPES.items()
+    for value in values
 ]
 
 

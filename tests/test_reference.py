@@ -401,14 +401,16 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
     ]
 
     if use_oracle:
-        ws = build_workspace(s.oracle or OracleConfig(), consts)
+        ws = build_workspace(s.oracle, consts)
         if isinstance(box.potential, Harmonic):
             T_o = min(T, 4.0 / box.omega)
         else:
             T_o = min(T, 4.0)
         ts_o = [float(t) for t in np.linspace(0.0, T_o, 5)]
         r = ws.config.n - ws.config.buffer
-        vacuum = ws.vacuum
+        # The probe as a vacuum expectation value, not as verify reads it (an entry)
+        vacuum = np.zeros(ws.config.n, dtype=complex)
+        vacuum[0] = 1.0
         block_p = block_q = probe_p = probe_q = 0.0
         for t, frame in zip(ts_o, oracle_evolve_grid(ws, consts, box, ts_o)):
             q, p, qcl = frame
