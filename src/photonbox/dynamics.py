@@ -18,7 +18,10 @@ their coefficients: rows Q(t), P(t), Qcl(t), columns the coefficients of
 q(0), p(0), qcl(0), 1 and m, in the field order of
 :class:`~photonbox.operators.OperatorCoeffs`.  A grid of N times gives an
 (N, 3, 5) array of frames and an (N, 2) array of the two clock commutators.
-Two independent routes compute both:
+The columns of the P/Q axis (:class:`Pair`, :class:`~photonbox.states.Route`)
+run P then Q: column 0 is P(t), frame row 1, so ``frames[:, _PQ_ROWS]`` are
+their rows and :func:`_column` gives a member's column.  Two independent
+routes compute both:
 
 * closed form (:func:`closed_form_grid`, with :func:`evolve_closed` and
   :func:`commutator_closed` as its single-time views): one table over
@@ -41,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidStep, InvalidTime, _require
+from .errors import ConfigError, InvalidStep, InvalidTime, _require, _require_type
 from .operators import BoxParams, PhysConstants
 
 __all__ = [
@@ -54,21 +57,30 @@ __all__ = [
     "commutator_ode_grid",
 ]
 
-# Row and column names of a (3, 5) frame coefficient block, in array order;
-# the numeric route uses the same slots.
-_OPERATORS = ("Q", "P", "Qcl")
-_COEFFS = ("a_q", "a_p", "a_cl", "a_1", "a_m")
-_FRAME_NAMES = [f"{op}.{c}" for op in _OPERATORS for c in _COEFFS]
-_CHI_NAMES = ("chi_p_qcl", "chi_q_qcl")
-_SLOT_ONE = 3
-_SLOT_M = 4
-
 
 class Pair(enum.Enum):
     """Which clock commutator to evaluate."""
 
     P_QCL = "p_qcl"
     Q_QCL = "q_qcl"
+
+
+# Row and column names of a (3, 5) frame coefficient block, in array order;
+# the numeric route uses the same slots.
+_OPERATORS = ("Q", "P", "Qcl")
+_COEFFS = ("a_q", "a_p", "a_cl", "a_1", "a_m")
+_FRAME_NAMES = [f"{op}.{c}" for op in _OPERATORS for c in _COEFFS]
+_CHI_NAMES = [f"chi_{pair.value}" for pair in Pair]
+_SLOT_ONE = 3
+_SLOT_M = 4
+_PQ_ROWS = slice(1, None, -1)
+
+
+def _column(kind: type[enum.Enum], value: enum.Enum) -> int:
+    """The P/Q column of ``value``, a member of ``kind``; anything else raises ConfigError."""
+    if not isinstance(value, kind):  # only a miss pays for the guard call
+        _require_type(ConfigError, kind.__name__.lower(), value, kind, f"a {kind.__name__}")
+    return kind._member_names_.index(value._name_)
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,7 @@ def commutator_closed(
         chi with [X(t), Qcl(t)] = i*hbar*chi.
     """
     _, chis = closed_form_grid(consts, box, [t])
-    return float(chis[0, 0 if pair is Pair.P_QCL else 1])
+    return float(chis[0, _column(Pair, pair)])
 
 
 # =============================================================================

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one guard for scalar bounds."""
+"""Exception types shared across the package, and the guards for scalar bounds and types."""
 
 import math
 import sys
@@ -45,7 +45,7 @@ class NoElapsedTime(PhotonBoxError):
 
 
 class ConfigError(PhotonBoxError):
-    """A configuration value (workspace or config file) is invalid."""
+    """A config value (workspace or config file) is invalid, or an argument has the wrong kind."""
 
 
 class RangeError(PhotonBoxError):
@@ -64,3 +64,10 @@ def _require(error: type, name: str, value, low, high=math.inf, strict: bool = F
     if high < math.inf:
         raise error(f"{name} must be between {low} and {high}, got {value!r}")
     raise error(f"{name} must be finite and {'>' if strict else '>='} {low}, got {value!r}")
+
+
+def _require_type(error: type, name: str, value, kind, what: str) -> None:
+    """Raise ``error`` unless ``value`` is a ``kind``, and not a bool; ``what`` names ``kind``."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return
+    raise error(f"{name} must be {what}, got {value!r}")

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import ConfigError, _require
+from .errors import ConfigError, _require, _require_type
 
 __all__ = [
     "PhysConstants",
@@ -96,8 +96,7 @@ class BoxParams:
         _require(ConfigError, "m", self.m, 0)
         if self.m >= self.M:
             raise ConfigError("m must be < M")
-        if not isinstance(self.potential, (FreeFall, Harmonic)):
-            raise ConfigError("potential must be FreeFall or Harmonic")
+        _require_type(ConfigError, "potential", self.potential, Potential, "FreeFall or Harmonic")
 
     @property
     def spring_k(self) -> float:

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import _rk4_grid, _times
-from .errors import ConfigError, _require
+from .errors import ConfigError, _require, _require_type
 from .operators import BoxParams, PhysConstants
 
 __all__ = [
@@ -63,15 +63,13 @@ class OracleConfig:
 
     def __post_init__(self) -> None:
         _require(ConfigError, "n", self.n, 16, MAX_N)
-        if self.buffer < 1:
-            raise ConfigError(f"buffer must be >= 1, got {self.buffer}")
+        _require(ConfigError, "buffer", self.buffer, 1)
         if self.n <= 2 * self.buffer:
             raise ConfigError(f"n must exceed 2*buffer, got n={self.n}, buffer={self.buffer}")
         _require(ConfigError, "scale", self.scale, 0, strict=True)
         _require(ConfigError, "step", self.step, 0, strict=True)
-        for name, value in (("n", self.n), ("buffer", self.buffer)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        _require_type(ConfigError, "n", self.n, numbers.Integral, "an integer")
+        _require_type(ConfigError, "buffer", self.buffer, numbers.Integral, "an integer")
 
 
 @dataclass(frozen=True)

@@ -8,20 +8,20 @@ identical scenario values produce bit-identical results.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .dynamics import (
+    _PQ_ROWS,
     NumericOptions,
     Pair,
     closed_form_grid,
     commutator_ode_grid,
     evolve_numeric_grid,
 )
-from .errors import ConfigError, InvalidPrecision, InvalidTime, RangeError, _require
+from .errors import ConfigError, InvalidPrecision, InvalidTime, RangeError, _require, _require_type
 from .operators import BoxParams, PhysConstants
 from .oracle import OracleConfig, build_workspace, oracle_commutator, oracle_evolve_grid
 from .states import (
@@ -30,6 +30,7 @@ from .states import (
     GaussianState,
     InferenceReport,
     Route,
+    _robertson,
     infer_grid,
     prepare_post_measurement_state,
 )
@@ -66,15 +67,14 @@ class Measurement:
     device_dcl: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.route, Route):
-            raise ConfigError(f"route must be a Route, got {self.route!r}")
+        _require_type(ConfigError, "route", self.route, Route, "a Route")
         _require(InvalidPrecision, "device_dx", self.device_dx, MIN_DEVICE_PRECISION)
         _require(InvalidPrecision, "device_dcl", self.device_dcl, 0)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full description of one delayed-measurement experiment."""
+    """One delayed-measurement experiment in full; a part not of its class raises ConfigError."""
 
     constants: PhysConstants
     box: BoxParams
@@ -84,7 +84,12 @@ class Scenario:
     oracle: OracleConfig = OracleConfig()
 
     def __post_init__(self) -> None:
+        _require_type(ConfigError, "constants", self.constants, PhysConstants, "a PhysConstants")
+        _require_type(ConfigError, "box", self.box, BoxParams, "a BoxParams")
+        _require_type(ConfigError, "measurement", self.measurement, Measurement, "a Measurement")
         _require(InvalidTime, "t_emit", self.t_emit, 0)
+        _require_type(ConfigError, "numeric", self.numeric, NumericOptions, "a NumericOptions")
+        _require_type(ConfigError, "oracle", self.oracle, OracleConfig, "an OracleConfig")
 
     def initial_state(self) -> GaussianState:
         return prepare_post_measurement_state(
@@ -174,8 +179,8 @@ def run_scenario(s: Scenario) -> RunResult:
         dq=dq,
         dp=dp,
         dqcl=dqcl,
-        check_p=grid.check(0, Pair.P_QCL),
-        check_q=grid.check(0, Pair.Q_QCL),
+        check_p=_robertson(dp, dqcl, chi_p, grid.hbar),
+        check_q=_robertson(dq, dqcl, chi_q, grid.hbar),
     )
 
 
@@ -189,12 +194,10 @@ def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> list[SweepRow]
     Raises
     ------
     RangeError
-        If the range is not 0 <= t_min < t_max with 2 <= steps <= MAX_GRID.
+        If the range is not 0 <= t_min < t_max, finite, with 2 <= steps <= MAX_GRID.
     """
-    if not (math.isfinite(t_min) and math.isfinite(t_max)):
-        raise RangeError("sweep range must be finite")
-    if t_min < 0 or t_max <= t_min:
-        raise RangeError(f"need 0 <= t_min < t_max, got [{t_min!r}, {t_max!r}]")
+    _require(RangeError, "t_min", t_min, 0)
+    _require(RangeError, "t_max", t_max, t_min, strict=True)
     _require(RangeError, "steps", steps, 2, MAX_GRID)
     grid = infer_grid(s.constants, s.box, s.initial_state(), np.linspace(t_min, t_max, steps))
     dq, dp, dqcl = grid.spreads.T.tolist()
@@ -263,8 +266,7 @@ def verify(
     ts = np.linspace(0.0, T, grid)
 
     def clock_chis(frames: np.ndarray) -> np.ndarray:
-        # [P, Qcl] and [Q, Qcl], in the column order of closed_form_grid's chis
-        return _chi(frames[:, [1, 0]], frames[:, 2:])
+        return _chi(frames[:, _PQ_ROWS], frames[:, 2:])
 
     def symplectic_chi(frames: np.ndarray) -> np.ndarray:
         return _chi(frames[:, 0], frames[:, 1])  # [Q, P]; 1 for any unitary evolution
@@ -295,17 +297,16 @@ def verify(
         # products the same way; those checks then read inf or nan and fail.
         with np.errstate(over="ignore", invalid="ignore"):
             frames = oracle_evolve_grid(ws, consts, box, ts_o)
-            # [P, Qcl] and [Q, Qcl] at each time, in the column order of refs
-            chi = oracle_commutator(ws, frames[:, 1::-1], frames[:, 2:])
+            chi = oracle_commutator(ws, frames[:, _PQ_ROWS], frames[:, 2:])
             probe_dev = chi[..., 0, 0] - refs  # a new array, taken before the block is edited
             r = s.oracle.n - s.oracle.buffer
             block = chi[..., :r, :r]
             block -= refs[..., None, None] * np.eye(r)
             block_dev = np.abs(block).max(axis=(-2, -1))
             for kind, diff in (("block", block_dev), ("probe", probe_dev)):
-                for j, pair in enumerate(("p_qcl", "q_qcl")):
+                for j, pair in enumerate(Pair):
                     dev = _max_rel_dev(diff[:, j], refs[:, j])
-                    table.append((f"oracle_{kind}_{pair}", dev, oracle_tol))
+                    table.append((f"oracle_{kind}_{pair.value}", dev, oracle_tol))
     return VerificationReport(
         checks=tuple(CheckResult(name, dev, tol, dev <= tol) for name, dev, tol in table)
     )

@@ -24,8 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import Pair, _times, closed_form_grid
-from .errors import InvalidMixture, InvalidPrecision, InvalidState, NoElapsedTime, _require
+from .dynamics import _PQ_ROWS, Pair, _column, _times, closed_form_grid
+from .errors import ConfigError, InvalidMixture, InvalidPrecision, InvalidState, NoElapsedTime
+from .errors import _require, _require_type
 from .operators import BoxParams, PhysConstants
 
 __all__ = [
@@ -258,20 +259,12 @@ def _mass_rule(
     return dm, degenerate, valid
 
 
-# Array columns of the two inference routes, and of the two clock pairs.
-_ROUTES = (Route.P, Route.Q)
-_PAIRS = (Pair.P_QCL, Pair.Q_QCL)
-
-
 @dataclass(frozen=True)
 class InferenceGrid:
     """Both inference routes on a grid of emission times, as arrays.
 
-    Route columns are (P, Q) and pair columns (P_QCL, Q_QCL).  ``spreads``
-    holds (dq, dp, dqcl); the arrival-time spread is dT = dqcl.  On a
-    degenerate entry (no mass information) dm, dE and product are ``inf``.
-    The methods give one time's report and bound check as the single-time
-    functions return them.
+    ``spreads`` holds (dq, dp, dqcl), and dT = dqcl; route and pair columns run
+    P then Q.  A degenerate entry (no mass information) has inf dm, dE and product.
     """
 
     t: np.ndarray  # (N,)
@@ -286,7 +279,7 @@ class InferenceGrid:
     hbar: float
 
     def report(self, i: int, route: Route) -> InferenceReport:
-        j = _ROUTES.index(route)
+        j = _column(Route, route)
         return InferenceReport(
             route=route,
             t=float(self.t[i]),
@@ -298,12 +291,6 @@ class InferenceGrid:
             valid=bool(self.valid[i]),
             degenerate=bool(self.degenerate[i, j]),
         )
-
-    def check(self, i: int, pair: Pair) -> BoundCheck:
-        """:func:`check_bound` for one clock pair at time index i."""
-        dq, dp, dqcl = self.spreads[i].tolist()
-        dx = dp if pair is Pair.P_QCL else dq
-        return _robertson(dx, dqcl, float(self.chi[i, _PAIRS.index(pair)]), self.hbar)
 
 
 def infer_grid(
@@ -339,8 +326,7 @@ def infer_grid(
             bad_t = float(t[np.argmin(finite)])
             raise InvalidState(f"propagated moments are not finite at t={bad_t!r}")
     spreads = _spreads(sigma)
-    # Route P measures P(t) (row 1, spread dp); route Q measures Q(t) (row 0, dq).
-    dm, degenerate, valid = _mass_rule(frames[:, 1::-1, 4], spreads[:, 1::-1], t, box)
+    dm, degenerate, valid = _mass_rule(frames[:, _PQ_ROWS, 4], spreads[:, _PQ_ROWS], t, box)
     with np.errstate(all="ignore"):
         dE = consts.c * consts.c * dm
         product = dE * spreads[:, 2:]
@@ -410,7 +396,7 @@ def check_bound(
     ``BOUND_SLACK`` so saturating states pass.
     """
     spreads = state_t.spreads
-    dx = float(spreads[1] if pair is Pair.P_QCL else spreads[0])
+    dx = float(spreads[_PQ_ROWS][_column(Pair, pair)])
     return _robertson(dx, float(spreads[2]), chi, consts.hbar)
 
 
@@ -460,7 +446,7 @@ def mass_uncertainty(
     """
     t = _times(t)
     _require(InvalidPrecision, "dx", dx, 0)
-    a_m = frame[1 if route is Route.P else 0, 4]  # P(t) or Q(t), coefficient of m
+    a_m = frame[_PQ_ROWS, 4][_column(Route, route)]  # of the row the route measures
     dm, degenerate, valid = _mass_rule(np.array(a_m), np.array(dx), t, box)
     return MassEstimate(dm=float(dm), valid=bool(valid), degenerate=bool(degenerate))
 
@@ -505,11 +491,9 @@ def prepare_post_measurement_state(
     """
     _require(InvalidPrecision, "device_dx", device_dx, MIN_DEVICE_PRECISION)
     _require(InvalidPrecision, "device_dcl", device_dcl, 0)
-    conjugate = consts.hbar / (2.0 * device_dx)
-    if route is Route.P:
-        dq0, dp0 = conjugate, device_dx
-    else:
-        dq0, dp0 = device_dx, conjugate
+    dq0, dp0 = consts.hbar / (2.0 * device_dx), device_dx  # route P pins p
+    if _column(Route, route):  # route Q pins q
+        dq0, dp0 = dp0, dq0
     sigma = np.diag([dq0 * dq0, dp0 * dp0, device_dcl * device_dcl])
     return GaussianState(mu=np.zeros(3), sigma=sigma)
 
@@ -562,9 +546,10 @@ def time_energy_diagnostic(
 
     Raises
     ------
-    NoElapsedTime
-        If the selected denominator vanishes.
+    ConfigError, NoElapsedTime
+        If ``denominator`` is not a :class:`Denominator`, or the one it selects vanishes.
     """
+    _require_type(ConfigError, "denominator", denominator, Denominator, "a Denominator")
     mu = state_t.mu
     sigma = state_t.sigma
     k = box.spring_k

@@ -386,7 +386,7 @@ def test_verify_unusable_tolerance_exits_1(tol):
         (["verify", "--tol", "-inf"], "error: tol must be finite and >= 0"),
         (["verify", "--tol", "-.5"], "error: tol must be finite and >= 0"),
         (["sweep", "--t-min", "-1e-3", "--t-max", "1", "--steps", "4", "--out", "x.csv"],
-         "error: need 0 <= t_min < t_max"),
+         "error: t_min must be finite and >= 0, got -0.001"),
     ],
     ids=["tol-exponent", "tol-inf", "tol-fraction", "t-min-exponent"],
 )

@@ -1,16 +1,21 @@
-"""Every scalar bound in the package: the error it raises and its exact text.
+"""Every scalar bound and type guard in the package: the error it raises and its exact text.
 
 Each guard refuses nan, +inf, -inf and a value just past its bound with one
 error type and one message; a non-strict bound accepts its own limit, and a
-strict one refuses it.  A value of the wrong type that passes its bounds is
-refused with a text of its own.  A measurement is refused as it is built,
-not later when the state is prepared from it.
+strict one refuses it.  A value of the wrong type, such as a string for an
+enum member or None for a scenario part, is refused with a text of its own.
+A measurement is refused as it is built, not later when the state is
+prepared from it.
 """
 
+import ast
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import photonbox
 from photonbox import (
     BoxParams,
     ConfigError,
@@ -27,10 +32,14 @@ from photonbox import (
     RangeError,
     Route,
     Scenario,
+    check_bound,
+    commutator_closed,
     evolve_closed,
     mass_uncertainty,
+    photon_inference,
     prepare_post_measurement_state,
     sweep,
+    time_energy_diagnostic,
     verify,
 )
 
@@ -38,6 +47,7 @@ CONSTS = PhysConstants()
 BOX = BoxParams(M=1000.0, m=1.0)
 SCENARIO = Scenario(CONSTS, BOX, Measurement(Route.P, 0.5), t_emit=2.0)
 FRAME = evolve_closed(CONSTS, BOX, 2.0)
+STATE = prepare_post_measurement_state(Route.P, 0.5, 0.0, CONSTS)
 BELOW_ZERO = -5e-324
 BELOW_FLOOR = math.nextafter(1e-12, 0.0)
 
@@ -84,6 +94,10 @@ GUARDS = {
         lambda v: OracleConfig(n=v, buffer=1), ConfigError, "n must be between 16 and 2048",
         16, [15, 2049], True,
     ),
+    "OracleConfig.buffer": (
+        lambda v: OracleConfig(buffer=v), ConfigError, "buffer must be finite and >= 1",
+        1, [0], True,
+    ),
     "Scenario.t_emit": (
         lambda v: Scenario(CONSTS, BOX, SCENARIO.measurement, t_emit=v), InvalidTime,
         "t_emit must be finite and >= 0", 0.0, [BELOW_ZERO], True,
@@ -103,6 +117,14 @@ GUARDS = {
     "sweep.steps": (
         lambda v: sweep(SCENARIO, 0.5, 4.0, v), RangeError,
         "steps must be between 2 and 1000000", 2, [1, 1000001], True,
+    ),
+    "sweep.t_min": (
+        lambda v: sweep(SCENARIO, v, 4.0, 2), RangeError, "t_min must be finite and >= 0",
+        0.0, [BELOW_ZERO], True,
+    ),
+    "sweep.t_max": (
+        lambda v: sweep(SCENARIO, 0.5, v, 2), RangeError, "t_max must be finite and > 0.5",
+        0.5, [0.25], False,
     ),
     "prepare_post_measurement_state.device_dx": (
         lambda v: prepare_post_measurement_state(Route.P, v, 0.0, CONSTS), InvalidPrecision,
@@ -139,12 +161,52 @@ GUARDS = {
 TYPES = {
     "OracleConfig.n": (lambda v: OracleConfig(n=v), ConfigError, "n must be an integer", [60.5]),
     "OracleConfig.buffer": (
-        lambda v: OracleConfig(buffer=v), ConfigError, "buffer must be an integer",
-        [2.5, math.nan, True],
+        lambda v: OracleConfig(buffer=v), ConfigError, "buffer must be an integer", [2.5, True],
     ),
     "Measurement.route": (
         lambda v: Measurement(v, 0.5), ConfigError, "route must be a Route", ["p"],
     ),
+    "commutator_closed.pair": (
+        lambda v: commutator_closed(v, CONSTS, BOX, 2.0), ConfigError, "pair must be a Pair",
+        ["p_qcl"],
+    ),
+    "check_bound.pair": (
+        lambda v: check_bound(STATE, 2.0, v, CONSTS), ConfigError, "pair must be a Pair",
+        ["p_qcl"],
+    ),
+    "mass_uncertainty.route": (
+        lambda v: mass_uncertainty(FRAME, 2.0, v, 0.5, BOX), ConfigError,
+        "route must be a Route", ["p"],
+    ),
+    "prepare_post_measurement_state.route": (
+        lambda v: prepare_post_measurement_state(v, 0.5, 0.0, CONSTS), ConfigError,
+        "route must be a Route", ["p"],
+    ),
+    "photon_inference.route": (
+        lambda v: photon_inference(CONSTS, BOX, STATE, v, 2.0), ConfigError,
+        "route must be a Route", ["p"],
+    ),
+    "time_energy_diagnostic.denominator": (
+        lambda v: time_energy_diagnostic(STATE, 0.0, CONSTS, BOX, 1.0, v), ConfigError,
+        "denominator must be a Denominator", ["mean_clock"],
+    ),
+    "BoxParams.potential": (
+        lambda v: BoxParams(M=1000.0, m=1.0, potential=v), ConfigError,
+        "potential must be FreeFall or Harmonic", [None],
+    ),
+    **{
+        f"Scenario.{part}": (
+            lambda v, part=part: replace(SCENARIO, **{part: v}), ConfigError,
+            f"{part} must be {kind}", [None],
+        )
+        for part, kind in (
+            ("constants", "a PhysConstants"),
+            ("box", "a BoxParams"),
+            ("measurement", "a Measurement"),
+            ("numeric", "a NumericOptions"),
+            ("oracle", "an OracleConfig"),
+        )
+    },
 }
 
 REFUSED = [
@@ -181,3 +243,18 @@ def test_integer_beyond_float_range_is_refused_by_its_bound():
     # Nothing converts the value to a float, so no OverflowError escapes.
     with pytest.raises(ConfigError, match=r"^hbar must be finite and > 0, got 1000"):
         PhysConstants(hbar=10**400)
+
+
+def test_every_guard_in_the_package_has_a_row():
+    # The literal name given to each _require or _require_type call is the
+    # last part of a GUARDS or TYPES key, so a new guard cannot go untested.
+    covered = {key.rsplit(".", 1)[-1] for key in (*GUARDS, *TYPES)}
+    guards = ("_require", "_require_type")
+    names = set()
+    for path in Path(photonbox.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in guards:
+                args = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "name")]
+                names |= {a.value for a in args if isinstance(a, ast.Constant)}
+    assert "t_emit" in names and "oracle" in names  # the walk reaches both guards
+    assert names - covered == set()

@@ -23,7 +23,7 @@ from photonbox import (
 from photonbox import dynamics
 
 
-def make_scenario(t_emit=2.0, potential=None, route=Route.P, device_dx=0.5, oracle=None):
+def make_scenario(t_emit=2.0, potential=None, route=Route.P, device_dx=0.5, oracle=OracleConfig()):
     return Scenario(
         constants=PhysConstants(hbar=1.0, c=1.0, g=1.0),
         box=BoxParams(M=1000.0, m=1.0, potential=potential or FreeFall()),
