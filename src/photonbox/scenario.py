@@ -8,6 +8,7 @@ identical scenario values produce bit-identical results.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -194,11 +195,12 @@ def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> list[SweepRow]
     Raises
     ------
     RangeError
-        If the range is not 0 <= t_min < t_max, finite, with 2 <= steps <= MAX_GRID.
+        If the range is not 0 <= t_min < t_max, finite, with an integer 2 <= steps <= MAX_GRID.
     """
     _require(RangeError, "t_min", t_min, 0)
     _require(RangeError, "t_max", t_max, t_min, strict=True)
     _require(RangeError, "steps", steps, 2, MAX_GRID)
+    _require_type(RangeError, "steps", steps, numbers.Integral, "an integer")
     grid = infer_grid(s.constants, s.box, s.initial_state(), np.linspace(t_min, t_max, steps))
     dq, dp, dqcl = grid.spreads.T.tolist()
     chi_p, chi_q = grid.chi.T.tolist()
@@ -254,11 +256,12 @@ def verify(
     Raises
     ------
     RangeError
-        If ``grid`` is not between 2 and MAX_GRID, or ``tol`` or
+        If ``grid`` is not an integer from 2 to MAX_GRID, or ``tol`` or
         ``oracle_tol`` is negative or not finite (an infinite tolerance would
         pass every check).
     """
     _require(RangeError, "grid", grid, 2, MAX_GRID)
+    _require_type(RangeError, "grid", grid, numbers.Integral, "an integer")
     _require(RangeError, "tol", tol, 0)
     _require(RangeError, "oracle_tol", oracle_tol, 0)
     consts, box = s.constants, s.box

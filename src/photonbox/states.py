@@ -93,7 +93,8 @@ class GaussianState:
 
     ``mu`` has shape (3,), ``sigma`` shape (3, 3).  For an initial state
     these refer to the t = 0 operators; a propagated state holds the
-    moments of Q(t), P(t), Qcl(t).  Treat instances as read-only.
+    moments of Q(t), P(t), Qcl(t).  Treat instances as read-only.  Building
+    one checks its structure: finite, symmetric PSD, clock variance >= 0.
     """
 
     mu: np.ndarray
@@ -108,6 +109,14 @@ class GaussianState:
             raise InvalidState(f"sigma must have shape (3, 3), got {sigma.shape}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise InvalidState("moments must be finite")
+        scale = max(1.0, float(np.abs(sigma).max()))
+        if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
+            raise InvalidState("sigma must be symmetric")
+        min_eig = float(np.linalg.eigvalsh(sigma).min())
+        if min_eig < -1e-10 * scale:
+            raise InvalidState(f"sigma must be positive semidefinite, min eig {min_eig}")
+        if sigma[2, 2] < 0:
+            raise InvalidState("clock variance must be >= 0")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
@@ -117,29 +126,21 @@ class GaussianState:
         return _spreads(self.sigma)
 
     def validate(self, hbar: float | None = None) -> None:
-        """Check the structural invariants, and quantum validity if hbar given.
+        """Check the q/p block against hbar, if given; the structure was checked when built.
 
         Raises
         ------
         InvalidState
-            If sigma is not symmetric positive semidefinite, or (with hbar)
-            if the q/p block violates sigma_qq*sigma_pp - sigma_qp**2 >=
-            hbar**2/4.
+            If sigma_qq*sigma_pp - sigma_qp**2 < hbar**2/4 (relative slack 1e-12),
+            compared through its square root dq*dp*sqrt(1 - r**2), which cannot overflow.
         """
-        sigma = self.sigma
-        scale = max(1.0, float(np.abs(sigma).max()))
-        if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
-            raise InvalidState("sigma must be symmetric")
-        min_eig = float(np.linalg.eigvalsh(sigma).min())
-        if min_eig < -1e-10 * scale:
-            raise InvalidState(f"sigma must be positive semidefinite, min eig {min_eig}")
-        if sigma[2, 2] < 0:
-            raise InvalidState("clock variance must be >= 0")
         if hbar is not None:
-            subdet = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] ** 2
-            if subdet < (hbar * hbar / 4.0) * (1.0 - 1e-12):
+            (q, qp), (_, p) = self.sigma[:2, :2].tolist()
+            dqdp = math.sqrt(max(q, 0.0)) * math.sqrt(max(p, 0.0))
+            root = dqdp * math.sqrt(1.0 - min(abs(qp) / dqdp, 1.0) ** 2) if dqdp else 0.0
+            if root < hbar / 2.0 * (1.0 - 5e-13):  # the determinant's slack 1e-12, square-rooted
                 raise InvalidState(
-                    f"q/p uncertainty product below hbar**2/4: {subdet} < {hbar * hbar / 4.0}"
+                    f"q/p uncertainty product below hbar**2/4: {root * root} < {hbar * hbar / 4}"
                 )
 
 
@@ -223,12 +224,12 @@ class TimeEnergyDiagnostic:
 
 
 def _propagate(
-    frames: np.ndarray, state0: GaussianState, m: float | np.ndarray
+    frames: np.ndarray, state0: GaussianState, m: float | np.ndarray, ts: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Means (..., 3) and covariances (..., 3, 3) of Q, P, Qcl along frames (..., 3, 5).
 
-    ``m`` broadcasts against the means.  A moment that overflows comes out
-    inf or nan, without numpy warnings; callers check.
+    ``m`` broadcasts against the means.  A moment that overflows raises InvalidState,
+    without numpy warnings; for a grid (N, 3, 5) at times ``ts``, naming the first bad t.
     """
     mu_q, mu_p, mu_cl = state0.mu.tolist()
     a = frames
@@ -238,6 +239,12 @@ def _propagate(
         mu_t = a[..., 0] * mu_q + a[..., 1] * mu_p + a[..., 2] * mu_cl + a[..., 3] + a[..., 4] * m
         sigma_t = S @ state0.sigma @ S.swapaxes(-1, -2)
         sigma_t = 0.5 * (sigma_t + sigma_t.swapaxes(-1, -2))
+        all_finite = math.isfinite(mu_t.sum() + sigma_t.sum())
+    if not all_finite:  # the sum of finite values may still overflow; then look closer
+        finite = np.isfinite(mu_t).all(axis=-1) & np.isfinite(sigma_t).all(axis=(-2, -1))
+        if not finite.all():
+            at = "" if ts is None else f" at t={float(ts[np.argmin(finite)])!r}"
+            raise InvalidState(f"propagated moments are not finite{at}")
     return mu_t, sigma_t
 
 
@@ -301,7 +308,7 @@ def infer_grid(
 ) -> InferenceGrid:
     """Evaluate frames, commutators, spreads and both routes' inference at once.
 
-    ``state0`` is validated once, against the quantum uncertainty
+    ``state0`` is checked once, against the quantum uncertainty
     invariant.  Every time is propagated by one batched S Sigma S^T, and
     the measured box spread of each route converts into dm = dX/|a_m| and
     dE = c**2*dm, reported next to the product dE*dT and the bound hbar/2.
@@ -309,23 +316,14 @@ def infer_grid(
     Raises
     ------
     InvalidState
-        If ``state0`` is invalid, or a propagated moment overflows.
+        If ``state0`` breaks that invariant, or a propagated moment overflows.
     InvalidTime
         From :func:`~photonbox.dynamics.closed_form_grid`.
     """
     state0.validate(consts.hbar)
     t = np.asarray(ts, dtype=float)
     frames, chi = closed_form_grid(consts, box, t)
-    mu, sigma = _propagate(frames, state0, box.m)
-    # The means are unused here, but an overflowing mean still raises.
-    with np.errstate(all="ignore"):
-        all_finite = math.isfinite(mu.sum() + sigma.sum())
-    if not all_finite:  # the sum of finite values may still overflow; then look closer
-        finite = np.isfinite(mu).all(axis=1) & np.isfinite(sigma).all(axis=(1, 2))
-        if not finite.all():
-            bad_t = float(t[np.argmin(finite)])
-            raise InvalidState(f"propagated moments are not finite at t={bad_t!r}")
-    spreads = _spreads(sigma)
+    spreads = _spreads(_propagate(frames, state0, box.m, t)[1])
     dm, degenerate, valid = _mass_rule(frames[:, _PQ_ROWS, 4], spreads[:, _PQ_ROWS], t, box)
     with np.errstate(all="ignore"):
         dE = consts.c * consts.c * dm
@@ -365,7 +363,7 @@ def propagate_state(
         Photon mass for the mean transport (variances do not depend on it).
     hbar : float, optional
         When given, the initial state must also satisfy the quantum
-        uncertainty invariant.
+        uncertainty invariant (see :meth:`GaussianState.validate`).
 
     Returns
     -------
@@ -376,11 +374,10 @@ def propagate_state(
     Raises
     ------
     InvalidState
-        If ``state0`` is invalid, or a propagated moment overflows.
+        If ``state0`` breaks that invariant, or a propagated moment overflows.
     """
     state0.validate(hbar)
-    mu_t, sigma_t = _propagate(frame, state0, m)
-    return GaussianState(mu=mu_t, sigma=sigma_t)
+    return GaussianState(*_propagate(frame, state0, m))
 
 
 def check_bound(
@@ -508,17 +505,15 @@ def mixture_statistics(
     ``frame`` is a (3, 5) frame, as from
     :func:`~photonbox.dynamics.evolve_closed`.  Each component shares the
     quantum state but carries its own mass, so the component variances
-    coincide and only the component means differ:
+    coincide and only the component means differ (InvalidState if a moment overflows):
 
         total mean = sum_i w_i mu_i,
-        total var  = sum_i w_i (var + mu_i**2) - (total mean)**2.
+        total var  = var + sum_i w_i (mu_i - total mean)**2, centered so as not to cancel.
     """
-    state0.validate()
     weights, masses = np.array(mixture.components).T
     mu_i, sigma = _propagate(frame, state0, masses[:, None])  # (K, 3) means, one covariance
     mean = weights @ mu_i
-    second = weights @ (np.diagonal(sigma) + mu_i**2)
-    var = second - mean**2
+    var = np.diagonal(sigma) + weights @ (mu_i - mean) ** 2
     return MixtureMoments(mean=mean, spread=np.sqrt(np.maximum(var, 0.0)))
 
 
@@ -533,7 +528,7 @@ def time_energy_diagnostic(
     """Energy/time ratio diagnostic dH*dqcl/denom, reported next to hbar/2.
 
     ``state_t`` holds the propagated moments at backward time t, as from
-    :func:`propagate_state`; t itself only names the time in the error.
+    :func:`propagate_state`; t itself only names the time in the errors.
     dH is the Gaussian spread of H = p**2/(2M) + m*g*q + V(q) in the
     propagated state, computed from the classical moment formula
 
@@ -546,17 +541,19 @@ def time_energy_diagnostic(
 
     Raises
     ------
-    ConfigError, NoElapsedTime
-        If ``denominator`` is not a :class:`Denominator`, or the one it selects vanishes.
+    ConfigError, NoElapsedTime, InvalidState
+        If ``denominator`` is not a :class:`Denominator`, or it vanishes, or var H overflows.
     """
     _require_type(ConfigError, "denominator", denominator, Denominator, "a Denominator")
-    mu = state_t.mu
-    sigma = state_t.sigma
+    mu, sigma = state_t.mu, state_t.sigma
     k = box.spring_k
-    grad = np.array([m * consts.g + k * mu[0], mu[1] / box.M, 0.0])
-    hess = np.diag([k, 1.0 / box.M, 0.0])
-    hs = hess @ sigma
-    var_h = float(grad @ sigma @ grad + 0.5 * np.trace(hs @ hs))
+    with np.errstate(all="ignore"):
+        grad = np.array([m * consts.g + k * mu[0], mu[1] / box.M, 0.0])
+        hess = np.diag([k, 1.0 / box.M, 0.0])
+        hs = hess @ sigma
+        var_h = float(grad @ sigma @ grad + 0.5 * np.trace(hs @ hs))
+    if not math.isfinite(var_h):
+        raise InvalidState(f"energy variance is not finite at t={t}")
     dH = math.sqrt(max(var_h, 0.0))
     dqcl = float(state_t.spreads[2])
     if denominator is Denominator.MEAN_CLOCK:

@@ -971,3 +971,22 @@ def test_sweep_overflow_exits_1(tmp_path):
     proc = run_cli("sweep", "--config", str(CONFIG), *args)
     _assert_overflow_error(proc)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, t",
+    [([], "1000.0"), (["--t-min", "0", "--t-max", "1000", "--steps", "3"], "500.0")],
+    ids=["run", "sweep"],
+)
+def test_overflowing_moments_exit_1(tmp_path, capsys, args, t):
+    # p*t/M overflows for M = 1e-300, so the propagated moments are not finite.
+    cfg = json.loads(CONFIG.read_text())
+    cfg["box"].update(M=1e-300, m=1e-301)
+    cfg["time"]["t_emit"] = 1e3
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    command = ["sweep", "--out", str(out)] if args else ["run"]
+    assert main([*command, "--config", str(p), *args]) == 1
+    assert capsys.readouterr().err == f"error: propagated moments are not finite at t={t}\n"
+    assert not out.exists()

@@ -166,6 +166,10 @@ TYPES = {
     "Measurement.route": (
         lambda v: Measurement(v, 0.5), ConfigError, "route must be a Route", ["p"],
     ),
+    "sweep.steps": (
+        lambda v: sweep(SCENARIO, 0.5, 4.0, v), RangeError, "steps must be an integer", [2.5],
+    ),
+    "verify.grid": (lambda v: verify(SCENARIO, grid=v), RangeError, "grid must be an integer", [3.0]),
     "commutator_closed.pair": (
         lambda v: commutator_closed(v, CONSTS, BOX, 2.0), ConfigError, "pair must be a Pair",
         ["p_qcl"],

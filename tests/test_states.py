@@ -1,9 +1,11 @@
 """Gaussian propagation, bound checks, inference, mixtures, diagnostics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from photonbox import (
     BoxParams,
@@ -55,24 +57,54 @@ def test_state_rejects_nonfinite():
         GaussianState(mu=np.zeros(3), sigma=bad)
 
 
-def test_validate_rejects_asymmetric():
+def test_state_rejects_asymmetric_sigma():
     sigma = np.eye(3)
     sigma[0, 1] = 0.5
-    with pytest.raises(InvalidState):
-        state(sigma).validate()
+    with pytest.raises(InvalidState, match=r"^sigma must be symmetric$"):
+        state(sigma)
 
 
-def test_validate_rejects_negative_eigenvalue():
-    sigma = np.diag([1.0, -0.1, 0.0])
-    with pytest.raises(InvalidState):
-        state(sigma).validate()
+def test_state_rejects_negative_eigenvalue():
+    # Refused as it is built, so check_bound and the diagnostic never see it.
+    with pytest.raises(InvalidState) as info:
+        GaussianState(np.zeros(3), np.diag([1, -0.1, 0]))
+    assert str(info.value) == "sigma must be positive semidefinite, min eig -0.1"
 
 
 def test_validate_rejects_sub_heisenberg():
-    # dq*dp = 0.4 < hbar/2
-    sigma = np.diag([0.16, 1.0, 0.0])
-    with pytest.raises(InvalidState):
-        state(sigma).validate(hbar=1.0)
+    # dq*dp = 0.4 < hbar/2; a singular block whose products overflow; and one
+    # whose correlation rounds to just past 1.
+    for block in ([0.16, 0.0, 1.0], [1e200, 1e200, 1e200], [2.0, 2.0000000000000004, 2.0]):
+        sigma = np.zeros((3, 3))
+        sigma[0, 0], sigma[0, 1], sigma[1, 1] = block
+        sigma[1, 0] = sigma[0, 1]
+        with pytest.raises(InvalidState, match=r"^q/p uncertainty product below hbar\*\*2/4: "):
+            state(sigma).validate(hbar=1.0)
+
+
+# A spread m*2**e with a 17-bit m: every variance (from 1e-300 to 1e300) and
+# every covariance r*dq*dp with r = k/2**17 is then exact in floating point.
+# Arbitrary float entries would not do: when |r| is within an ulp of 1, the
+# exact determinant is a rounding residue near eps*sigma_qq*sigma_pp, which
+# no floating-point evaluation resolves.
+SPREADS = st.builds(math.ldexp, st.integers(2**16, 2**17 - 1), st.integers(-514, 481))
+
+
+@given(SPREADS, SPREADS, st.integers(-(2**17), 2**17), st.none() | st.floats(-1e-11, 1e-11))
+def test_validate_decides_on_the_exact_determinant(dq, dp, k, nudge):
+    # hbar is 1, or within 1e-11 of the value at which the state saturates it.
+    r = k / 2**17
+    root = dq * dp * math.sqrt(1.0 - r * r)
+    hbar = 1.0 if nudge is None or root == 0.0 else 2.0 * root * (1.0 + nudge)
+    sigma = np.diag([dq * dq, dp * dp, 0.0])
+    sigma[0, 1] = sigma[1, 0] = r * dq * dp
+    det = Fraction(sigma[0, 0]) * Fraction(sigma[1, 1]) - Fraction(sigma[0, 1]) ** 2
+    bound = Fraction(hbar) ** 2 / 4
+    if det < bound * (1 - Fraction(2, 10**12)):
+        with pytest.raises(InvalidState):
+            state(sigma).validate(hbar)
+    elif det >= bound:
+        state(sigma).validate(hbar)
 
 
 def test_validate_accepts_saturating_state():
@@ -117,6 +149,19 @@ def test_propagation_rejects_invalid_initial(consts, ff_box):
     fr = evolve_closed(consts, ff_box, 1.0)
     with pytest.raises(InvalidState):
         propagate_state(fr, state(np.diag([0.01, 0.01, 0.0])), 1.0, hbar=consts.hbar)
+
+
+def test_overflowing_moments_are_refused(consts):
+    # p*t/M overflows for M = 1e-300 at t = 1e3.
+    st0 = prepare_post_measurement_state(Route.P, 0.5, 0.0, consts)
+    fr = evolve_closed(consts, BoxParams(M=1e-300, m=1e-301), 1e3)
+    for call in (
+        lambda: propagate_state(fr, st0, 1e-301),
+        lambda: mixture_statistics(fr, MassMixture(((1.0, 1e-301),)), st0),
+    ):
+        with pytest.raises(InvalidState) as info:
+            call()
+        assert str(info.value) == "propagated moments are not finite"
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +371,18 @@ def test_mixture_two_point_adds_mass_variance(consts, ff_box):
     assert np.allclose(mm.mean, base.mu, rtol=1e-13, atol=1e-18)
 
 
+@pytest.mark.parametrize("t", [1e2, 1e4, 1e6])
+def test_mixture_of_identical_components_is_the_pure_state(ff_box, t):
+    # The clock mean grows as t while its spread stays 1e-3, so the variance
+    # must not be a difference of second moments, which cancels.
+    consts0 = PhysConstants(hbar=1.0, c=1.0, g=0.0)
+    st0 = prepare_post_measurement_state(Route.P, 0.5, 1e-3, consts0)
+    fr = evolve_closed(consts0, ff_box, t)
+    mm = mixture_statistics(fr, MassMixture(((0.5, 1.0), (0.5, 1.0))), st0)
+    pure = propagate_state(fr, st0, 1.0).spreads
+    assert np.all(np.abs(mm.spread - pure) <= 4 * np.spacing(pure))
+
+
 def test_mixture_rejects_bad_weights():
     with pytest.raises(InvalidMixture):
         MassMixture(components=())
@@ -372,6 +429,14 @@ def test_diagnostic_raises_with_no_elapsed_time(consts, ff_box):
     st = propagate_state(fr, st0, 1.0, hbar=consts.hbar)
     with pytest.raises(NoElapsedTime):
         time_energy_diagnostic(st, 0.0, consts, ff_box, 1.0)
+
+
+def test_diagnostic_refuses_an_overflowing_energy_variance(consts):
+    # The state is finite, but grad^T Sigma grad is about 1e720.
+    box = BoxParams(M=1000.0, m=1.0, potential=Harmonic(k=1e10))
+    st = state(np.diag([1e300, 1e300, 1.0]), mu=(1e200, 1e200, 1.0))
+    with pytest.raises(InvalidState, match=r"^energy variance is not finite at t=2\.0$"):
+        time_energy_diagnostic(st, 2.0, consts, box, 1.0)
 
 
 def test_diagnostic_variance_against_quadrature(consts, ho_box):
