@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -68,22 +69,142 @@ def sci17(x: float) -> str:
 
 
 # The sweep CSV schema is SweepRow's: one column per field, in field order.
-# Floats print as in sci17 and booleans as true/false.  Each line is one `%`
-# of its row, and the body is then rewritten as a whole: True/False to
-# true/false, -0 to 0, bare exponents.  That is exact because every cell lies
-# whole between commas, and no %e form of a nonzero float holds "True",
-# "False" or "0.0000000000000000e+00".
-_IS_BOOL = [t is bool for t in get_type_hints(SweepRow).values()]
+# Floats print as in sci17 and booleans as true/false.  numpy writes the
+# digits of every cell it can certify (see the README) and copies sci17's
+# text for zeros, nan and infinities; sci17 writes the rest.
+# The decade is decided from the double-double (h, lo), never from the
+# rounded h + lo: 1e-6 gives h = 1e16 exactly with lo < 0, so its digits are
+# 9.99...95e-7.  (h, lo) is within about 1.7e-15 of the exact product, far
+# inside _TIE_MARGIN, so any cell outside the margin rounds as sci17 does.
+# Rows go in blocks of _BLOCK_ROWS so that memory stays flat however long
+# the sweep.
+_IS_BOOL = np.array([t is bool for t in get_type_hints(SweepRow).values()])
+_FLOATS, _BOOLS = np.flatnonzero(~_IS_BOOL), np.flatnonzero(_IS_BOOL)
 SWEEP_HEADER = ",".join(SweepRow._fields)
-_ROW_LINE = ",".join("%s" if b else "%.16e" for b in _IS_BOOL) + "\n"
+_BLOCK_ROWS = 256
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_DECADES = range(-283, 283)  # every E the fast range reaches, moved by one either way
+_TIE_MARGIN = 1e-12
+
+
+def _words(strings: Iterable[str], width: int, dtype: type = np.uint32) -> np.ndarray:
+    """ASCII strings, each zero-padded to ``width`` bytes, as an array of ``dtype``."""
+    return np.frombuffer(b"".join(s.encode().ljust(width, b"\0") for s in strings), dtype)
+
+
+_SEPARATORS = _words(["\n"] + [","] * (len(_IS_BOOL) - 1), 4)
+_BOOL_WORDS = _words(["false", "true"], 8).reshape(2, 2)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of x into two 26-bit halves, whose pairwise products are exact."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """``10**(16-E)`` for each E in _DECADES as hi + lo: hi, its two halves, lo.
+
+    Built on first use, as are the glyphs, so that importing stays cheap.
+    """
+    pow_hi, pow_lo = [], []
+    for e in _DECADES:
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        hi = num / den  # int / int is correctly rounded
+        p, q = hi.as_integer_ratio()
+        pow_hi.append(hi)
+        pow_lo.append((num * q - p * den) / (den * q))
+    pow_hi = np.array(pow_hi)
+    return pow_hi, *_split(pow_hi), np.array(pow_lo)
+
+
+@functools.cache
+def _glyphs() -> tuple[np.ndarray, ...]:
+    """Words of a float text: sign, lead digit and point; every 4-digit group; ``e<E>``.
+
+    Last, the whole texts sci17 gives 0, inf, -inf and nan.
+    """
+    place = np.uint16([1000, 100, 10, 1])
+    groups = np.arange(10000, dtype=np.uint16)[:, None] // place % 10 + ord("0")
+    return (
+        _words([f"{sign}{lead}." for sign in ("", "-") for lead in range(10)], 4),
+        groups.astype(np.uint8).view(np.uint32).ravel(),
+        _words([f"e{e}" for e in _DECADES], 8, np.uint64),
+        _words(map(sci17, [0.0, math.inf, -math.inf, math.nan]), 28).reshape(4, 7),
+    )
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a·10**(16-e)`` as a normalised double-double (h, lo)."""
+    pow_hi, pow_hh, pow_hl, pow_lo = (t[e - _DECADES.start] for t in _powers_of_ten())
+    a_hi, a_lo = _split(a)
+    h = a * pow_hi
+    err = ((a_hi * pow_hh - h) + a_hi * pow_hl + a_lo * pow_hh) + a_lo * pow_hl
+    tail = err + a * pow_lo
+    s = h + tail
+    return s, tail - (s - h)
+
+
+def _decade_shift(h: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """+1 where h + lo >= 1e17, -1 where it is < 1e16, else 0: decided on the pair."""
+    above = (h > 1e17) | ((h == 1e17) & (lo >= 0))
+    below = (h < 1e16) | ((h == 1e16) & (lo < 0))
+    return above.astype(np.intp) - below
+
+
+def _float_texts(x: np.ndarray) -> np.ndarray:
+    """The sci17 text of each cell of a C-contiguous x, as 7 zero-padded words."""
+    heads, groups, exps, fixed = _glyphs()
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    h, lo = _scaled(a, e)
+    shift = _decade_shift(h, lo)
+    if shift.any():
+        e += shift
+        h, lo = _scaled(a, e)
+        fast &= _decade_shift(h, lo) == 0
+    whole = np.floor(lo)
+    frac = lo - whole
+    fast &= np.abs(frac - 0.5) > _TIE_MARGIN
+    digits = h.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = digits == 10**17
+    e += carry
+    digits[carry | ~fast] = 10**16  # cells that fall back are overwritten below
+
+    out = np.empty(x.shape + (7,), np.uint32)
+    for word in (4, 3, 2, 1):
+        rest = digits // 10000
+        out[..., word] = groups[digits - 10000 * rest]
+        digits = rest
+    out[..., 0] = heads[digits + 10 * (x < 0)]
+    out[..., 5:] = exps[e - _DECADES.start].view(np.uint32).reshape(x.shape + (2,))
+    fixed_cells = (x == 0) | ~np.isfinite(x)
+    if fixed_cells.any():
+        f = x[fixed_cells]
+        out[fixed_cells] = fixed[np.where(np.isnan(f), 3, np.where(f == 0, 0, 1 + (f < 0)))]
+    others = ~(fast | fixed_cells)
+    out[others] = _words(map(sci17, x[others].tolist()), 28).reshape(-1, 7)
+    return out
 
 
 def sweep_csv(rows: Iterable[SweepRow]) -> str:
     """The sweep CSV: header, then one sci17-formatted line per row, LF endings."""
-    body = "".join(map(_ROW_LINE.__mod__, rows))
-    body = body.replace("True", "true").replace("False", "false")
-    body = body.replace("-0.0000000000000000e+00", "0.0000000000000000e+00")
-    return SWEEP_HEADER + "\n" + _bare_exponents(body)
+    rows = iter(rows)
+    lines = [SWEEP_HEADER]
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        table = np.fromiter(itertools.chain.from_iterable(block), float).reshape(len(block), -1)
+        words = np.zeros((len(block), len(_IS_BOOL), 8), np.uint32)
+        words[:, :, 0] = _SEPARATORS
+        # table[:, _FLOATS] comes back in Fortran order; the word views need C order.
+        words[:, _FLOATS, 1:] = _float_texts(np.ascontiguousarray(table[:, _FLOATS]))
+        words[:, _BOOLS, 1:3] = _BOOL_WORDS[(table[:, _BOOLS] != 0).astype(np.intp)]
+        lines.append(words.tobytes().translate(None, b"\0").decode("ascii"))
+    lines.append("\n")
+    return "".join(lines)
 
 
 def _jsonable(x: Any) -> Any:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import photonbox.cli
 import photonbox.scenario
 from photonbox import (
     ConfigError,
@@ -25,7 +26,7 @@ from photonbox import (
     oracle_evolve_grid,
     sweep,
 )
-from photonbox.cli import _build_parser, build_scenario, load_config, main, sci, sci17, sweep_csv
+from photonbox.cli import _BLOCK_ROWS, _build_parser, build_scenario, load_config, main, sci, sci17, sweep_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
 CONFIG = DATA / "reference_config.json"
@@ -110,7 +111,8 @@ def legacy_sci17(x):
 # Every float64, plus the cases the exponent rewrite must get right.
 EDGE_FLOATS = st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
-     1e-100, 1e100, -1.7976931348623157e308, 1.0, 1e-5, 1e5, 9.999999999999999e9]
+     2.225073858507201e-308, 1e-100, 1e100, 1.7976931348623157e308, -1.7976931348623157e308,
+     1.0, 1e-5, 1e5, 9.999999999999999e9, 1e-280, 1e280, 2**-25]
 )
 ANY_FLOAT = st.one_of(st.floats(allow_nan=True, allow_infinity=True), EDGE_FLOATS)
 
@@ -145,8 +147,9 @@ def test_sweep_csv_matches_legacy_cells(cells, numpy_scalars):
     assert_csv_matches_legacy([SweepRow(*floats, *flags) for floats, flags in cells])
 
 
-EDGE_ROW = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -5e-324,
-            -1e308, 0.0, -0.0, -0.0, 1.0, -0.0, math.inf)
+EDGE_ROW = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -5e-324, -1e308, 0.0,
+            2.2250738585072014e-308, 2.225073858507201e-308, 1.0, 1.7976931348623157e308,
+            -1.7976931348623157e308)
 
 
 @pytest.mark.parametrize("numpy_scalars", [False, True], ids=["python", "numpy"])
@@ -160,6 +163,7 @@ def test_sweep_csv_edge_row(numpy_scalars):
     assert cells[:6] == ["0.0000000000000000e0", "inf", "-inf", "nan",
                          "4.9406564584124654e-324", "1.0000000000000000e308"]
     assert cells[-3:] == ["true", "false", "true"]
+    assert sweep_csv([]) == photonbox.cli.SWEEP_HEADER + "\n"
 
 
 def test_sweep_csv_matches_legacy_on_a_multi_revival_spring(tmp_path):
@@ -170,6 +174,88 @@ def test_sweep_csv_matches_legacy_on_a_multi_revival_spring(tmp_path):
     assert sum(row.degenerate_p for row in rows) >= 5
     assert any(math.isinf(row.dm_p) for row in rows)
     assert_csv_matches_legacy(rows)
+
+
+def rows_of(cells, flags=(True, False, True)):
+    """SweepRows holding the float cells in order, 14 to a row, the last padded with 0.5."""
+    cells = [float(x) for x in cells]
+    cells += [0.5] * (-len(cells) % 14)
+    return [SweepRow(*cells[i:i + 14], *flags) for i in range(0, len(cells), 14)]
+
+
+def test_sweep_csv_matches_legacy_at_every_decade():
+    # 10**k and both of its float neighbours, for every k the fast path covers:
+    # the cells where floor(log10 |x|) is off by one and the decade is decided
+    # from the double-double.  1e280 and 1e-280 are the range ends; the
+    # neighbours just outside them fall back to sci17.
+    tens = np.array([float(f"1e{k}") for k in range(-280, 281)])
+    cells = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    assert_csv_matches_legacy(rows_of(np.concatenate([cells, -cells])))
+
+
+def test_sweep_csv_rounds_exact_ties_half_even():
+    # 2**-25 = 2.98023223876953125e-8 and 3*2**-25 = 8.94069671630859375e-8:
+    # 18 significant digits ending in 5, so the 17th digit is rounded to even.
+    rows = rows_of([2**-25, 3 * 2**-25])
+    assert sweep_csv(rows).split("\n")[1].split(",")[:2] == [
+        "2.9802322387695312e-8", "8.9406967163085938e-8"]
+    assert_csv_matches_legacy(rows)
+
+
+def test_sweep_csv_matches_legacy_across_block_seams():
+    rng = np.random.default_rng(20)
+    n = 2 * _BLOCK_ROWS + 1
+    floats = rng.integers(0, 2**64, size=(n, 14), dtype=np.uint64).view(np.float64)
+    flags = rng.integers(0, 2, size=(n, 3)).astype(bool)
+    assert_csv_matches_legacy([SweepRow(*f, *b) for f, b in zip(floats.tolist(), flags.tolist())])
+
+
+def test_sweep_csv_sends_only_uncertified_cells_to_sci17(monkeypatch):
+    # Magnitudes outside [1e-280, 1e280] and exact ties go to sci17; zeros,
+    # nan and infinities are sci17's fixed texts, and every other cell gets
+    # its digits from numpy.
+    fallback = [5e-324, 1e300, -1e-300, 2**-25]
+    fast = [0.1, -3.5, 1e-6, 1e280, 1e-280, -1.7976931348623157e-280, 2.0000002499999843,
+            0.0, -0.0, math.inf, -math.inf, math.nan]
+    rows = rows_of(fallback + fast)
+    sweep_csv(rows)  # builds the tables, which take the fixed texts from sci17
+    calls = []
+    monkeypatch.setattr(photonbox.cli, "sci17", lambda x: calls.append(x) or sci17(x))
+    assert_csv_matches_legacy(rows)
+    assert [repr(x) for x in calls] == [repr(x) for x in fallback]
+
+
+def seeded_sweep(seed):
+    """A 2001-row sweep drawn from seed: a spring for odd seeds, else free fall.
+
+    A spring spans 2, 4, 5 or 8 revival periods on a grid that lands on each
+    revival, so its degenerate rows print inf.
+    """
+    rng = np.random.default_rng(seed)
+    M = 10 ** rng.uniform(2.0, 4.0)
+    doc = {
+        "constants": {"hbar": rng.uniform(0.5, 2.0), "c": rng.uniform(1.0, 3.0), "g": rng.uniform(0.5, 2.0)},
+        "box": {"M": M, "m": rng.uniform(0.1, 10.0), "potential": {"type": "free"}},
+        "measurement": {"route": str(rng.choice(["p", "q"])), "device_dx": 10 ** rng.uniform(-1.3, 0.7),
+                        "device_dcl": rng.uniform(0.0, 0.5)},
+        "time": {"t_emit": 1.0},
+    }
+    if seed % 2:
+        w = rng.uniform(0.5, 5.0)
+        doc["box"]["potential"] = {"type": "harmonic", "k": M * w * w}
+        t_min, t_max = 0.0, int(rng.choice([2, 4, 5, 8])) * 2.0 * math.pi / w
+    else:
+        t_min = 0.0 if seed % 4 == 0 else rng.uniform(0.1, 1.0)
+        t_max = t_min + rng.uniform(2.0, 6.0)
+    return sweep(build_scenario(doc), t_min, t_max, 2001)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sweep_csv_matches_legacy_on_seeded_sweeps(seed):
+    rows = seeded_sweep(seed)
+    if seed % 2:
+        assert any(math.isinf(row.dm_p) for row in rows)
+    assert sweep_csv(rows) == "\n".join([photonbox.cli.SWEEP_HEADER, *map(legacy_line, rows), ""])
 
 
 def test_sci17_fixed_width():
