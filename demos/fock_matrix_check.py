@@ -4,10 +4,10 @@ The engine never represents operators as matrices; it tracks five real
 coefficients per observable.  This script rebuilds q, p, and the clock
 reading as dense truncated number-basis matrices, integrates the same
 equations of motion, the clock's among them (fourth-order steps, each leg
-folded into one power of the step map and applied to only the matrix
-entries it can reach), and compares the commutators, dense matrix
-products, entry by entry: all four times and both clock pairs come from
-one (4, 3, n, n) stack of frames and one stacked commutator.
+folded into one power of the step map, give a 4 x 4 propagator that is
+applied to the initial matrices), and compares the commutators, dense
+matrix products, entry by entry: all four times and both clock pairs come
+from one (4, 3, n, n) stack of frames and one stacked commutator.
 """
 
 import numpy as np

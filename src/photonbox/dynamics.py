@@ -30,9 +30,9 @@ routes compute both:
   and :func:`commutator_ode_grid`), each leg between grid times folded into
   one power of the step map.
 
-Every grid time must be finite and >= 0; the integrated routes and the
-oracle also need the grid ascending.  The first fault in grid order names
-the InvalidTime error.
+A grid is a 1-D array of numbers, and every grid time must be finite and
+>= 0; the integrated routes and the oracle also need the grid ascending.
+The first fault in grid order names the InvalidTime error.
 """
 
 from __future__ import annotations
@@ -99,7 +99,16 @@ class NumericOptions:
 
 def _times(ts: Sequence[float] | np.ndarray | float, ascending: bool = False) -> np.ndarray:
     """``ts`` as a float array held to the time contract above, ascending if asked."""
-    t = np.asarray(ts, dtype=float)
+    t = None
+    try:
+        t = np.asarray(ts)
+        if t.ndim == 1 and t.dtype.kind in "biufO":  # bools, numbers, or Python objects
+            t = t.astype(float, copy=False)
+    except (TypeError, ValueError):  # a ragged nesting, or an entry that is not a number
+        pass
+    if t is None or t.ndim != 1 or t.dtype != float:
+        shape = "a ragged nesting" if t is None else f"shape {t.shape} of {t.dtype}"
+        raise InvalidTime(f"a time grid must be a 1-D array of numbers, got {shape}")
     fault = ~(np.isfinite(t) & (t >= 0))
     if ascending:
         fault[1:] |= t[1:] < t[:-1]

@@ -57,10 +57,13 @@ def _require(error: type, name: str, value, low, high=math.inf, strict: bool = F
 
     With ``strict`` it must exceed ``low``.  No comparison converts ``value``
     to a float, so an int past the float range fails its bound, not with an
-    OverflowError.
+    OverflowError; a value that cannot be compared is refused as not a number.
     """
-    if (low < value if strict else low <= value) and value <= min(high, sys.float_info.max):
-        return
+    try:
+        if (low < value if strict else low <= value) and value <= min(high, sys.float_info.max):
+            return
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {value!r}") from None
     if high < math.inf:
         raise error(f"{name} must be between {low} and {high}, got {value!r}")
     raise error(f"{name} must be finite and {'>' if strict else '>='} {low}, got {value!r}")

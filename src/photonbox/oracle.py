@@ -5,16 +5,16 @@ purpose.  It builds explicit position and momentum matrices from ladder
 operators in a truncated number basis, integrates the same backward-time
 equations of motion, the clock matrix's among them, as honest matrix ODEs,
 and evaluates commutators by actual matrix multiplication.  The equations
-of motion are linear and act entry by entry, so the oracle writes them down
-itself as one 4 x 4 homogeneous system over (Q, P, Qcl, I) and steps it
-with the numeric coefficient route's leg loop, one power of the one-step
-map per leg between grid times.  That map is applied to only the entries it
-can reach (those of q0 and p0 that are nonzero, and the diagonal).  Like
-the engine, the oracle speaks in arrays: a grid of N times gives one dense
-(N, 3, n, n) stack of Q, P and Qcl, and a commutator is the dense matrix
-[A, B]/(i*hbar), over stacks of any shape.  Away from the truncation corner
-these matrices must reproduce the engine's chi values, which is what the
-scenario-level verification uses.
+of motion are linear with scalar coefficients, so the oracle writes them
+down itself as one 4 x 4 homogeneous system over (Q, P, Qcl, I), integrates
+its propagator Phi(t) from the identity with the numeric coefficient route's
+leg loop, one power of the one-step map per leg between grid times, and
+applies Phi(t) to the initial matrices (q0, p0, 0, I).  Like the engine,
+the oracle speaks in arrays: a grid of N times gives one dense (N, 3, n, n)
+stack of Q, P and Qcl, and a commutator is the dense matrix [A, B]/(i*hbar),
+over stacks of any shape.  Away from the truncation corner these matrices
+must reproduce the engine's chi values, which is what the scenario-level
+verification uses.
 
 Truncation contaminates the last basis states, so all block comparisons
 are restricted to the leading (n - buffer) x (n - buffer) block, and the
@@ -134,10 +134,11 @@ def oracle_evolve_grid(
     from q0, p0 and Qcl = 0 at t = 0: with the constant I carried as a fourth
     matrix of zero derivative, one homogeneous system (Q, P, Qcl, I)' =
     K (Q, P, Qcl, I) with a 4 x 4 K written down here, not taken from the
-    engine.  It acts entry by entry, so it is integrated once across the grid
-    by ``dynamics._rk4_grid``, the numeric route's RK4 leg loop (a leg shorter
-    than the step is one step), on only the entries it can reach: those where
-    q0 or p0 is nonzero, and the diagonal.  The rest stay exactly 0.
+    engine.  Its propagator Phi(t), the 4 x 4 solution of Phi' = K Phi from
+    the identity, is integrated once across the grid by
+    ``dynamics._rk4_grid``, the numeric route's RK4 leg loop (a leg shorter
+    than the step is one step).  Each frame is Phi(t) applied to the initial
+    matrices (q0, p0, 0, I).
 
     Raises
     ------
@@ -149,7 +150,6 @@ def oracle_evolve_grid(
     """
     ts = _times(ts, ascending=True)
     cfg = workspace.config
-    n_dim = cfg.n
     K = np.array(
         [
             [0.0, 1.0 / box.M, 0.0, 0.0],
@@ -158,18 +158,9 @@ def oracle_evolve_grid(
             [0.0, 0.0, 0.0, 0.0],
         ]
     )
-    # Gather the live entries into a (4, L) complex state.  K is real, so it
-    # acts on the float64 view, real and imaginary parts side by side.
-    diagonal = np.eye(n_dim, dtype=bool)
-    live = np.flatnonzero((workspace.q0 != 0) | (workspace.p0 != 0) | diagonal)
-    y0 = np.zeros((4, len(live)), dtype=complex)
-    y0[0] = workspace.q0.reshape(-1)[live]
-    y0[1] = workspace.p0.reshape(-1)[live]
-    y0[3] = diagonal.reshape(-1)[live]
-    out = _rk4_grid(K, y0.view(np.float64), ts, cfg.step, "oracle.step")
-    frames = np.zeros((len(ts), 3, n_dim * n_dim), dtype=complex)
-    frames[:, :, live] = out[:, :3].view(complex)
-    return frames.reshape(len(ts), 3, n_dim, n_dim)
+    phi = _rk4_grid(K, np.eye(4), ts, cfg.step, "oracle.step")
+    basis = np.stack([workspace.q0, workspace.p0, np.eye(cfg.n)])
+    return np.tensordot(phi[:, :3, [0, 1, 3]], basis, axes=1)
 
 
 def oracle_evolve(

@@ -151,17 +151,17 @@ class MassMixture:
     components: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple((float(w), float(m)) for w, m in self.components)
-        if not comps:
-            raise InvalidMixture("mixture must have at least one component")
-        total = 0.0
-        for w, m in comps:
+        comps = []
+        for w, m in self.components:  # guarded before float() can read a string
             _require(InvalidMixture, "weight", w, 0, strict=True)
             _require(InvalidMixture, "mass", m, 0)
-            total += w
+            comps.append((float(w), float(m)))
+        if not comps:
+            raise InvalidMixture("mixture must have at least one component")
+        total = sum(w for w, _ in comps)
         if abs(total - 1.0) > 1e-12:
             raise InvalidMixture(f"weights must sum to 1 within 1e-12, got {total}")
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", tuple(comps))
 
 
 @dataclass(frozen=True)
@@ -321,8 +321,8 @@ def infer_grid(
         From :func:`~photonbox.dynamics.closed_form_grid`.
     """
     state0.validate(consts.hbar)
-    t = np.asarray(ts, dtype=float)
-    frames, chi = closed_form_grid(consts, box, t)
+    frames, chi = closed_form_grid(consts, box, ts)
+    t = np.asarray(ts, dtype=float)  # a grid closed_form_grid has checked
     spreads = _spreads(_propagate(frames, state0, box.m, t)[1])
     dm, degenerate, valid = _mass_rule(frames[:, _PQ_ROWS, 4], spreads[:, _PQ_ROWS], t, box)
     with np.errstate(all="ignore"):
@@ -441,7 +441,7 @@ def mass_uncertainty(
     InvalidPrecision
         If dx is negative or not finite.
     """
-    t = _times(t)
+    t = _times([t])[0]
     _require(InvalidPrecision, "dx", dx, 0)
     a_m = frame[_PQ_ROWS, 4][_column(Route, route)]  # of the row the route measures
     dm, degenerate, valid = _mass_rule(np.array(a_m), np.array(dx), t, box)

@@ -2,8 +2,10 @@
 
 Each guard refuses nan, +inf, -inf and a value just past its bound with one
 error type and one message; a non-strict bound accepts its own limit, and a
-strict one refuses it.  A value of the wrong type, such as a string for an
-enum member or None for a scenario part, is refused with a text of its own.
+strict one refuses it.  A value that is not a number, such as "1", None or
+an array, is refused by the same guard with the text "<name> must be a
+number".  A value of the wrong type, such as a string for an enum member or
+None for a scenario part, is refused with a text of its own.
 A measurement is refused as it is built, not later when the state is
 prepared from it.
 """
@@ -13,6 +15,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import photonbox
@@ -217,6 +220,11 @@ REFUSED = [
     pytest.param(call, error, text, value, id=f"{name}-{value!r}")
     for name, (call, error, text, _, past, _) in GUARDS.items()
     for value in (math.nan, math.inf, -math.inf, *past)
+] + [
+    pytest.param(call, error, f"{field} must be a number", value, id=f"{name}-{value!r}")
+    for name, (call, error, text, *_) in GUARDS.items()
+    for field in text.split()[:1]
+    for value in ("1", None, np.array([1.0, 2.0]))
 ] + [
     pytest.param(call, error, text, value, id=f"{name}-{value!r}")
     for name, (call, error, text, values) in TYPES.items()

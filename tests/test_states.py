@@ -71,6 +71,13 @@ def test_state_rejects_negative_eigenvalue():
     assert str(info.value) == "sigma must be positive semidefinite, min eig -0.1"
 
 
+def test_state_rejects_negative_clock_variance():
+    # Within the semidefiniteness tolerance 1e-10, so only the clock check sees it.
+    with pytest.raises(InvalidState) as info:
+        GaussianState(np.zeros(3), np.diag([1.0, 1.0, -1e-12]))
+    assert str(info.value) == "clock variance must be >= 0"
+
+
 def test_validate_rejects_sub_heisenberg():
     # dq*dp = 0.4 < hbar/2; a singular block whose products overflow; and one
     # whose correlation rounds to just past 1.
