@@ -13,22 +13,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
 import re
 import stat
 import sys
-from typing import Any, Callable, Iterable, get_type_hints
+from typing import Any, Callable, Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .dynamics import NumericOptions
+from .dynamics import NumericOptions, _float
 from .errors import ConfigError, PhotonBoxError
 from .operators import BoxParams, FreeFall, Harmonic, PhysConstants
 from .oracle import OracleConfig
-from .scenario import Measurement, Scenario, SweepRow, run_scenario, sweep, verify
+from .scenario import SWEEP_DTYPE, Measurement, Scenario, run_scenario, sweep, verify
 from .states import Route
 
 __all__ = ["main", "load_config", "sci", "sci17", "sweep_csv"]
@@ -68,7 +67,7 @@ def sci17(x: float) -> str:
     return _bare_exponents("%.16e" % (x + 0.0))
 
 
-# The sweep CSV schema is SweepRow's: one column per field, in field order.
+# The sweep CSV schema is SWEEP_DTYPE: one column per field, in field order.
 # Floats print as in sci17 and booleans as true/false.  numpy writes the
 # digits of every cell it can certify (see the README) and copies sci17's
 # text for zeros, nan and infinities; sci17 writes the rest.
@@ -76,11 +75,11 @@ def sci17(x: float) -> str:
 # rounded h + lo: 1e-6 gives h = 1e16 exactly with lo < 0, so its digits are
 # 9.99...95e-7.  (h, lo) is within about 1.7e-15 of the exact product, far
 # inside _TIE_MARGIN, so any cell outside the margin rounds as sci17 does.
-# Rows go in blocks of _BLOCK_ROWS so that memory stays flat however long
-# the sweep.
-_IS_BOOL = np.array([t is bool for t in get_type_hints(SweepRow).values()])
+# Rows go in blocks of _BLOCK_ROWS, which bounds the writer's temporaries
+# however long the sweep.
+_IS_BOOL = np.array([SWEEP_DTYPE[name] == bool for name in SWEEP_DTYPE.names])
 _FLOATS, _BOOLS = np.flatnonzero(~_IS_BOOL), np.flatnonzero(_IS_BOOL)
-SWEEP_HEADER = ",".join(SweepRow._fields)
+SWEEP_HEADER = ",".join(SWEEP_DTYPE.names)
 _BLOCK_ROWS = 256
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _DECADES = range(-283, 283)  # every E the fast range reaches, moved by one either way
@@ -191,12 +190,17 @@ def _float_texts(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sweep_csv(rows: Iterable[SweepRow]) -> str:
-    """The sweep CSV: header, then one sci17-formatted line per row, LF endings."""
-    rows = iter(rows)
+def sweep_csv(rows: np.ndarray | Sequence[tuple]) -> str:
+    """The sweep CSV: header, then one sci17-formatted line per row, LF endings.
+
+    ``rows`` is a sweep, or anything ``np.asarray`` reads as records of
+    ``SWEEP_DTYPE``, such as a list of 17-tuples.
+    """
+    rows = np.asarray(rows, SWEEP_DTYPE)
     lines = [SWEEP_HEADER]
-    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-        table = np.fromiter(itertools.chain.from_iterable(block), float).reshape(len(block), -1)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        table = np.column_stack([block[name] for name in SWEEP_DTYPE.names])  # bools as 0.0 and 1.0
         words = np.zeros((len(block), len(_IS_BOOL), 8), np.uint32)
         words[:, :, 0] = _SEPARATORS
         # table[:, _FLOATS] comes back in Fortran order; the word views need C order.
@@ -232,16 +236,11 @@ def _check_keys(doc: dict, path: str, required: set[str], optional: set[str] = f
 
 
 def _number(doc: dict, path: str, key: str, integer: bool = False) -> float:
-    """``doc[key]`` as a float (``inf`` past the float range), or as an int if ``integer``."""
+    """``doc[key]`` as a float (``±inf`` past the float range), or as an int if ``integer``."""
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ConfigError(f"{path}.{key} must be {'an integer' if integer else 'a number'}")
-    if integer:
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
+    return value if integer else _float(value)
 
 
 @functools.cache

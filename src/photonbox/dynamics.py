@@ -32,7 +32,8 @@ routes compute both:
 
 A grid is a 1-D array of numbers, and every grid time must be finite and
 >= 0; the integrated routes and the oracle also need the grid ascending.
-The first fault in grid order names the InvalidTime error.
+The first fault in grid order names the InvalidTime error; an int past the
+float range reads as the infinity of its sign.
 """
 
 from __future__ import annotations
@@ -97,12 +98,22 @@ class NumericOptions:
         _require(InvalidStep, "step", self.step, 0, strict=True)
 
 
+def _float(x) -> float:
+    """``x`` as a float, an int past the float range as the infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _times(ts: Sequence[float] | np.ndarray | float, ascending: bool = False) -> np.ndarray:
     """``ts`` as a float array held to the time contract above, ascending if asked."""
     t = None
     try:
         t = np.asarray(ts)
-        if t.ndim == 1 and t.dtype.kind in "biufO":  # bools, numbers, or Python objects
+        if t.ndim == 1 and t.dtype == object:  # Python objects, such as an int past the float range
+            t = np.array([_float(x) for x in t])
+        elif t.ndim == 1 and t.dtype.kind in "biuf":  # bools or numbers
             t = t.astype(float, copy=False)
     except (TypeError, ValueError):  # a ragged nesting, or an entry that is not a number
         pass

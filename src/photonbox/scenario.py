@@ -7,10 +7,8 @@ identical scenario values produce bit-identical results.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +38,7 @@ __all__ = [
     "Measurement",
     "Scenario",
     "RunResult",
-    "SweepRow",
+    "SWEEP_DTYPE",
     "CheckResult",
     "VerificationReport",
     "run_scenario",
@@ -49,8 +47,9 @@ __all__ = [
 ]
 
 
-# Largest sweep or verify grid: each grid time holds a (3, 5) frame and a few
-# dozen scalars, so the cap keeps one call below about 2 GB.
+# Largest sweep or verify grid: each grid time holds a (3, 5) frame, a few
+# dozen scalars and, for a sweep, a CSV line of about 330 bytes, so the cap
+# keeps one CLI call below about 1 GB.
 MAX_GRID = 10**6
 
 
@@ -120,26 +119,14 @@ class RunResult:
     check_q: BoundCheck
 
 
-class SweepRow(NamedTuple):
-    """One measurement time in a sweep: a tuple whose fields are the CSV columns, in order."""
-
-    t: float
-    chi_p_qcl: float
-    chi_q_qcl: float
-    dq: float
-    dp: float
-    dqcl: float
-    dm_p: float
-    dm_q: float
-    dE_p: float
-    dE_q: float
-    dT: float
-    prod_p: float
-    prod_q: float
-    bound_ET: float
-    valid: bool
-    degenerate_p: bool
-    degenerate_q: bool
+# One measurement time in a sweep: the fields are the CSV columns, in order.
+SWEEP_DTYPE = np.dtype(
+    [(name, float) for name in (
+        "t", "chi_p_qcl", "chi_q_qcl", "dq", "dp", "dqcl", "dm_p", "dm_q",
+        "dE_p", "dE_q", "dT", "prod_p", "prod_q", "bound_ET",
+    )]
+    + [(name, bool) for name in ("valid", "degenerate_p", "degenerate_q")]
+)
 
 
 @dataclass(frozen=True)
@@ -185,12 +172,14 @@ def run_scenario(s: Scenario) -> RunResult:
     )
 
 
-def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> list[SweepRow]:
+def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> np.recarray:
     """Sweep the emission time over a uniform grid.
 
     Both inference routes are evaluated from the same propagated state at
     every grid point, so their columns stay directly comparable.  One
-    :func:`infer_grid` evaluation covers the whole grid.
+    :func:`infer_grid` evaluation covers the whole grid, and its columns are
+    returned as a read-only record array of ``SWEEP_DTYPE``, one record per
+    grid time: ``rows[i].dm_p`` is one cell and ``rows.dm_p`` a column.
 
     Raises
     ------
@@ -202,17 +191,14 @@ def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> list[SweepRow]
     _require(RangeError, "steps", steps, 2, MAX_GRID)
     _require_type(RangeError, "steps", steps, numbers.Integral, "an integer")
     grid = infer_grid(s.constants, s.box, s.initial_state(), np.linspace(t_min, t_max, steps))
-    dq, dp, dqcl = grid.spreads.T.tolist()
-    chi_p, chi_q = grid.chi.T.tolist()
-    dm_p, dm_q = grid.dm.T.tolist()
-    dE_p, dE_q = grid.dE.T.tolist()
-    prod_p, prod_q = grid.product.T.tolist()
-    deg_p, deg_q = grid.degenerate.T.tolist()
-    columns = (
-        grid.t.tolist(), chi_p, chi_q, dq, dp, dqcl, dm_p, dm_q, dE_p, dE_q, dqcl,
-        prod_p, prod_q, itertools.repeat(grid.hbar / 2.0), grid.valid.tolist(), deg_p, deg_q,
-    )
-    return list(map(SweepRow._make, zip(*columns)))
+    dq, dp, dqcl = grid.spreads.T
+    columns = [
+        grid.t, *grid.chi.T, dq, dp, dqcl, *grid.dm.T, *grid.dE.T, dqcl, *grid.product.T,
+        np.full(steps, grid.hbar / 2.0), grid.valid, *grid.degenerate.T,
+    ]
+    rows = np.rec.fromarrays(columns, dtype=SWEEP_DTYPE)
+    rows.flags.writeable = False
+    return rows
 
 
 def _chi(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ import stat
 import subprocess
 import sys
 import time
-import typing
 
 import numpy as np
 import pytest
@@ -21,8 +20,8 @@ from photonbox import (
     ConfigError,
     NumericOptions,
     OracleConfig,
+    SWEEP_DTYPE,
     Scenario,
-    SweepRow,
     oracle_evolve_grid,
     sweep,
 )
@@ -129,6 +128,7 @@ def test_sci_matches_legacy(x):
 
 def legacy_line(row):
     """A sweep CSV line as the per-cell writer formed it: the row writer's reference."""
+    row = tuple(row)  # a tuple, or one record of a sweep
     floats, flags = row[:14], row[14:]
     return ",".join([legacy_sci17(x) for x in floats] + ["true" if b else "false" for b in flags])
 
@@ -144,7 +144,7 @@ def test_sweep_csv_matches_legacy_cells(cells, numpy_scalars):
     if numpy_scalars:
         cells = [([np.float64(x) for x in floats], [np.bool_(b) for b in flags])
                  for floats, flags in cells]
-    assert_csv_matches_legacy([SweepRow(*floats, *flags) for floats, flags in cells])
+    assert_csv_matches_legacy([(*floats, *flags) for floats, flags in cells])
 
 
 EDGE_ROW = (-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -5e-324, -1e308, 0.0,
@@ -157,7 +157,7 @@ def test_sweep_csv_edge_row(numpy_scalars):
     floats, flags = list(EDGE_ROW), [True, False, True]
     if numpy_scalars:
         floats, flags = [np.float64(x) for x in floats], [np.bool_(b) for b in flags]
-    rows = [SweepRow(*floats, *flags), SweepRow(*floats[::-1], *flags[::-1])]
+    rows = [(*floats, *flags), (*floats[::-1], *flags[::-1])]
     assert_csv_matches_legacy(rows)
     cells = sweep_csv(rows).split("\n")[1].split(",")
     assert cells[:6] == ["0.0000000000000000e0", "inf", "-inf", "nan",
@@ -177,10 +177,10 @@ def test_sweep_csv_matches_legacy_on_a_multi_revival_spring(tmp_path):
 
 
 def rows_of(cells, flags=(True, False, True)):
-    """SweepRows holding the float cells in order, 14 to a row, the last padded with 0.5."""
+    """Sweep rows as tuples holding the float cells in order, 14 to a row, the last padded with 0.5."""
     cells = [float(x) for x in cells]
     cells += [0.5] * (-len(cells) % 14)
-    return [SweepRow(*cells[i:i + 14], *flags) for i in range(0, len(cells), 14)]
+    return [(*cells[i:i + 14], *flags) for i in range(0, len(cells), 14)]
 
 
 def test_sweep_csv_matches_legacy_at_every_decade():
@@ -207,7 +207,7 @@ def test_sweep_csv_matches_legacy_across_block_seams():
     n = 2 * _BLOCK_ROWS + 1
     floats = rng.integers(0, 2**64, size=(n, 14), dtype=np.uint64).view(np.float64)
     flags = rng.integers(0, 2, size=(n, 3)).astype(bool)
-    assert_csv_matches_legacy([SweepRow(*f, *b) for f, b in zip(floats.tolist(), flags.tolist())])
+    assert_csv_matches_legacy([(*f, *b) for f, b in zip(floats.tolist(), flags.tolist())])
 
 
 def test_sweep_csv_sends_only_uncertified_cells_to_sci17(monkeypatch):
@@ -255,7 +255,7 @@ def test_sweep_csv_matches_legacy_on_seeded_sweeps(seed):
     rows = seeded_sweep(seed)
     if seed % 2:
         assert any(math.isinf(row.dm_p) for row in rows)
-    assert sweep_csv(rows) == "\n".join([photonbox.cli.SWEEP_HEADER, *map(legacy_line, rows), ""])
+    assert sweep_csv(rows) == "\n".join([photonbox.cli.SWEEP_HEADER, *map(legacy_line, rows.tolist()), ""])
 
 
 def test_sci17_fixed_width():
@@ -391,19 +391,24 @@ def test_sweep_header_and_endings(tmp_path):
 
 
 def test_sweep_schema_is_the_row_type():
-    # One source for the schema: the row type's fields are the CSV header,
-    # as written in the golden file and the README.
-    header = ",".join(SweepRow._fields)
+    # One source for the schema: the record fields of a sweep are the CSV
+    # header, as written in the golden file and the README.
+    header = ",".join(SWEEP_DTYPE.names)
+    assert photonbox.cli.SWEEP_HEADER == header
     assert (DATA / "reference_sweep.csv").read_text().split("\n")[0] == header
     assert header in (ROOT / "README.md").read_text().splitlines()
     flags = ["valid", "degenerate_p", "degenerate_q"]
-    hints = typing.get_type_hints(SweepRow)
-    assert [name for name, t in hints.items() if t is bool] == flags
-    assert all(hints[name] is float for name in SweepRow._fields if name not in flags)
-    row = sweep(load_config(str(CONFIG)), 0.5, 4.0, 2)[0]
-    assert all(type(getattr(row, name)) is bool for name in flags)
-    with pytest.raises(AttributeError):
-        row.t = 1.0
+    assert [name for name in SWEEP_DTYPE.names if SWEEP_DTYPE[name] == bool] == flags
+    assert all(SWEEP_DTYPE[name] == float for name in SWEEP_DTYPE.names if name not in flags)
+    rows = sweep(load_config(str(CONFIG)), 0.5, 4.0, 2)
+    assert isinstance(rows, np.recarray) and rows.dtype == SWEEP_DTYPE and len(rows) == 2
+    first = rows.tolist()[0]
+    assert [type(v) for v in first] == [float] * 14 + [bool] * 3
+    assert rows[0].t == rows.t[0] == first[0] == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        rows.t[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0].t = 1.0
 
 
 def test_sweep_serializes_inf_rows(tmp_path):
@@ -1049,6 +1054,16 @@ def test_run_overflow_exits_1(tmp_path):
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(cfg))
     _assert_overflow_error(run_cli("run", "--config", str(p)))
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])
+def test_integer_literal_past_float_range_reads_as_signed_infinity(tmp_path, capsys, sign):
+    # A 401-digit integer literal reads as the infinity of its sign, as a time
+    # grid reads such an int.
+    assert main(["run", "--config", str(write_config(tmp_path, sign * 10**400))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: invalid config: t_emit must be finite and >= 0, got {sign * math.inf!r}\n"
+    assert captured.out == ""
 
 
 def test_sweep_overflow_exits_1(tmp_path):

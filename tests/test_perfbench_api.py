@@ -16,7 +16,16 @@ import pathlib
 import pytest
 
 import photonbox.cli  # noqa: F401 - the tracer wraps functions of every listed module
-from photonbox import BoxParams, FreeFall, NumericOptions, OracleConfig, PhysConstants
+from photonbox import (
+    BoxParams,
+    FreeFall,
+    Measurement,
+    NumericOptions,
+    OracleConfig,
+    PhysConstants,
+    Route,
+    Scenario,
+)
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -67,6 +76,7 @@ def test_hooks_record_traced_calls():
     consts = PhysConstants()
     box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
     ws = home("oracle").build_workspace(OracleConfig(n=16, buffer=2), consts)
+    s = Scenario(consts, box, Measurement(Route.P, 0.5), t_emit=1.0)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -74,9 +84,12 @@ def test_hooks_record_traced_calls():
         dynamics.evolve_numeric_grid(consts, box, [0.0, 0.5], NumericOptions(step=0.1))
         dynamics.commutator_ode_grid(consts, box, [0.5])
         oracle.oracle_evolve(ws, consts, box, 0.01)
+        home("scenario").sweep(s, 0.5, 4.0, 8)
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics["dynamics.evolve_numeric_grid.steps"][0] == 5
     assert metrics["dynamics.commutator_ode_grid.steps"][0] == 500
     assert metrics["oracle.oracle_evolve.steps"][0] == 10
+    assert metrics["scenario.sweep.calls"][0] == 1
+    assert metrics["scenario.sweep.rows"][0] == 8

@@ -36,8 +36,8 @@ from photonbox import (
     OracleConfig,
     PhysConstants,
     Route,
+    SWEEP_DTYPE,
     Scenario,
-    SweepRow,
     build_workspace,
     oracle_evolve_grid,
     run_scenario,
@@ -136,32 +136,33 @@ def ref_point(s, t):
 
 
 def ref_sweep(s, t_min, t_max, steps):
+    """The sweep as tuples of Python floats and bools, one per time, in SWEEP_DTYPE's field order."""
     rows = []
     for t in np.linspace(t_min, t_max, steps):
         t = float(t)
         r = ref_point(s, t)
         p, q = r["p"], r["q"]
-        rows.append(
-            SweepRow(
-                t=t,
-                chi_p_qcl=r["chi_p"],
-                chi_q_qcl=r["chi_q"],
-                dq=r["dq"],
-                dp=r["dp"],
-                dqcl=r["dqcl"],
-                dm_p=p["dm"],
-                dm_q=q["dm"],
-                dE_p=p["dE"],
-                dE_q=q["dE"],
-                dT=r["dqcl"],
-                prod_p=p["product"],
-                prod_q=q["product"],
-                bound_ET=s.constants.hbar / 2.0,
-                valid=p["valid"],
-                degenerate_p=p["degenerate"],
-                degenerate_q=q["degenerate"],
-            )
+        row = dict(
+            t=t,
+            chi_p_qcl=r["chi_p"],
+            chi_q_qcl=r["chi_q"],
+            dq=r["dq"],
+            dp=r["dp"],
+            dqcl=r["dqcl"],
+            dm_p=p["dm"],
+            dm_q=q["dm"],
+            dE_p=p["dE"],
+            dE_q=q["dE"],
+            dT=r["dqcl"],
+            prod_p=p["product"],
+            prod_q=q["product"],
+            bound_ET=s.constants.hbar / 2.0,
+            valid=p["valid"],
+            degenerate_p=p["degenerate"],
+            degenerate_q=q["degenerate"],
         )
+        assert tuple(row) == SWEEP_DTYPE.names
+        rows.append(tuple(row.values()))
     return rows
 
 
@@ -186,8 +187,8 @@ def assert_sweep_matches(s, t_min, t_max, steps):
     got = sweep(s, t_min, t_max, steps)
     ref = ref_sweep(s, t_min, t_max, steps)
     assert len(got) == len(ref) == steps
-    for i, (g, r) in enumerate(zip(got, ref)):
-        assert row_bits(g) == row_bits(r), f"row {i} (t={r.t!r})"
+    for i, (g, r) in enumerate(zip(got.tolist(), ref)):
+        assert row_bits(g) == row_bits(r), f"row {i} (t={r[0]!r})"
 
 
 def assert_run_matches(s):

@@ -77,6 +77,9 @@ CASES = {
     "unsorted": ((1.0, 0.5), UNSORTED, None),
     "unsorted_before_nan": ((1.0, 0.5, math.nan), UNSORTED, bad(math.nan)),
     "nan_before_unsorted": ((1.0, math.nan, 0.5), bad(math.nan), bad(math.nan)),
+    # An int past the float range reads as the infinity of its sign.
+    "huge_int": ((10**400,), bad(math.inf), bad(math.inf)),
+    "-huge_int": ((1.0, -10**400), bad(-math.inf), bad(-math.inf)),
 }
 # A grid that is not a 1-D array of numbers, and the text every grid route
 # raises on it.  mass_uncertainty takes one time, so these are no grids to it.
@@ -150,6 +153,14 @@ def test_single_time_view_refuses_an_array_t(view):
     with pytest.raises(InvalidTime) as info:
         VIEWS[view](np.array([1.0, 2.0]))
     assert str(info.value) == not_a_grid("shape (1, 2) of float64")
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])
+@pytest.mark.parametrize("view", VIEWS)
+def test_single_time_view_reads_a_huge_int_as_infinity(view, sign):
+    with pytest.raises(InvalidTime) as info:
+        VIEWS[view](sign * 10**400)
+    assert str(info.value) == bad(sign * math.inf)
 
 
 TIMES = st.one_of(
