@@ -19,7 +19,7 @@ import os
 import re
 import stat
 import sys
-from typing import Any, Callable, Iterable, Sequence, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -75,8 +75,8 @@ def sci17(x: float) -> str:
 # rounded h + lo: 1e-6 gives h = 1e16 exactly with lo < 0, so its digits are
 # 9.99...95e-7.  (h, lo) is within about 1.7e-15 of the exact product, far
 # inside _TIE_MARGIN, so any cell outside the margin rounds as sci17 does.
-# Rows go in blocks of _BLOCK_ROWS, which bounds the writer's temporaries
-# however long the sweep.
+# Rows go in blocks of _BLOCK_ROWS, and the CLI writes each block's text as
+# it is made, so the writer holds one block however long the sweep.
 _IS_BOOL = np.array([SWEEP_DTYPE[name] == bool for name in SWEEP_DTYPE.names])
 _FLOATS, _BOOLS = np.flatnonzero(~_IS_BOOL), np.flatnonzero(_IS_BOOL)
 SWEEP_HEADER = ",".join(SWEEP_DTYPE.names)
@@ -190,14 +190,10 @@ def _float_texts(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sweep_csv(rows: np.ndarray | Sequence[tuple]) -> str:
-    """The sweep CSV: header, then one sci17-formatted line per row, LF endings.
-
-    ``rows`` is a sweep, or anything ``np.asarray`` reads as records of
-    ``SWEEP_DTYPE``, such as a list of 17-tuples.
-    """
+def _csv_chunks(rows: np.ndarray | Sequence[tuple]) -> Iterator[bytes]:
+    """The sweep CSV as ASCII chunks: the header, one chunk per block of rows, the last LF."""
     rows = np.asarray(rows, SWEEP_DTYPE)
-    lines = [SWEEP_HEADER]
+    yield SWEEP_HEADER.encode()
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         table = np.column_stack([block[name] for name in SWEEP_DTYPE.names])  # bools as 0.0 and 1.0
@@ -206,9 +202,17 @@ def sweep_csv(rows: np.ndarray | Sequence[tuple]) -> str:
         # table[:, _FLOATS] comes back in Fortran order; the word views need C order.
         words[:, _FLOATS, 1:] = _float_texts(np.ascontiguousarray(table[:, _FLOATS]))
         words[:, _BOOLS, 1:3] = _BOOL_WORDS[(table[:, _BOOLS] != 0).astype(np.intp)]
-        lines.append(words.tobytes().translate(None, b"\0").decode("ascii"))
-    lines.append("\n")
-    return "".join(lines)
+        yield words.tobytes().translate(None, b"\0")
+    yield b"\n"
+
+
+def sweep_csv(rows: np.ndarray | Sequence[tuple]) -> str:
+    """The sweep CSV: header, then one sci17-formatted line per row, LF endings.
+
+    ``rows`` is a sweep, or anything ``np.asarray`` reads as records of
+    ``SWEEP_DTYPE``, such as a list of 17-tuples.
+    """
+    return b"".join(_csv_chunks(rows)).decode("ascii")
 
 
 def _jsonable(x: Any) -> Any:
@@ -339,8 +343,8 @@ def _build(cls, path, **kwargs):
 # =============================================================================
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write an ``--out`` file in place, creating it if missing.
+def _write_out(path: str, chunks: Iterable[bytes]) -> None:
+    """Write an ``--out`` file in place, one chunk at a time, creating it if missing.
 
     The file is opened without ``O_TRUNC``, overwritten from the start and
     then, if it is a regular file, cut to the length just written: on ext4,
@@ -350,11 +354,11 @@ def _write_out(path: str, text: str) -> None:
     followed as ``open`` would; a device or pipe is written through and
     never truncated.
     """
-    data = text.encode("utf-8")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
+        for chunk in chunks:
+            fh.write(chunk)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate(len(data))
+            fh.truncate(fh.tell())
 
 
 def _text_lines(doc: dict[str, Any], prefix: str = "") -> Iterable[str]:
@@ -396,13 +400,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for line in _text_lines(doc):
         print(line)
     if args.out:
-        _write_out(args.out, json.dumps(doc, indent=2) + "\n")
+        _write_out(args.out, [(json.dumps(doc, indent=2) + "\n").encode()])
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     s = load_config(args.config)
-    _write_out(args.out, sweep_csv(sweep(s, args.t_min, args.t_max, args.steps)))
+    _write_out(args.out, _csv_chunks(sweep(s, args.t_min, args.t_max, args.steps)))
     return EXIT_OK
 
 

@@ -52,12 +52,17 @@ class RangeError(PhotonBoxError):
     """A sweep range is empty, reversed, or otherwise unusable."""
 
 
+# The lowest finite float: as the ``low`` of _require, a bound that only refuses nan and ±inf.
+_ANY_FINITE = -sys.float_info.max
+
+
 def _require(error: type, name: str, value, low, high=math.inf, strict: bool = False) -> None:
     """Raise ``error`` unless ``value`` is finite, at most ``high`` and at least ``low``.
 
-    With ``strict`` it must exceed ``low``.  No comparison converts ``value``
-    to a float, so an int past the float range fails its bound, not with an
-    OverflowError; a value that cannot be compared is refused as not a number.
+    With ``strict`` it must exceed ``low``; a ``low`` of ``_ANY_FINITE`` asks
+    only that it be finite.  No comparison converts ``value`` to a float, so
+    an int past the float range fails its bound, not with an OverflowError;
+    a value that cannot be compared is refused as not a number.
     """
     try:
         if (low < value if strict else low <= value) and value <= min(high, sys.float_info.max):
@@ -66,6 +71,8 @@ def _require(error: type, name: str, value, low, high=math.inf, strict: bool = F
         raise error(f"{name} must be a number, got {value!r}") from None
     if high < math.inf:
         raise error(f"{name} must be between {low} and {high}, got {value!r}")
+    if low == _ANY_FINITE:
+        raise error(f"{name} must be finite, got {value!r}")
     raise error(f"{name} must be finite and {'>' if strict else '>='} {low}, got {value!r}")
 
 

@@ -25,10 +25,12 @@ from .operators import BoxParams, PhysConstants
 from .oracle import OracleConfig, build_workspace, oracle_commutator, oracle_evolve_grid
 from .states import (
     MIN_DEVICE_PRECISION,
+    SWEEP_DTYPE,
     BoundCheck,
     GaussianState,
     InferenceReport,
     Route,
+    _report,
     _robertson,
     infer_grid,
     prepare_post_measurement_state,
@@ -38,7 +40,6 @@ __all__ = [
     "Measurement",
     "Scenario",
     "RunResult",
-    "SWEEP_DTYPE",
     "CheckResult",
     "VerificationReport",
     "run_scenario",
@@ -47,9 +48,9 @@ __all__ = [
 ]
 
 
-# Largest sweep or verify grid: each grid time holds a (3, 5) frame, a few
-# dozen scalars and, for a sweep, a CSV line of about 330 bytes, so the cap
-# keeps one CLI call below about 1 GB.
+# Largest sweep or verify grid: each grid time holds a (3, 5) frame and a few
+# dozen scalars (the sweep CSV is written a block at a time), so the cap keeps
+# one CLI call below about 1 GB.
 MAX_GRID = 10**6
 
 
@@ -119,16 +120,6 @@ class RunResult:
     check_q: BoundCheck
 
 
-# One measurement time in a sweep: the fields are the CSV columns, in order.
-SWEEP_DTYPE = np.dtype(
-    [(name, float) for name in (
-        "t", "chi_p_qcl", "chi_q_qcl", "dq", "dp", "dqcl", "dm_p", "dm_q",
-        "dE_p", "dE_q", "dT", "prod_p", "prod_q", "bound_ET",
-    )]
-    + [(name, bool) for name in ("valid", "degenerate_p", "degenerate_q")]
-)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """One verification check with its worst deviation and tolerance."""
@@ -156,30 +147,21 @@ def run_scenario(s: Scenario) -> RunResult:
     infers the photon energy/arrival-time spreads along the scenario's
     measurement route.  The single-time case of :func:`infer_grid`.
     """
-    grid = infer_grid(s.constants, s.box, s.initial_state(), [s.t_emit])
-    chi_p, chi_q = grid.chi[0].tolist()
-    dq, dp, dqcl = grid.spreads[0].tolist()
-    return RunResult(
-        report=grid.report(0, s.measurement.route),
-        frame=grid.frames[0],
-        chi_p_qcl=chi_p,
-        chi_q_qcl=chi_q,
-        dq=dq,
-        dp=dp,
-        dqcl=dqcl,
-        check_p=_robertson(dp, dqcl, chi_p, grid.hbar),
-        check_q=_robertson(dq, dqcl, chi_q, grid.hbar),
-    )
+    frames, rows = infer_grid(s.constants, s.box, s.initial_state(), [s.t_emit])
+    row = rows[0].item()
+    chi_p, chi_q, dq, dp, dqcl = row[1:6]
+    hbar = s.constants.hbar
+    checks = _robertson(dp, dqcl, chi_p, hbar), _robertson(dq, dqcl, chi_q, hbar)
+    return RunResult(_report(row, s.measurement.route), frames[0], *row[1:6], *checks)
 
 
 def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> np.recarray:
     """Sweep the emission time over a uniform grid.
 
     Both inference routes are evaluated from the same propagated state at
-    every grid point, so their columns stay directly comparable.  One
-    :func:`infer_grid` evaluation covers the whole grid, and its columns are
-    returned as a read-only record array of ``SWEEP_DTYPE``, one record per
-    grid time: ``rows[i].dm_p`` is one cell and ``rows.dm_p`` a column.
+    every grid point, so their columns stay directly comparable.  Returns the
+    ``SWEEP_DTYPE`` records of one :func:`infer_grid` call as a read-only
+    record array: ``rows[i].dm_p`` is one cell and ``rows.dm_p`` a column.
 
     Raises
     ------
@@ -190,15 +172,8 @@ def sweep(s: Scenario, t_min: float, t_max: float, steps: int) -> np.recarray:
     _require(RangeError, "t_max", t_max, t_min, strict=True)
     _require(RangeError, "steps", steps, 2, MAX_GRID)
     _require_type(RangeError, "steps", steps, numbers.Integral, "an integer")
-    grid = infer_grid(s.constants, s.box, s.initial_state(), np.linspace(t_min, t_max, steps))
-    dq, dp, dqcl = grid.spreads.T
-    columns = [
-        grid.t, *grid.chi.T, dq, dp, dqcl, *grid.dm.T, *grid.dE.T, dqcl, *grid.product.T,
-        np.full(steps, grid.hbar / 2.0), grid.valid, *grid.degenerate.T,
-    ]
-    rows = np.rec.fromarrays(columns, dtype=SWEEP_DTYPE)
-    rows.flags.writeable = False
-    return rows
+    ts = np.linspace(t_min, t_max, steps)
+    return infer_grid(s.constants, s.box, s.initial_state(), ts)[1].view(np.recarray)
 
 
 def _chi(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .dynamics import _PQ_ROWS, Pair, _column, _times, closed_form_grid
 from .errors import ConfigError, InvalidMixture, InvalidPrecision, InvalidState, NoElapsedTime
-from .errors import _require, _require_type
+from .errors import _ANY_FINITE, _require, _require_type
 from .operators import BoxParams, PhysConstants
 
 __all__ = [
@@ -37,12 +38,12 @@ __all__ = [
     "MassEstimate",
     "BoundCheck",
     "InferenceReport",
-    "InferenceGrid",
     "MixtureMoments",
     "TimeEnergyDiagnostic",
     "BOUND_SLACK",
     "DEGENERACY_ATOL",
     "MIN_DEVICE_PRECISION",
+    "SWEEP_DTYPE",
     "infer_grid",
     "propagate_state",
     "check_bound",
@@ -66,6 +67,18 @@ DEGENERACY_ATOL = 1e-12
 # Device precisions below this are rejected rather than fed into the
 # conjugate-spread formula hbar/(2*dx).
 MIN_DEVICE_PRECISION = 1e-12
+
+
+# One emission time, as infer_grid reports it; the fields are the sweep CSV's columns, in order.
+SWEEP_DTYPE = np.dtype(
+    [(name, float) for name in (
+        "t", "chi_p_qcl", "chi_q_qcl", "dq", "dp", "dqcl", "dm_p", "dm_q",
+        "dE_p", "dE_q", "dT", "prod_p", "prod_q", "bound_ET",
+    )]
+    + [(name, bool) for name in ("valid", "degenerate_p", "degenerate_q")]
+)
+# The same record as two blocks, its 14 floats and its 3 flags.
+_BLOCKS = np.dtype([("floats", float, (14,)), ("flags", bool, (3,))])
 
 
 class Route(enum.Enum):
@@ -101,8 +114,11 @@ class GaussianState:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
+        try:
+            mu = np.asarray(self.mu, dtype=float)
+            sigma = np.asarray(self.sigma, dtype=float)
+        except (TypeError, ValueError):  # an entry that is not a number, or a ragged nesting
+            raise InvalidState("mu and sigma must be arrays of numbers") from None
         if mu.shape != (3,):
             raise InvalidState(f"mu must have shape (3,), got {mu.shape}")
         if sigma.shape != (3, 3):
@@ -151,8 +167,14 @@ class MassMixture:
     components: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        try:
+            pairs = [(w, m) for w, m in self.components]
+        except (TypeError, ValueError):  # not an iterable of pairs
+            raise InvalidMixture(
+                f"components must be (weight, mass) pairs, got {self.components!r}"
+            ) from None
         comps = []
-        for w, m in self.components:  # guarded before float() can read a string
+        for w, m in pairs:  # guarded before float() can read a string
             _require(InvalidMixture, "weight", w, 0, strict=True)
             _require(InvalidMixture, "mass", m, 0)
             comps.append((float(w), float(m)))
@@ -223,29 +245,35 @@ class TimeEnergyDiagnostic:
     bound: float
 
 
-def _propagate(
-    frames: np.ndarray, state0: GaussianState, m: float | np.ndarray, ts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Means (..., 3) and covariances (..., 3, 3) of Q, P, Qcl along frames (..., 3, 5).
+def _covariance(frames: np.ndarray, sigma0: np.ndarray, ts: np.ndarray | None = None) -> np.ndarray:
+    """Covariances S Sigma S^T (..., 3, 3) of Q, P, Qcl along frames (..., 3, 5).
 
-    ``m`` broadcasts against the means.  A moment that overflows raises InvalidState,
-    without numpy warnings; for a grid (N, 3, 5) at times ``ts``, naming the first bad t.
+    An entry that overflows raises InvalidState, without numpy warnings; for
+    a grid (N, 3, 5) at times ``ts``, naming the first bad t.
     """
-    mu_q, mu_p, mu_cl = state0.mu.tolist()
-    a = frames
     S = frames[..., :3]
     with np.errstate(all="ignore"):
-        # mean_of(X) for every row X, term by term in mean_of's order
-        mu_t = a[..., 0] * mu_q + a[..., 1] * mu_p + a[..., 2] * mu_cl + a[..., 3] + a[..., 4] * m
-        sigma_t = S @ state0.sigma @ S.swapaxes(-1, -2)
+        sigma_t = S @ sigma0 @ S.swapaxes(-1, -2)
         sigma_t = 0.5 * (sigma_t + sigma_t.swapaxes(-1, -2))
-        all_finite = math.isfinite(mu_t.sum() + sigma_t.sum())
+        all_finite = math.isfinite(sigma_t.sum())
     if not all_finite:  # the sum of finite values may still overflow; then look closer
-        finite = np.isfinite(mu_t).all(axis=-1) & np.isfinite(sigma_t).all(axis=(-2, -1))
+        finite = np.isfinite(sigma_t).all(axis=(-2, -1))
         if not finite.all():
             at = "" if ts is None else f" at t={float(ts[np.argmin(finite)])!r}"
             raise InvalidState(f"propagated moments are not finite{at}")
-    return mu_t, sigma_t
+    return sigma_t
+
+
+def _propagate(
+    a: np.ndarray, state0: GaussianState, m: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means of Q, P, Qcl along one frame (3, 5), broadcast over ``m``, and their covariance."""
+    mu_q, mu_p, mu_cl = state0.mu.tolist()
+    with np.errstate(all="ignore"):  # mean_of(X) for every row X, term by term in mean_of's order
+        mu_t = a[..., 0] * mu_q + a[..., 1] * mu_p + a[..., 2] * mu_cl + a[..., 3] + a[..., 4] * m
+    if not np.isfinite(mu_t).all():
+        raise InvalidState("propagated moments are not finite")
+    return mu_t, _covariance(a, state0.sigma)
 
 
 def _mass_rule(
@@ -266,82 +294,63 @@ def _mass_rule(
     return dm, degenerate, valid
 
 
-@dataclass(frozen=True)
-class InferenceGrid:
-    """Both inference routes on a grid of emission times, as arrays.
-
-    ``spreads`` holds (dq, dp, dqcl), and dT = dqcl; route and pair columns run
-    P then Q.  A degenerate entry (no mass information) has inf dm, dE and product.
-    """
-
-    t: np.ndarray  # (N,)
-    frames: np.ndarray  # (N, 3, 5), as from closed_form_grid
-    chi: np.ndarray  # (N, 2)
-    spreads: np.ndarray  # (N, 3)
-    dm: np.ndarray  # (N, 2)
-    dE: np.ndarray  # (N, 2)
-    product: np.ndarray  # (N, 2)
-    degenerate: np.ndarray  # (N, 2)
-    valid: np.ndarray  # (N,)
-    hbar: float
-
-    def report(self, i: int, route: Route) -> InferenceReport:
-        j = _column(Route, route)
-        return InferenceReport(
-            route=route,
-            t=float(self.t[i]),
-            dm=float(self.dm[i, j]),
-            dE=float(self.dE[i, j]),
-            dT=float(self.spreads[i, 2]),
-            product=float(self.product[i, j]),
-            bound=self.hbar / 2.0,
-            valid=bool(self.valid[i]),
-            degenerate=bool(self.degenerate[i, j]),
-        )
-
-
 def infer_grid(
     consts: PhysConstants,
     box: BoxParams,
     state0: GaussianState,
     ts: Sequence[float] | np.ndarray,
-) -> InferenceGrid:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate frames, commutators, spreads and both routes' inference at once.
 
-    ``state0`` is checked once, against the quantum uncertainty
-    invariant.  Every time is propagated by one batched S Sigma S^T, and
-    the measured box spread of each route converts into dm = dX/|a_m| and
-    dE = c**2*dm, reported next to the product dE*dT and the bound hbar/2.
+    ``state0`` is checked once, against the quantum uncertainty invariant.
+    One batched S Sigma S^T moves the covariance to every time (nothing here
+    reads a mean, so none is moved), and the measured box spread of each
+    route converts into dm = dX/|a_m| and dE = c**2*dm, next to the product
+    dE*dT and the bound hbar/2.  Returns the (N, 3, 5) frames and one
+    read-only ``SWEEP_DTYPE`` record per time; a degenerate entry (no mass
+    information) has inf dm, dE and product.
 
     Raises
     ------
     InvalidState
-        If ``state0`` breaks that invariant, or a propagated moment overflows.
+        If ``state0`` breaks that invariant, or a propagated variance overflows.
     InvalidTime
         From :func:`~photonbox.dynamics.closed_form_grid`.
     """
     state0.validate(consts.hbar)
     frames, chi = closed_form_grid(consts, box, ts)
     t = np.asarray(ts, dtype=float)  # a grid closed_form_grid has checked
-    spreads = _spreads(_propagate(frames, state0, box.m, t)[1])
+    spreads = _spreads(_covariance(frames, state0.sigma, t))
     dm, degenerate, valid = _mass_rule(frames[:, _PQ_ROWS, 4], spreads[:, _PQ_ROWS], t, box)
     with np.errstate(all="ignore"):
         dE = consts.c * consts.c * dm
         product = dE * spreads[:, 2:]
     dE[degenerate] = math.inf
     product[degenerate] = math.inf
-    return InferenceGrid(
-        t=t,
-        frames=frames,
-        chi=chi,
-        spreads=spreads,
-        dm=dm,
-        dE=dE,
-        product=product,
-        degenerate=degenerate,
-        valid=valid,
-        hbar=consts.hbar,
-    )
+    rows = np.empty(len(t), SWEEP_DTYPE)
+    floats, flags = (rows.view(_BLOCKS)[block] for block in _BLOCKS.names)
+    floats[:, 0], floats[:, 1:3], floats[:, 3:6] = t, chi, spreads  # in SWEEP_DTYPE's order
+    floats[:, 6:8], floats[:, 8:10], floats[:, 10] = dm, dE, spreads[:, 2]
+    floats[:, 11:13], floats[:, 13] = product, consts.hbar / 2.0
+    flags[:, 0], flags[:, 1:] = valid, degenerate
+    rows.flags.writeable = False
+    return frames, rows
+
+
+# The record fields of an InferenceReport after its route, for each route.
+_REPORT_FIELDS = {
+    route: operator.itemgetter(*(
+        SWEEP_DTYPE.names.index(name.format(route.value))
+        for name in ("t", "dm_{}", "dE_{}", "dT", "prod_{}", "bound_ET", "valid", "degenerate_{}")
+    ))
+    for route in Route
+}
+
+
+def _report(row: tuple, route: Route) -> InferenceReport:
+    """One route's report from one ``SWEEP_DTYPE`` record, as ``rows[i].item()`` gives it."""
+    _column(Route, route)  # refuses anything but a Route
+    return InferenceReport(route, *_REPORT_FIELDS[route](row))
 
 
 def propagate_state(
@@ -360,7 +369,8 @@ def propagate_state(
     state0 : GaussianState
         Moments of the initial operators.
     m : float
-        Photon mass for the mean transport (variances do not depend on it).
+        Photon mass for the mean transport (variances do not depend on it),
+        finite and >= 0.
     hbar : float, optional
         When given, the initial state must also satisfy the quantum
         uncertainty invariant (see :meth:`GaussianState.validate`).
@@ -373,9 +383,12 @@ def propagate_state(
 
     Raises
     ------
+    ConfigError
+        If ``m`` is not a finite number >= 0.
     InvalidState
         If ``state0`` breaks that invariant, or a propagated moment overflows.
     """
+    _require(ConfigError, "m", m, 0)
     state0.validate(hbar)
     return GaussianState(*_propagate(frame, state0, m))
 
@@ -389,9 +402,11 @@ def check_bound(
     """Robertson bound dX*dY >= hbar*|chi|/2 for one clock pair.
 
     ``state_t`` must hold the propagated moments at the same time the
-    commutator chi was evaluated.  The comparison carries a relative slack of
-    ``BOUND_SLACK`` so saturating states pass.
+    commutator chi was evaluated, and chi must be a finite number, or
+    ConfigError.  The comparison carries a relative slack of ``BOUND_SLACK``
+    so saturating states pass.
     """
+    _require(ConfigError, "chi", chi, _ANY_FINITE)
     spreads = state_t.spreads
     dx = float(spreads[_PQ_ROWS][_column(Pair, pair)])
     return _robertson(dx, float(spreads[2]), chi, consts.hbar)
@@ -464,7 +479,7 @@ def photon_inference(
     information) dm, dE, and the product are all ``inf``.  The single-time,
     single-route view of :func:`infer_grid`.
     """
-    return infer_grid(consts, box, state0, [t]).report(0, route)
+    return _report(infer_grid(consts, box, state0, [t])[1][0].item(), route)
 
 
 def prepare_post_measurement_state(
@@ -542,9 +557,11 @@ def time_energy_diagnostic(
     Raises
     ------
     ConfigError, NoElapsedTime, InvalidState
-        If ``denominator`` is not a :class:`Denominator`, or it vanishes, or var H overflows.
+        If ``denominator`` is not a :class:`Denominator` or ``m`` not a finite number >= 0,
+        or the denominator vanishes, or var H overflows.
     """
     _require_type(ConfigError, "denominator", denominator, Denominator, "a Denominator")
+    _require(ConfigError, "m", m, 0)
     mu, sigma = state_t.mu, state_t.sigma
     k = box.spring_k
     with np.errstate(all="ignore"):

@@ -12,6 +12,7 @@ prepared from it.
 
 import ast
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import photonbox
 from photonbox import (
     BoxParams,
     ConfigError,
+    Denominator,
     Harmonic,
     InvalidMixture,
     InvalidPrecision,
@@ -31,6 +33,7 @@ from photonbox import (
     Measurement,
     NumericOptions,
     OracleConfig,
+    Pair,
     PhysConstants,
     RangeError,
     Route,
@@ -41,6 +44,7 @@ from photonbox import (
     mass_uncertainty,
     photon_inference,
     prepare_post_measurement_state,
+    propagate_state,
     sweep,
     time_energy_diagnostic,
     verify,
@@ -156,6 +160,19 @@ GUARDS = {
     "Measurement.device_dcl": (
         lambda v: Measurement(Route.P, 0.5, device_dcl=v), InvalidPrecision,
         "device_dcl must be finite and >= 0", 0.0, [BELOW_ZERO, -1.0], True,
+    ),
+    # chi has no bound but finiteness: its limit is the lowest finite float.
+    "check_bound.chi": (
+        lambda v: check_bound(STATE, v, Pair.P_QCL, CONSTS), ConfigError, "chi must be finite",
+        -sys.float_info.max, [], True,
+    ),
+    "propagate_state.m": (
+        lambda v: propagate_state(FRAME, STATE, v), ConfigError, "m must be finite and >= 0",
+        0.0, [BELOW_ZERO], True,
+    ),
+    "time_energy_diagnostic.m": (
+        lambda v: time_energy_diagnostic(STATE, 0.0, CONSTS, BOX, v, Denominator.MEAN_CLOCK_RATE),
+        ConfigError, "m must be finite and >= 0", 0.0, [BELOW_ZERO], True,
     ),
 }
 

@@ -1,6 +1,7 @@
 """End-to-end scenario runs, sweeps, and verification reports."""
 
 import math
+import struct
 
 import pytest
 
@@ -16,6 +17,7 @@ from photonbox import (
     RangeError,
     Route,
     Scenario,
+    photon_inference,
     run_scenario,
     sweep,
     verify,
@@ -79,6 +81,17 @@ def test_run_soft_spring_route_q_reaches_free_fall():
     assert soft.dm == pytest.approx(free.dm, rel=1e-14)
 
 
+def test_run_reports_where_only_the_means_overflow():
+    # m*g*t = 1e309 overflows the mean of P, but nothing reported reads a
+    # mean: dm = dp/(g*t) = 5e-151 and dT = g*t*dq = 1e150 are finite.
+    s = Scenario(PhysConstants(g=1e150), BoxParams(M=1e160, m=1e159), Measurement(Route.P, 0.5), t_emit=1.0)
+    rep = run_scenario(s).report
+    assert (rep.dm, rep.dE, rep.dT, rep.product) == (5e-151, 5e-151, 1e150, 0.5)
+    assert rep.product == rep.bound == 0.5 and rep.ok and not rep.degenerate
+    assert photon_inference(s.constants, s.box, s.initial_state(), Route.P, 1.0) == rep
+    assert sweep(s, 0.5, 1.0, 3)[-1].prod_p == 0.5
+
+
 def test_negative_emission_time_rejected():
     with pytest.raises(InvalidTime):
         make_scenario(t_emit=-1.0)
@@ -110,6 +123,35 @@ def test_sweep_grid_and_consistency():
         assert row.prod_p == single.report.product
         assert row.chi_p_qcl == single.chi_p_qcl
         assert row.bound_ET == 0.5
+
+
+def bits(x):
+    """A float by its bits, so that equal means bit for bit; a bool as itself."""
+    return x if type(x) is bool else struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("potential", [FreeFall(), Harmonic(k=1000.0)], ids=["free", "spring"])
+@pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
+def test_single_runs_equal_the_sweep_records_bit_for_bit(potential, route):
+    # 0 to 4*pi in quarter periods of the spring (w = 1): t = 0 is degenerate
+    # on both routes, and so are the spring's half periods on route p and its
+    # full periods on route q.
+    rows = sweep(make_scenario(potential=potential, route=route), 0.0, 4 * math.pi, 9)
+    r = route.value
+    for row in rows.tolist():
+        rec = dict(zip(rows.dtype.names, row))
+        s = make_scenario(t_emit=rec["t"], potential=potential, route=route)
+        result = run_scenario(s)
+        inferred = photon_inference(s.constants, s.box, s.initial_state(), route, rec["t"])
+        assert result.report.route is inferred.route is route
+        for rep in (result.report, inferred):
+            got = [rep.t, rep.dm, rep.dE, rep.dT, rep.product, rep.bound, rep.valid, rep.degenerate]
+            want = [rec[name] for name in ("t", f"dm_{r}", f"dE_{r}", "dT", f"prod_{r}", "bound_ET",
+                                           "valid", f"degenerate_{r}")]
+            assert list(map(bits, got)) == list(map(bits, want))
+        got = [result.chi_p_qcl, result.chi_q_qcl, result.dq, result.dp, result.dqcl]
+        assert list(map(bits, got)) == list(map(bits, row[1:6]))
+    assert rows.degenerate_p[0] and rows.degenerate_q[0]
 
 
 def test_sweep_mass_resolution_scaling():

@@ -57,6 +57,13 @@ def test_state_rejects_nonfinite():
         GaussianState(mu=np.zeros(3), sigma=bad)
 
 
+def test_state_rejects_moments_that_are_not_numbers():
+    with pytest.raises(InvalidState) as info:
+        GaussianState(mu=["a", "b", "c"], sigma=np.eye(3))
+    assert type(info.value) is InvalidState
+    assert str(info.value) == "mu and sigma must be arrays of numbers"
+
+
 def test_state_rejects_asymmetric_sigma():
     sigma = np.eye(3)
     sigma[0, 1] = 0.5
@@ -399,6 +406,20 @@ def test_mixture_rejects_bad_weights():
         MassMixture(components=((-0.5, 1.0), (1.5, 2.0)))
     with pytest.raises(InvalidMixture):
         MassMixture(components=((1.0, -1.0),))
+
+
+def test_mixture_rejects_a_component_that_is_not_a_pair():
+    with pytest.raises(InvalidMixture) as info:
+        MassMixture(((1.0,),))
+    assert type(info.value) is InvalidMixture
+    assert str(info.value) == "components must be (weight, mass) pairs, got ((1.0,),)"
+
+
+def test_mixture_rejects_components_that_are_not_iterable():
+    with pytest.raises(InvalidMixture) as info:
+        MassMixture(None)
+    assert type(info.value) is InvalidMixture
+    assert str(info.value) == "components must be (weight, mass) pairs, got None"
 
 
 # ---------------------------------------------------------------------------
