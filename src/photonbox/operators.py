@@ -47,7 +47,9 @@ class PhysConstants:
 
     ``hbar`` and ``c`` are finite and > 0, ``g`` finite and >= 0; a bad
     value raises ConfigError.  ``g = 0`` switches the gravitational clock
-    coupling off entirely (useful for decoupling checks).
+    coupling off entirely (useful for decoupling checks).  ``c**2`` must
+    not underflow to 0 (c below about 1.6e-162): every clock coupling
+    divides by it.
     """
 
     hbar: float = 1.0
@@ -58,6 +60,8 @@ class PhysConstants:
         _require(ConfigError, "hbar", self.hbar, 0, strict=True)
         _require(ConfigError, "c", self.c, 0, strict=True)
         _require(ConfigError, "g", self.g, 0)
+        if self.c * self.c == 0:
+            raise ConfigError(f"c**2 must not underflow to 0, got c={self.c!r}")
 
 
 @dataclass(frozen=True)

@@ -123,15 +123,20 @@ class GaussianState:
             raise InvalidState(f"mu must have shape (3,), got {mu.shape}")
         if sigma.shape != (3, 3):
             raise InvalidState(f"sigma must have shape (3, 3), got {sigma.shape}")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        # The twelve moments as Python floats: their arithmetic overflows to inf without warning.
+        q, qp, qc, pq, p, pc, cq, cp, c = entries = sigma.ravel().tolist()
+        if not all(map(math.isfinite, mu.tolist() + entries)):
             raise InvalidState("moments must be finite")
-        scale = max(1.0, float(np.abs(sigma).max()))
-        if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
+        scale = max(1.0, *map(abs, entries))
+        if max(abs(qp - pq), abs(qc - cq), abs(pc - cp)) > 1e-10 * scale:
             raise InvalidState("sigma must be symmetric")
-        min_eig = float(np.linalg.eigvalsh(sigma).min())
+        if qp or qc or pq or pc or cq or cp:  # coupled
+            min_eig = float(np.linalg.eigvalsh(sigma).min())
+        else:  # diagonal: its eigenvalues are its entries
+            min_eig = min(q, p, c)
         if min_eig < -1e-10 * scale:
             raise InvalidState(f"sigma must be positive semidefinite, min eig {min_eig}")
-        if sigma[2, 2] < 0:
+        if c < 0:
             raise InvalidState("clock variance must be >= 0")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
@@ -321,8 +326,8 @@ def infer_grid(
     frames, chi = closed_form_grid(consts, box, ts)
     t = np.asarray(ts, dtype=float)  # a grid closed_form_grid has checked
     spreads = _spreads(_covariance(frames, state0.sigma, t))
-    dm, degenerate, valid = _mass_rule(frames[:, _PQ_ROWS, 4], spreads[:, _PQ_ROWS], t, box)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # dm, dE, the product and w*t*m may overflow to inf
+        dm, degenerate, valid = _mass_rule(frames[:, _PQ_ROWS, 4], spreads[:, _PQ_ROWS], t, box)
         dE = consts.c * consts.c * dm
         product = dE * spreads[:, 2:]
     dE[degenerate] = math.inf
@@ -459,7 +464,8 @@ def mass_uncertainty(
     t = _times([t])[0]
     _require(InvalidPrecision, "dx", dx, 0)
     a_m = frame[_PQ_ROWS, 4][_column(Route, route)]  # of the row the route measures
-    dm, degenerate, valid = _mass_rule(np.array(a_m), np.array(dx), t, box)
+    with np.errstate(all="ignore"):  # dm and w*t*m may overflow to inf
+        dm, degenerate, valid = _mass_rule(np.array(a_m), np.array(dx), t, box)
     return MassEstimate(dm=float(dm), valid=bool(valid), degenerate=bool(degenerate))
 
 
@@ -527,8 +533,11 @@ def mixture_statistics(
     """
     weights, masses = np.array(mixture.components).T
     mu_i, sigma = _propagate(frame, state0, masses[:, None])  # (K, 3) means, one covariance
-    mean = weights @ mu_i
-    var = np.diagonal(sigma) + weights @ (mu_i - mean) ** 2
+    with np.errstate(all="ignore"):
+        mean = weights @ mu_i
+        var = np.diagonal(sigma) + weights @ (mu_i - mean) ** 2
+    if not np.isfinite(var).all():
+        raise InvalidState("propagated moments are not finite")
     return MixtureMoments(mean=mean, spread=np.sqrt(np.maximum(var, 0.0)))
 
 

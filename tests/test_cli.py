@@ -978,6 +978,14 @@ def test_invalid_measurement_exits_1_from_every_subcommand(tmp_path, capsys, arg
     assert not out_path.exists()
 
 
+def test_speed_of_light_whose_square_underflows_exits_1(tmp_path, capsys):
+    cfg = json.loads(CONFIG.read_text())
+    cfg["constants"]["c"] = 1e-170
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    _assert_config_error(p, capsys, "error: invalid constants: c**2 must not underflow to 0, got c=1e-170")
+
+
 def test_integer_literal_beyond_float_range_exits_1(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(CONFIG.read_text().replace("1000.0", "1" + "0" * 400, 1))

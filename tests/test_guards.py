@@ -274,6 +274,18 @@ def test_integer_beyond_float_range_is_refused_by_its_bound():
         PhysConstants(hbar=10**400)
 
 
+def test_a_speed_of_light_whose_square_underflows_is_refused():
+    # Every clock coupling divides by c**2, which rounds to 0 below about 1.6e-162.
+    smallest = 1.5717277847026288e-162
+    below = math.nextafter(smallest, 0.0)
+    assert smallest * smallest > 0.0
+    assert below * below == 0.0
+    PhysConstants(c=smallest)
+    with pytest.raises(ConfigError) as info:
+        PhysConstants(c=below)
+    assert str(info.value) == f"c**2 must not underflow to 0, got c={below!r}"
+
+
 def test_every_guard_in_the_package_has_a_row():
     # The literal name given to each _require or _require_type call is the
     # last part of a GUARDS or TYPES key, so a new guard cannot go untested.

@@ -3,6 +3,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from photonbox import (
@@ -90,6 +91,26 @@ def test_run_reports_where_only_the_means_overflow():
     assert rep.product == rep.bound == 0.5 and rep.ok and not rep.degenerate
     assert photon_inference(s.constants, s.box, s.initial_state(), Route.P, 1.0) == rep
     assert sweep(s, 0.5, 1.0, 3)[-1].prod_p == 0.5
+
+
+def test_an_overflowing_validity_window_reads_invalid_without_a_warning():
+    # w*t*m = 1e-5 * 1e295 * 1e19 overflows: the window reads as exceeded.
+    box = BoxParams(M=1e20, m=1e19, potential=Harmonic(k=1e10))
+    s = Scenario(PhysConstants(), box, Measurement(Route.P, 0.5), t_emit=1e295)
+    assert not run_scenario(s).report.valid
+    assert sweep(s, 0.0, 1e295, 3).valid.tolist() == [True, False, False]
+    assert not photon_inference(s.constants, box, s.initial_state(), Route.P, 1e295).valid
+
+
+@pytest.mark.parametrize("potential", [FreeFall(), Harmonic(k=1000.0)], ids=["free", "spring"])
+@pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
+def test_run_builds_its_diagonal_state_without_eigvalsh(monkeypatch, potential, route):
+    def no_eigvalsh(a):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    s = make_scenario(potential=potential, route=route)
+    assert run_scenario(s).report.route is route
 
 
 def test_negative_emission_time_rejected():

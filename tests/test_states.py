@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from photonbox import (
     BoxParams,
@@ -83,6 +83,107 @@ def test_state_rejects_negative_clock_variance():
     with pytest.raises(InvalidState) as info:
         GaussianState(np.zeros(3), np.diag([1.0, 1.0, -1e-12]))
     assert str(info.value) == "clock variance must be >= 0"
+
+
+def test_state_refuses_an_asymmetry_that_overflows():
+    # sigma[0, 1] - sigma[1, 0] overflows to -inf, without a warning.
+    with pytest.raises(InvalidState) as info:
+        GaussianState(np.zeros(3), [[1e308, -1e308, 0], [1e308, 1e308, 0], [0, 0, 0]])
+    assert str(info.value) == "sigma must be symmetric"
+
+
+def numpy_structure_check(mu, sigma):
+    """The structure check as whole-array numpy calls: the refusal's text, or None."""
+    mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        return "moments must be finite"
+    scale = max(1.0, float(np.abs(sigma).max()))
+    with np.errstate(over="ignore"):  # an overflowing difference reads inf, and is refused
+        if np.abs(sigma - sigma.T).max() > 1e-10 * scale:
+            return "sigma must be symmetric"
+    min_eig = float(np.linalg.eigvalsh(sigma).min())
+    if min_eig < -1e-10 * scale:
+        return f"sigma must be positive semidefinite, min eig {min_eig}"
+    if sigma[2, 2] < 0:
+        return "clock variance must be >= 0"
+    return None
+
+
+ZERO = st.sampled_from([0.0, -0.0])
+ENTRY = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and -0.0 included
+# Diagonal entries that often repeat, and that fall on either side of the
+# clock check within the semidefiniteness tolerance.
+DIAGONAL_ENTRY = ZERO | st.sampled_from([1.0, 0.25, -0.5, -1e-12, -5e-324]) | ENTRY
+RARELY = st.sampled_from([True, False, False])
+OFF_DIAGONAL = [(i, j) for i in range(3) for j in range(3) if i != j]
+
+
+@st.composite
+def moments(draw):
+    """mu and sigma: diagonal, coupled PSD, symmetric or arbitrary; maybe asymmetric or not finite."""
+    kind = draw(st.sampled_from(["diagonal", "diagonal", "psd", "symmetric", "arbitrary"]))
+    if kind == "diagonal":
+        sigma = np.diag(draw(st.lists(DIAGONAL_ENTRY, min_size=3, max_size=3)))
+        for ij in OFF_DIAGONAL:
+            sigma[ij] = draw(ZERO)
+    elif kind == "psd":
+        root = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))).reshape(3, 3)
+        root *= 2.0 ** draw(st.integers(-150, 150))
+        sigma = root @ root.T
+    else:
+        sigma = np.array(draw(st.lists(ENTRY, min_size=9, max_size=9))).reshape(3, 3)
+        if kind == "symmetric":
+            sigma = np.triu(sigma) + np.triu(sigma, 1).T
+    scale = max(1.0, float(np.abs(sigma).max()))
+    for i in range(3):
+        if draw(RARELY):  # near the semidefiniteness threshold
+            sigma[i, i] = -draw(st.floats(0.5, 2.0)) * 1e-10 * scale
+    if draw(RARELY):  # one off-diagonal entry, within or beyond the symmetry tolerance
+        with np.errstate(over="ignore"):
+            sigma[draw(st.sampled_from(OFF_DIAGONAL))] += draw(st.floats(0.0, 3.0)) * 1e-10 * scale
+    mu = np.array(draw(st.lists(ENTRY, min_size=3, max_size=3)))
+    if draw(RARELY):  # one moment not finite
+        flat = draw(st.sampled_from([mu, sigma.reshape(-1)]))
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return mu, sigma
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(moments())
+def test_structure_check_matches_the_numpy_reference(mu_sigma):
+    mu, sigma = mu_sigma
+    try:
+        GaussianState(mu, sigma)
+        got = None
+    except InvalidState as error:
+        got = str(error)
+    want = numpy_structure_check(mu, sigma)
+    nonzero = np.abs(sigma[sigma != 0])
+    diagonal = not sigma[~np.eye(3, dtype=bool)].any()
+    if not (diagonal and np.isfinite(sigma).all() and ((nonzero < 1e-140) | (nonzero > 1e140)).any()):
+        assert got == want
+        return
+    # eigvalsh rescales a matrix with entries beyond about 1e+-140, and may
+    # then misread a diagonal entry by an ulp, or as 0; the check reads the
+    # entries themselves.  Away from the threshold, the verdicts agree.
+    entries = np.diagonal(sigma).tolist()
+    threshold = -1e-10 * max(1.0, *map(abs, entries))
+    assume(not math.isclose(min(entries), threshold, rel_tol=1e-12))
+    prefix = "sigma must be positive semidefinite, min eig "
+    assert (got and got.split(", min eig ")[0]) == (want and want.split(", min eig ")[0])
+    if got is not None and got.startswith(prefix):
+        assert got == prefix + repr(min(entries))
+
+
+@pytest.mark.parametrize("ij", OFF_DIAGONAL, ids=str)
+def test_any_one_off_diagonal_entry_couples_the_covariance(ij):
+    # Within the symmetry tolerance, an entry below the diagonal moves the
+    # smallest eigenvalue off -0.5 (eigvalsh reads the lower triangle only).
+    sigma = np.diag([-0.5, -0.5, -0.5])
+    sigma[ij] = 1e-11
+    with pytest.raises(InvalidState) as info:
+        GaussianState(np.zeros(3), sigma)
+    assert str(info.value) == numpy_structure_check(np.zeros(3), sigma)
 
 
 def test_validate_rejects_sub_heisenberg():
@@ -261,6 +362,13 @@ def test_mass_uncertainty_rejects_bad_input(consts, ff_box):
             mass_uncertainty(fr, t, Route.P, 0.5, ff_box)
 
 
+def test_mass_uncertainty_overflows_to_inf_without_a_warning(consts, ff_box):
+    # dx/|a_m| = 1e308/0.5 overflows: the spread reads inf, as it must.
+    fr = evolve_closed(consts, ff_box, 0.5)
+    est = mass_uncertainty(fr, 0.5, Route.P, 1e308, ff_box)
+    assert (est.dm, est.valid, est.degenerate) == (math.inf, True, False)
+
+
 def test_back_action_validity_window(consts):
     # heavy photon on a stiff spring exits the linear-response window
     box = BoxParams(M=10.0, m=5.0, potential=Harmonic(k=10.0))
@@ -356,6 +464,20 @@ def test_prepare_rejects_negative_clock_precision(consts):
         prepare_post_measurement_state(Route.P, 0.5, -0.1, consts)
 
 
+@pytest.mark.parametrize("route", list(Route), ids=lambda r: r.value)
+def test_prepare_refuses_a_conjugate_variance_that_overflows(route):
+    # hbar/(2*dx) = 5e311 overflows, on the conjugate of either route.
+    with pytest.raises(InvalidState) as info:
+        prepare_post_measurement_state(route, 1e-12, 0.0, PhysConstants(hbar=1e300))
+    assert str(info.value) == "moments must be finite"
+
+
+def test_prepare_refuses_a_clock_variance_that_overflows(consts):
+    with pytest.raises(InvalidState) as info:
+        prepare_post_measurement_state(Route.P, 0.5, 1e200, consts)
+    assert str(info.value) == "moments must be finite"
+
+
 # ---------------------------------------------------------------------------
 # mass mixtures
 # ---------------------------------------------------------------------------
@@ -395,6 +517,16 @@ def test_mixture_of_identical_components_is_the_pure_state(ff_box, t):
     mm = mixture_statistics(fr, MassMixture(((0.5, 1.0), (0.5, 1.0))), st0)
     pure = propagate_state(fr, st0, 1.0).spreads
     assert np.all(np.abs(mm.spread - pure) <= 4 * np.spacing(pure))
+
+
+def test_mixture_refuses_an_overflowing_total_variance(consts):
+    # The component means differ by about 1e160, so their spread squared overflows.
+    box = BoxParams(M=1e161, m=1e160)
+    st0 = prepare_post_measurement_state(Route.P, 0.5, 0.0, consts)
+    mixture = MassMixture(((0.5, 0.0), (0.5, 1e160)))
+    with pytest.raises(InvalidState) as info:
+        mixture_statistics(evolve_closed(consts, box, 1.0), mixture, st0)
+    assert str(info.value) == "propagated moments are not finite"
 
 
 def test_mixture_rejects_bad_weights():
