@@ -380,22 +380,16 @@ def _text_lines(doc: dict[str, Any], prefix: str = "") -> Iterable[str]:
 def _cmd_run(args: argparse.Namespace) -> int:
     s = load_config(args.config)
     result = run_scenario(s)
-    report = result.report
+    report = {f.name: getattr(result.report, f.name) for f in dataclasses.fields(result.report)}
     # One ordered mapping is the --out document and, flattened, the stdout
-    # lines.  Non-finite values are held as the tokens sci prints for them.
+    # lines: route, t_emit, spreads, commutators, then the other report
+    # fields in order.  Non-finite values are held as the tokens sci prints.
     doc = {
-        "route": report.route.value,
-        "t_emit": report.t,
+        "route": report.pop("route").value,
+        "t_emit": report.pop("t"),
         "spreads": {"dq": result.dq, "dp": result.dp, "dqcl": result.dqcl},
         "chi": {"p_qcl": result.chi_p_qcl, "q_qcl": result.chi_q_qcl},
-        "dm": _jsonable(report.dm),
-        "dE": _jsonable(report.dE),
-        "dT": report.dT,
-        "product": _jsonable(report.product),
-        "bound": report.bound,
-        "ok": report.ok,
-        "valid": report.valid,
-        "degenerate": report.degenerate,
+        **{name: _jsonable(value) for name, value in report.items()},
     }
     for line in _text_lines(doc):
         print(line)

@@ -48,8 +48,8 @@ class PhysConstants:
     ``hbar`` and ``c`` are finite and > 0, ``g`` finite and >= 0; a bad
     value raises ConfigError.  ``g = 0`` switches the gravitational clock
     coupling off entirely (useful for decoupling checks).  ``c**2`` must
-    not underflow to 0 (c below about 1.6e-162): every clock coupling
-    divides by it.
+    be > 0 and finite (about 1.6e-162 <= c <= about 1.3e154): every clock
+    coupling divides by it, and dE = c**2*dm.
     """
 
     hbar: float = 1.0
@@ -60,8 +60,11 @@ class PhysConstants:
         _require(ConfigError, "hbar", self.hbar, 0, strict=True)
         _require(ConfigError, "c", self.c, 0, strict=True)
         _require(ConfigError, "g", self.g, 0)
-        if self.c * self.c == 0:
+        c2 = self.c * self.c
+        if c2 == 0:
             raise ConfigError(f"c**2 must not underflow to 0, got c={self.c!r}")
+        if c2 == math.inf:
+            raise ConfigError(f"c**2 must not overflow, got c={self.c!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -222,13 +222,12 @@ class InferenceReport:
     dT: float
     product: float
     bound: float
+    ok: bool = field(init=False)  # set from the others: the product clears the bound (with slack)
     valid: bool
     degenerate: bool
 
-    @property
-    def ok(self) -> bool:
-        """Whether the energy/time product clears the bound (with slack)."""
-        return self.product >= self.bound * (1.0 - BOUND_SLACK)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ok", self.product >= self.bound * (1.0 - BOUND_SLACK))
 
 
 @dataclass(frozen=True)
@@ -330,8 +329,7 @@ def infer_grid(
         dm, degenerate, valid = _mass_rule(frames[:, _PQ_ROWS, 4], spreads[:, _PQ_ROWS], t, box)
         dE = consts.c * consts.c * dm
         product = dE * spreads[:, 2:]
-    dE[degenerate] = math.inf
-    product[degenerate] = math.inf
+    product[degenerate] = math.inf  # inf*0 is nan where dT = 0
     rows = np.empty(len(t), SWEEP_DTYPE)
     floats, flags = (rows.view(_BLOCKS)[block] for block in _BLOCKS.names)
     floats[:, 0], floats[:, 1:3], floats[:, 3:6] = t, chi, spreads  # in SWEEP_DTYPE's order

@@ -1,5 +1,6 @@
 """Command-line interface: output format, golden files, exit codes."""
 
+import dataclasses
 import decimal
 import json
 import math
@@ -18,6 +19,7 @@ import photonbox.cli
 import photonbox.scenario
 from photonbox import (
     ConfigError,
+    InferenceReport,
     NumericOptions,
     OracleConfig,
     SWEEP_DTYPE,
@@ -43,13 +45,15 @@ def run_cli(*args, cwd=None, timeout=None):
     )
 
 
-def write_config(tmp_path, t_emit, potential=None, oracle=None):
+def write_config(tmp_path, t_emit, potential=None, oracle=None, measurement=None):
     cfg = json.loads(CONFIG.read_text())
     cfg["time"]["t_emit"] = t_emit
     if potential is not None:
         cfg["box"]["potential"] = potential
     if oracle is not None:
         cfg["oracle"] = oracle
+    if measurement is not None:
+        cfg["measurement"] = measurement
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     return p
@@ -300,9 +304,17 @@ def test_run_json_out(tmp_path):
 
 
 # The whole `run` output, stdout and --out document, for the reference
-# config (t_emit 2) and for t_emit 0, where dm, dE and product are inf.
+# config (t_emit 2), for t_emit 0, where dm, dE and product are inf, and for
+# route q and a spring beside it.  With M = 1000 the spring k = 1000 has
+# omega = 1: route q loses the mass at t = 2*pi, route p at t = pi, and past
+# t = 100 the harmonic analysis is no longer valid.
+SPRING = {"type": "harmonic", "k": 1000.0}
+ROUTE_Q = {"route": "q", "device_dx": 1.0, "device_dcl": 0.0}
+
+# case: (write_config arguments, the --out document, the stdout)
 RUN_PINNED = {
-    2.0: (
+    "2.0": (
+        {"t_emit": 2.0},
         {
             "route": "p", "t_emit": 2.0,
             "spreads": {"dq": 1.000000499999875, "dp": 0.5, "dqcl": 2.0000002499999843},
@@ -315,7 +327,8 @@ RUN_PINNED = {
         "dE = 2.5e-1\ndT = 2.0000002499999843e0\nproduct = 5.000000624999961e-1\n"
         "bound = 5e-1\nok = true\nvalid = true\ndegenerate = false\n",
     ),
-    0.0: (
+    "0.0": (
+        {"t_emit": 0.0},
         {
             "route": "p", "t_emit": 0.0,
             "spreads": {"dq": 1.0, "dp": 0.5, "dqcl": 0.0},
@@ -327,16 +340,101 @@ RUN_PINNED = {
         "chi_q_qcl = 0e0\ndm = inf\ndE = inf\ndT = 0e0\nproduct = inf\nbound = 5e-1\n"
         "ok = true\nvalid = true\ndegenerate = true\n",
     ),
+    "q-2.0": (
+        {"t_emit": 2.0, "measurement": ROUTE_Q},
+        {
+            "route": "q", "t_emit": 2.0,
+            "spreads": {"dq": 1.000000499999875, "dp": 0.5, "dqcl": 2.0000002499999843},
+            "chi": {"p_qcl": 2.0, "q_qcl": 0.002},
+            "dm": 500.0002499999375, "dE": 500.0002499999375, "dT": 2.0000002499999843,
+            "product": 1000.0006249999296, "bound": 0.5, "ok": True, "valid": True, "degenerate": False,
+        },
+        "route = q\nt_emit = 2e0\ndq = 1.000000499999875e0\ndp = 5e-1\n"
+        "dqcl = 2.0000002499999843e0\nchi_p_qcl = 2e0\nchi_q_qcl = 2e-3\n"
+        "dm = 5.000002499999375e2\ndE = 5.000002499999375e2\ndT = 2.0000002499999843e0\n"
+        "product = 1.0000006249999296e3\nbound = 5e-1\nok = true\nvalid = true\n"
+        "degenerate = false\n",
+    ),
+    "spring-q-1.0": (
+        {"t_emit": 1.0, "potential": SPRING, "measurement": ROUTE_Q},
+        {
+            "route": "q", "t_emit": 1.0,
+            "spreads": {"dq": 0.5403024696822915, "dp": 841.4710281734104, "dqcl": 0.8414710161996453},
+            "chi": {"p_qcl": 0.8414709848078965, "q_qcl": 0.0004596976941318603},
+            "dm": 1175.3430060219323, "dE": 1175.3430060219323, "dT": 0.8414710161996453,
+            "product": 989.0170736604211, "bound": 0.5, "ok": True, "valid": True, "degenerate": False,
+        },
+        "route = q\nt_emit = 1e0\ndq = 5.403024696822915e-1\ndp = 8.414710281734104e2\n"
+        "dqcl = 8.414710161996453e-1\nchi_p_qcl = 8.414709848078965e-1\n"
+        "chi_q_qcl = 4.596976941318603e-4\ndm = 1.1753430060219323e3\n"
+        "dE = 1.1753430060219323e3\ndT = 8.414710161996453e-1\nproduct = 9.890170736604211e2\n"
+        "bound = 5e-1\nok = true\nvalid = true\ndegenerate = false\n",
+    ),
+    "spring-q-2pi": (
+        {"t_emit": 2 * math.pi, "potential": SPRING, "measurement": ROUTE_Q},
+        {
+            "route": "q", "t_emit": 6.283185307179586,
+            "spreads": {"dq": 1.0, "dp": 0.5, "dqcl": 2.4492935982947064e-16},
+            "chi": {"p_qcl": -2.4492935982947064e-16, "q_qcl": 2.9995195653237154e-35},
+            "dm": "inf", "dE": "inf", "dT": 2.4492935982947064e-16, "product": "inf",
+            "bound": 0.5, "ok": True, "valid": True, "degenerate": True,
+        },
+        "route = q\nt_emit = 6.283185307179586e0\ndq = 1e0\ndp = 5e-1\n"
+        "dqcl = 2.4492935982947064e-16\nchi_p_qcl = -2.4492935982947064e-16\n"
+        "chi_q_qcl = 2.9995195653237154e-35\ndm = inf\ndE = inf\ndT = 2.4492935982947064e-16\n"
+        "product = inf\nbound = 5e-1\nok = true\nvalid = true\ndegenerate = true\n",
+    ),
+    "spring-p-pi": (
+        {"t_emit": math.pi, "potential": SPRING},
+        {
+            "route": "p", "t_emit": 3.141592653589793,
+            "spreads": {"dq": 1.0, "dp": 0.5, "dqcl": 0.001},
+            "chi": {"p_qcl": 1.2246467991473532e-16, "q_qcl": 0.002},
+            "dm": "inf", "dE": "inf", "dT": 0.001, "product": "inf",
+            "bound": 0.5, "ok": True, "valid": True, "degenerate": True,
+        },
+        "route = p\nt_emit = 3.141592653589793e0\ndq = 1e0\ndp = 5e-1\ndqcl = 1e-3\n"
+        "chi_p_qcl = 1.2246467991473532e-16\nchi_q_qcl = 2e-3\ndm = inf\ndE = inf\ndT = 1e-3\n"
+        "product = inf\nbound = 5e-1\nok = true\nvalid = true\ndegenerate = true\n",
+    ),
+    "spring-p-200.0": (
+        {"t_emit": 200.0, "potential": SPRING},
+        {
+            "route": "p", "t_emit": 200.0,
+            "spreads": {"dq": 0.4871878706831424, "dp": 873.297331187509, "dqcl": 0.8732973348553105},
+            "chi": {"p_qcl": -0.8732972972139946, "q_qcl": 0.0005128123249929941},
+            "dm": 1000.000038902576, "dE": 1000.000038902576, "dT": 0.8732973348553105,
+            "product": 873.2973688288264, "bound": 0.5, "ok": True, "valid": False, "degenerate": False,
+        },
+        "route = p\nt_emit = 2e2\ndq = 4.871878706831424e-1\ndp = 8.73297331187509e2\n"
+        "dqcl = 8.732973348553105e-1\nchi_p_qcl = -8.732972972139946e-1\n"
+        "chi_q_qcl = 5.128123249929941e-4\ndm = 1.000000038902576e3\ndE = 1.000000038902576e3\n"
+        "dT = 8.732973348553105e-1\nproduct = 8.732973688288264e2\nbound = 5e-1\nok = true\n"
+        "valid = false\ndegenerate = false\n",
+    ),
 }
 
 
-@pytest.mark.parametrize("t_emit", sorted(RUN_PINNED))
-def test_run_output_pinned(tmp_path, capsys, t_emit):
-    doc, stdout = RUN_PINNED[t_emit]
+@pytest.mark.parametrize("case", sorted(RUN_PINNED))
+def test_run_output_pinned(tmp_path, capsys, case):
+    config, doc, stdout = RUN_PINNED[case]
     out = tmp_path / "report.json"
-    assert main(["run", "--config", str(write_config(tmp_path, t_emit)), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(write_config(tmp_path, **config)), "--out", str(out)]) == 0
     assert capsys.readouterr().out == stdout
     assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_run_golden_file(capsys):
+    # CI compares the installed console script's stdout with the same file.
+    assert main(["run", "--config", str(CONFIG)]) == 0
+    assert capsys.readouterr().out == (DATA / "reference_run.txt").read_text()
+
+
+def test_run_document_ends_with_the_report_fields(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["run", "--config", str(CONFIG), "--out", str(out)]) == 0
+    rest = [f.name for f in dataclasses.fields(InferenceReport) if f.name not in ("route", "t")]
+    assert list(json.loads(out.read_text())) == ["route", "t_emit", "spreads", "chi", *rest]
 
 
 def test_run_degenerate_inf_serialization(tmp_path):
@@ -984,6 +1082,15 @@ def test_speed_of_light_whose_square_underflows_exits_1(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
     _assert_config_error(p, capsys, "error: invalid constants: c**2 must not underflow to 0, got c=1e-170")
+
+
+def test_speed_of_light_whose_square_overflows_exits_1(tmp_path, capsys):
+    # Accepted, c = 1e200 printed dE = inf, product = nan and ok = false.
+    cfg = json.loads(CONFIG.read_text())
+    cfg["constants"]["c"] = 1e200
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    _assert_config_error(p, capsys, "error: invalid constants: c**2 must not overflow, got c=1e+200")
 
 
 def test_integer_literal_beyond_float_range_exits_1(tmp_path, capsys):

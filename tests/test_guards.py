@@ -286,6 +286,18 @@ def test_a_speed_of_light_whose_square_underflows_is_refused():
     assert str(info.value) == f"c**2 must not underflow to 0, got c={below!r}"
 
 
+def test_a_speed_of_light_whose_square_overflows_is_refused():
+    # dE = c**2*dm, and every clock coupling divides by c**2, which is inf above about 1.3e154.
+    largest = 1.3407807929942596e154
+    above = math.nextafter(largest, math.inf)
+    assert math.isfinite(largest * largest)
+    assert above * above == math.inf
+    PhysConstants(c=largest)
+    with pytest.raises(ConfigError) as info:
+        PhysConstants(c=above)
+    assert str(info.value) == f"c**2 must not overflow, got c={above!r}"
+
+
 def test_every_guard_in_the_package_has_a_row():
     # The literal name given to each _require or _require_type call is the
     # last part of a GUARDS or TYPES key, so a new guard cannot go untested.

@@ -1,6 +1,7 @@
 """Gaussian propagation, bound checks, inference, mixtures, diagnostics."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,20 +9,24 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from photonbox import (
+    BOUND_SLACK,
     BoxParams,
     Denominator,
     FreeFall,
     GaussianState,
     Harmonic,
+    InferenceReport,
     InvalidMixture,
     InvalidPrecision,
     InvalidState,
     InvalidTime,
     MassMixture,
+    Measurement,
     NoElapsedTime,
     Pair,
     PhysConstants,
     Route,
+    Scenario,
     check_bound,
     commutator_closed,
     evolve_closed,
@@ -30,6 +35,7 @@ from photonbox import (
     photon_inference,
     prepare_post_measurement_state,
     propagate_state,
+    run_scenario,
     time_energy_diagnostic,
 )
 
@@ -425,6 +431,41 @@ def test_inference_degenerate_at_zero_time(consts, ff_box):
     assert rep.degenerate
     assert rep.dm == math.inf and rep.dE == math.inf and rep.product == math.inf
     assert rep.dT == 0.0
+
+
+def test_report_builds_positionally_and_sets_ok_itself():
+    rep = InferenceReport(Route.P, 2.0, 0.25, 0.25, 2.0, 0.5, 0.5, True, False)
+    assert (rep.route, rep.t, rep.dm, rep.dE, rep.dT, rep.product, rep.bound) == (
+        Route.P, 2.0, 0.25, 0.25, 2.0, 0.5, 0.5,
+    )
+    assert rep.ok is True and rep.valid is True and rep.degenerate is False
+    with pytest.raises(TypeError):  # ok follows from the product and the bound
+        InferenceReport(Route.P, 2.0, 0.25, 0.25, 2.0, 0.5, 0.5, True, True, False)
+
+
+def test_report_ok_holds_down_to_the_slack_and_no_further():
+    edge = 0.5 * (1.0 - BOUND_SLACK)
+    at = InferenceReport(Route.Q, 1.0, 1.0, edge, 1.0, edge, 0.5, True, False)
+    assert at.ok
+    below = replace(at, product=np.nextafter(edge, 0.0))
+    assert not below.ok
+    assert replace(below, product=edge) == at
+    assert hash(replace(below, product=edge)) == hash(at)
+
+
+def test_report_replace_recomputes_ok(consts, ff_box):
+    st0 = prepare_post_measurement_state(Route.P, 0.5, 0.0, consts)
+    rep = photon_inference(consts, ff_box, st0, Route.P, 2.0)
+    assert rep.ok
+    assert not replace(rep, product=0.0).ok
+    assert replace(rep, product=0.0, bound=0.0).ok
+
+
+@pytest.mark.parametrize("route, dx", [(Route.P, 0.5), (Route.Q, 1.0)])
+@pytest.mark.parametrize("t", [0.0, 2.0])
+def test_run_reports_as_photon_inference(consts, ho_box, route, dx, t):
+    s = Scenario(consts, ho_box, Measurement(route, dx), t_emit=t)
+    assert photon_inference(consts, ho_box, s.initial_state(), route, t) == run_scenario(s).report
 
 
 # ---------------------------------------------------------------------------
