@@ -1,10 +1,10 @@
 """Command-line interface: run, sweep, and verify subcommands.
 
-Scenarios come from a strict JSON config file (unknown keys are rejected);
-sweep ranges come from flags.  The keys of each config section are the
-fields of its dataclass.  The numeric and oracle sections are optional, and
-a key missing from either takes the default of NumericOptions or
-OracleConfig; every key of the other sections is required.  Exit codes:
+Scenarios come from a strict JSON config file (unknown or repeated keys are
+rejected); sweep ranges come from flags.  The keys of each config section
+are the fields of its dataclass.  The numeric and oracle sections are
+optional, and a key missing from either takes the default of NumericOptions
+or OracleConfig; every key of the other sections is required.  Exit codes:
 0 success, 1 invalid config or range, 2 verification failure, 3 I/O failure.
 """
 
@@ -28,7 +28,7 @@ from .errors import ConfigError, PhotonBoxError
 from .operators import BoxParams, FreeFall, Harmonic, PhysConstants
 from .oracle import OracleConfig
 from .scenario import SWEEP_DTYPE, Measurement, Scenario, run_scenario, sweep, verify
-from .states import Route
+from .states import _BLOCKS, Route
 
 __all__ = ["main", "load_config", "sci", "sci17", "sweep_csv"]
 
@@ -77,8 +77,6 @@ def sci17(x: float) -> str:
 # inside _TIE_MARGIN, so any cell outside the margin rounds as sci17 does.
 # Rows go in blocks of _BLOCK_ROWS, and the CLI writes each block's text as
 # it is made, so the writer holds one block however long the sweep.
-_IS_BOOL = np.array([SWEEP_DTYPE[name] == bool for name in SWEEP_DTYPE.names])
-_FLOATS, _BOOLS = np.flatnonzero(~_IS_BOOL), np.flatnonzero(_IS_BOOL)
 SWEEP_HEADER = ",".join(SWEEP_DTYPE.names)
 _BLOCK_ROWS = 256
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
@@ -91,7 +89,7 @@ def _words(strings: Iterable[str], width: int, dtype: type = np.uint32) -> np.nd
     return np.frombuffer(b"".join(s.encode().ljust(width, b"\0") for s in strings), dtype)
 
 
-_SEPARATORS = _words(["\n"] + [","] * (len(_IS_BOOL) - 1), 4)
+_SEPARATORS = _words(["\n"] + [","] * (len(SWEEP_DTYPE) - 1), 4)
 _BOOL_WORDS = _words(["false", "true"], 8).reshape(2, 2)
 
 
@@ -192,16 +190,14 @@ def _float_texts(x: np.ndarray) -> np.ndarray:
 
 def _csv_chunks(rows: np.ndarray | Sequence[tuple]) -> Iterator[bytes]:
     """The sweep CSV as ASCII chunks: the header, one chunk per block of rows, the last LF."""
-    rows = np.asarray(rows, SWEEP_DTYPE)
+    blocks = np.asarray(rows, SWEEP_DTYPE).view(_BLOCKS)  # each row: its floats, then its flags
     yield SWEEP_HEADER.encode()
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        table = np.column_stack([block[name] for name in SWEEP_DTYPE.names])  # bools as 0.0 and 1.0
-        words = np.zeros((len(block), len(_IS_BOOL), 8), np.uint32)
+    for start in range(0, len(blocks), _BLOCK_ROWS):
+        floats, flags = (blocks[name][start:start + _BLOCK_ROWS] for name in _BLOCKS.names)
+        words = np.zeros((len(floats), len(SWEEP_DTYPE), 8), np.uint32)
         words[:, :, 0] = _SEPARATORS
-        # table[:, _FLOATS] comes back in Fortran order; the word views need C order.
-        words[:, _FLOATS, 1:] = _float_texts(np.ascontiguousarray(table[:, _FLOATS]))
-        words[:, _BOOLS, 1:3] = _BOOL_WORDS[(table[:, _BOOLS] != 0).astype(np.intp)]
+        words[:, :floats.shape[1], 1:] = _float_texts(np.ascontiguousarray(floats))
+        words[:, floats.shape[1]:, 1:3] = _BOOL_WORDS[flags.astype(np.intp)]
         yield words.tobytes().translate(None, b"\0")
     yield b"\n"
 
@@ -293,6 +289,15 @@ def _reject_nonfinite(name: str) -> float:
     raise ConfigError(f"non-finite literal {name} is not allowed in config")
 
 
+def _reject_repeated(pairs: list[tuple[str, Any]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"repeated key {key!r} in config")
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str) -> Scenario:
     """Load and validate a scenario config file.
 
@@ -305,7 +310,7 @@ def load_config(path: str) -> Scenario:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     try:
-        doc = json.loads(text, parse_constant=_reject_nonfinite)
+        doc = json.loads(text, object_pairs_hook=_reject_repeated, parse_constant=_reject_nonfinite)
     except RecursionError as exc:
         raise ConfigError("config is nested too deeply") from exc
     except ValueError as exc:  # malformed JSON, or an integer literal too long to convert

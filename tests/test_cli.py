@@ -180,6 +180,28 @@ def test_sweep_csv_matches_legacy_on_a_multi_revival_spring(tmp_path):
     assert_csv_matches_legacy(rows)
 
 
+@pytest.mark.parametrize(
+    "stride", [slice(None, None, 3), slice(None, None, -1)], ids=["every-3rd", "reversed"]
+)
+def test_sweep_csv_matches_legacy_on_a_strided_sweep(tmp_path, stride):
+    s = load_config(write_config(tmp_path, 2.0, {"type": "harmonic", "k": 1000.0}))
+    rows = sweep(s, 0.0, 5 * 2 * math.pi, 3 * _BLOCK_ROWS + 1)[stride]
+    assert not rows.flags.c_contiguous
+    assert_csv_matches_legacy(rows)
+
+
+def test_sweep_csv_matches_legacy_on_a_sweep_without_gravity():
+    # With g = 0 the box learns nothing of the photon: across the block seams
+    # every chi is 0 and every dm, dE and product is inf.
+    cfg = json.loads(CONFIG.read_text())
+    cfg["constants"]["g"] = 0.0
+    rows = sweep(build_scenario(cfg), 0.0, 4.0, 2 * _BLOCK_ROWS + 1)
+    assert (rows.chi_p_qcl == 0.0).all() and (rows.chi_q_qcl == 0.0).all()
+    for name in ("dm_p", "dm_q", "dE_p", "dE_q", "prod_p", "prod_q"):
+        assert np.isposinf(rows[name]).all(), name
+    assert_csv_matches_legacy(rows)
+
+
 def rows_of(cells, flags=(True, False, True)):
     """Sweep rows as tuples holding the float cells in order, 14 to a row, the last padded with 0.5."""
     cells = [float(x) for x in cells]
@@ -969,6 +991,22 @@ def test_unknown_key_exits_1(tmp_path, capsys, path):
     cfg = full_config()
     section_of(cfg, path)["extra"] = 1
     assert config_error(tmp_path, capsys, cfg) == f"error: unknown key(s) in {path}: extra\n"
+
+
+@pytest.mark.parametrize(
+    "time, key",
+    [('"time": {"t_emit": -1.0}, "time": {"t_emit": 3.0}', "time"),
+     ('"time": {"t_emit": -1.0, "t_emit": 3.0}', "t_emit")],
+    ids=["section", "t_emit"],
+)
+def test_repeated_key_exits_1(tmp_path, capsys, time, key):
+    # Accepted, the last of the two won: run printed t_emit = 3e0.
+    text = CONFIG.read_text()
+    p = tmp_path / "bad.json"
+    p.write_text(text.replace('"time": {"t_emit": 2.0}', time))
+    assert p.read_text() != text
+    assert main(["run", "--config", str(p)]) == 1
+    assert capsys.readouterr() == ("", f"error: repeated key '{key}' in config\n")
 
 
 @pytest.mark.parametrize("path, key", REQUIRED_KEYS, ids=[f"{p}.{k}" for p, k in REQUIRED_KEYS])

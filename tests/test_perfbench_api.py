@@ -1,17 +1,20 @@
-"""The benchmark's tracer finds every photonbox function it wraps.
+"""The benchmark's tracer finds every photonbox function it wraps, and its workloads pass.
 
 ``perfbench/tracing.py`` replaces photonbox functions and methods by name
 and binds the arguments of some of them by parameter name.  These tests
 load it by path, unchanged, and check that every name it lists still
 exists and that the hooked functions still take the parameters their
 hooks read, so that renaming or pruning the API cannot silently break a
-traced benchmark run.
+traced benchmark run.  They also load ``perfbench/workloads.py`` and run
+one input cycle of each workload through its own output check.
 """
 
 import importlib
 import importlib.util
 import inspect
+import itertools
 import pathlib
+import sys
 
 import pytest
 
@@ -27,17 +30,19 @@ from photonbox import (
     Scenario,
 )
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load_perfbench("tracing")
+workloads = load_perfbench("workloads")
 
 # Parameters the tracer's hooks read from the bound arguments.
 HOOKED = {
@@ -93,3 +98,17 @@ def test_hooks_record_traced_calls():
     assert metrics["oracle.oracle_evolve.steps"][0] == 10
     assert metrics["scenario.sweep.calls"][0] == 1
     assert metrics["scenario.sweep.rows"][0] == 8
+
+
+def test_workload_golden_check_passes(tmp_path):
+    assert workloads.check_golden(ROOT, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_checks_pass_on_one_cycle(tmp_path, name):
+    # Ops of one workload share a config and an output file, so each is
+    # checked before the next is made.
+    make_ops, cycle = workloads.WORKLOADS[name]
+    for op in itertools.islice(make_ops(1, tmp_path), cycle):
+        failure = op.check(op.run())
+        assert failure is None, failure

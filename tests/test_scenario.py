@@ -93,6 +93,19 @@ def test_run_reports_where_only_the_means_overflow():
     assert sweep(s, 0.5, 1.0, 3)[-1].prod_p == 0.5
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the clock coefficient's square underflows")
+def test_run_keeps_a_saturated_bound_whose_clock_coefficient_underflows():
+    # The clock coefficient is about -1e-312 and the true dT about 5e-301, so
+    # dE*dT = hbar/2 exactly.  Its square underflows to 0 in the covariance:
+    # run reports dqcl = 0, product = 0 and ok = false, and check_p reads
+    # product = 0 against bound = 5e-313.
+    s = Scenario(PhysConstants(c=1e150, g=1e-12), BoxParams(M=1000.0, m=1.0), Measurement(Route.P, 1e-12),
+                 t_emit=1.0)
+    result = run_scenario(s)
+    assert result.report.ok
+    assert result.check_p.ok
+
+
 def test_an_overflowing_validity_window_reads_invalid_without_a_warning():
     # w*t*m = 1e-5 * 1e295 * 1e19 overflows: the window reads as exceeded.
     box = BoxParams(M=1e20, m=1e19, potential=Harmonic(k=1e10))
