@@ -286,8 +286,11 @@ def commutator_closed(
 # failed check of each (the closed forms share nothing with it).
 
 
-def _rk4_step(K: np.ndarray, h: float) -> np.ndarray:
-    """E, with I + E the fourth-order step of y' = K y over h."""
+def _rk4_step(K: np.ndarray, h: float | np.ndarray) -> np.ndarray:
+    """E, with I + E the fourth-order step of y' = K y over h.
+
+    An h of shape (G, 1, 1) gives a (G, *K.shape) stack, one E per step.
+    """
     hk = h * K
     hk2 = hk @ hk
     hk3 = hk2 @ hk
@@ -295,7 +298,7 @@ def _rk4_step(K: np.ndarray, h: float) -> np.ndarray:
 
 
 def _leg_increment(E: np.ndarray, n: int) -> np.ndarray:
-    """F, with I + F = (I + E)**n for n >= 1, never forming I + E."""
+    """F, with I + F = (I + E)**n for n >= 1, never forming I + E; E may be a stack."""
     F = None
     while True:
         if n & 1:
@@ -344,27 +347,41 @@ def _rk4_grid(
     Returns shape (len(ts), *y0.shape): y at each grid time.  Each leg between
     consecutive grid times takes n equal steps no longer than ``step``,
     applied at once as y + F y with I + F the n-th power of the one-step map
-    (see the comment above :func:`_rk4_step`).  Leg maps are cached on the
-    exact leg length, so a uniform grid builds only a few.
+    (see the comment above :func:`_rk4_step`).  There is one map per distinct
+    leg length, and the maps that share a step count n are built as one
+    stack, so a uniform grid, whose leg lengths differ only in their last
+    bits, takes one stacked build.
 
     Raises
     ------
     InvalidStep
-        If a leg's step count overflows a float; the message names ``label``.
+        If a leg's step count overflows a float; the message names ``label``
+        and the first such leg in grid order.
     """
+    ts = list(map(float, ts))
+    counts: dict[float, int] = {}  # leg length -> step count, in grid order
+    for t_prev, t in zip([0.0, *ts], ts):
+        dt = t - t_prev
+        if dt > 0 and dt not in counts:
+            counts[dt] = _leg_steps(step, t_prev, t, label)
+    legs: dict[int, list[float]] = {}
+    for dt, n in counts.items():
+        legs.setdefault(n, []).append(dt)
     maps: dict[float, np.ndarray] = {}
+    for n, dts in legs.items():
+        h = np.array([dt / n for dt in dts])[:, None, None]  # a Python int n may pass int64
+        maps.update(zip(dts, _leg_increment(_rk4_step(K, h), n)))
     out = np.empty((len(ts), *y0.shape))
+    scratch = np.empty(y0.shape)
     y = y0
-    t_prev = 0.0
-    for i, t in enumerate(map(float, ts)):
+    for i, (t_prev, t) in enumerate(zip([0.0, *ts], ts)):
         dt = t - t_prev
         if dt > 0:
-            if dt not in maps:
-                n = _leg_steps(step, t_prev, t, label)
-                maps[dt] = _leg_increment(_rk4_step(K, dt / n), n)
-            y = y + maps[dt] @ y
-        out[i] = y
-        t_prev = t
+            maps[dt].dot(y, out=scratch)
+            np.add(y, scratch, out=out[i])
+        else:
+            out[i] = y
+        y = out[i]
     return out
 
 

@@ -53,7 +53,9 @@ class OracleConfig:
     """Truncation size and edge buffer (integers), length scale, and ODE step.
 
     ``n`` is capped at :data:`MAX_N`: each n x n complex matrix takes 16*n**2
-    bytes, 64 MiB at the cap, and a check holds dozens of them.
+    bytes, 64 MiB at the cap.  A ``verify`` check holds about 23 at its peak:
+    the 15 of its five frames, the workspace's q0 and p0, and the products
+    that make one grid time's two commutators.
     """
 
     n: int = 60

@@ -211,7 +211,8 @@ def verify(
     and, when ``use_oracle`` is set, the truncated-Fock matrix commutators
     (restricted block and its vacuum entry) against the engine's chi at five
     evenly spaced times, integrated in one pass by
-    :func:`~photonbox.oracle.oracle_evolve_grid` and commuted as one stack.
+    :func:`~photonbox.oracle.oracle_evolve_grid` and commuted one time at a
+    time, so only that time's two n x n commutators are held at once.
     All deviations are measured relative to max(1, |ref|).
 
     Raises
@@ -261,12 +262,16 @@ def verify(
         # products the same way; those checks then read inf or nan and fail.
         with np.errstate(over="ignore", invalid="ignore"):
             frames = oracle_evolve_grid(ws, consts, box, ts_o)
-            chi = oracle_commutator(ws, frames[:, _PQ_ROWS], frames[:, 2:])
-            probe_dev = chi[..., 0, 0] - refs  # a new array, taken before the block is edited
             r = s.oracle.n - s.oracle.buffer
-            block = chi[..., :r, :r]
-            block -= refs[..., None, None] * np.eye(r)
-            block_dev = np.abs(block).max(axis=(-2, -1))
+            diag = np.arange(r)
+            probe_dev = np.empty(refs.shape, complex)
+            block_dev = np.empty(refs.shape)
+            for i, frame in enumerate(frames):  # one time's (2, n, n) commutators at a time
+                chi = oracle_commutator(ws, frame[_PQ_ROWS], frame[2:])
+                probe_dev[i] = chi[:, 0, 0] - refs[i]  # taken before the block is edited
+                block = chi[:, :r, :r]
+                block[:, diag, diag] -= refs[i, :, None]  # chi * I, on the diagonal alone
+                block_dev[i] = np.abs(block).max(axis=(-2, -1))
             for kind, diff in (("block", block_dev), ("probe", probe_dev)):
                 for j, pair in enumerate(Pair):
                     dev = _max_rel_dev(diff[:, j], refs[:, j])

@@ -27,6 +27,7 @@ from photonbox import (
     oracle_evolve_grid,
     sweep,
 )
+from photonbox.dynamics import _leg_steps
 from photonbox.cli import _BLOCK_ROWS, _build_parser, build_scenario, load_config, main, sci, sci17, sweep_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -728,9 +729,20 @@ def test_tiny_numeric_step_costs_no_more_than_a_coarse_one(tmp_path):
     assert "FAIL" not in proc.stdout
 
 
+# A t_emit at which the oracle grid's four legs take 2, 2, 3 and 2 steps of at
+# most 0.3: the leg lengths differ in their last bits, across a step count.
+MIXED_LEGS_T = 2.4000000000012
+
+
+def test_mixed_legs_grid_crosses_a_step_count():
+    ts = np.linspace(0.0, MIXED_LEGS_T, 5).tolist()
+    counts = [_leg_steps(0.3, t0, t1, "oracle.step") for t0, t1 in zip(ts, ts[1:])]
+    assert counts == [2, 2, 3, 2]
+
+
 VERIFY_ORACLE_PINNED = {
     "free": (
-        None,
+        2.0, None, {"n": 24},
         "frame_closed_vs_rk4       max_dev=3.036e-18  tol=1.0e-09  pass\n"
         "chi_closed_vs_ode         max_dev=2.168e-19  tol=1.0e-09  pass\n"
         "chi_frames_vs_closed      max_dev=4.337e-19  tol=1.0e-09  pass\n"
@@ -743,7 +755,7 @@ VERIFY_ORACLE_PINNED = {
         "oracle_probe_q_qcl        max_dev=4.337e-19  tol=1.0e-06  pass\n",
     ),
     "harmonic": (
-        {"type": "harmonic", "k": 1000.0},
+        2.0, {"type": "harmonic", "k": 1000.0}, {"n": 24},
         "frame_closed_vs_rk4       max_dev=1.277e-14  tol=1.0e-09  pass\n"
         "chi_closed_vs_ode         max_dev=5.662e-15  tol=1.0e-09  pass\n"
         "chi_frames_vs_closed      max_dev=3.331e-16  tol=1.0e-09  pass\n"
@@ -755,6 +767,62 @@ VERIFY_ORACLE_PINNED = {
         "oracle_probe_p_qcl        max_dev=6.661e-15  tol=1.0e-06  pass\n"
         "oracle_probe_q_qcl        max_dev=1.540e-17  tol=1.0e-06  pass\n",
     ),
+    # An odd restricted block, r = 25: a product restricted to it would round
+    # differently from the full one.
+    "free-n33": (
+        2.0, None, {"n": 33},
+        "frame_closed_vs_rk4       max_dev=3.036e-18  tol=1.0e-09  pass\n"
+        "chi_closed_vs_ode         max_dev=2.168e-19  tol=1.0e-09  pass\n"
+        "chi_frames_vs_closed      max_dev=4.337e-19  tol=1.0e-09  pass\n"
+        "chi_rk4_frames_vs_closed  max_dev=3.686e-18  tol=1.0e-09  pass\n"
+        "symplectic_closed         max_dev=0.000e+00  tol=1.0e-09  pass\n"
+        "symplectic_rk4            max_dev=0.000e+00  tol=1.0e-09  pass\n"
+        "oracle_block_p_qcl        max_dev=1.169e-14  tol=1.0e-06  pass\n"
+        "oracle_block_q_qcl        max_dev=1.776e-15  tol=1.0e-06  pass\n"
+        "oracle_probe_p_qcl        max_dev=2.220e-16  tol=1.0e-06  pass\n"
+        "oracle_probe_q_qcl        max_dev=4.337e-19  tol=1.0e-06  pass\n",
+    ),
+    "harmonic-n33": (
+        2.0, {"type": "harmonic", "k": 1000.0}, {"n": 33},
+        "frame_closed_vs_rk4       max_dev=1.277e-14  tol=1.0e-09  pass\n"
+        "chi_closed_vs_ode         max_dev=5.662e-15  tol=1.0e-09  pass\n"
+        "chi_frames_vs_closed      max_dev=3.331e-16  tol=1.0e-09  pass\n"
+        "chi_rk4_frames_vs_closed  max_dev=5.773e-15  tol=1.0e-09  pass\n"
+        "symplectic_closed         max_dev=2.220e-16  tol=1.0e-09  pass\n"
+        "symplectic_rk4            max_dev=4.441e-16  tol=1.0e-09  pass\n"
+        "oracle_block_p_qcl        max_dev=1.819e-12  tol=1.0e-06  pass\n"
+        "oracle_block_q_qcl        max_dev=8.882e-16  tol=1.0e-06  pass\n"
+        "oracle_probe_p_qcl        max_dev=6.661e-15  tol=1.0e-06  pass\n"
+        "oracle_probe_q_qcl        max_dev=1.540e-17  tol=1.0e-06  pass\n",
+    ),
+    # The default n = 60, with legs of different step counts in one grid.  At
+    # step 0.3 the spring's oracle integration is off by 7e-5 and fails.
+    "free-step-0.3": (
+        MIXED_LEGS_T, None, {"step": 0.3},
+        "frame_closed_vs_rk4       max_dev=3.036e-18  tol=1.0e-09  pass\n"
+        "chi_closed_vs_ode         max_dev=1.084e-18  tol=1.0e-09  pass\n"
+        "chi_frames_vs_closed      max_dev=8.674e-19  tol=1.0e-09  pass\n"
+        "chi_rk4_frames_vs_closed  max_dev=7.373e-18  tol=1.0e-09  pass\n"
+        "symplectic_closed         max_dev=0.000e+00  tol=1.0e-09  pass\n"
+        "symplectic_rk4            max_dev=0.000e+00  tol=1.0e-09  pass\n"
+        "oracle_block_p_qcl        max_dev=1.906e-14  tol=1.0e-06  pass\n"
+        "oracle_block_q_qcl        max_dev=7.105e-15  tol=1.0e-06  pass\n"
+        "oracle_probe_p_qcl        max_dev=1.850e-16  tol=1.0e-06  pass\n"
+        "oracle_probe_q_qcl        max_dev=8.674e-19  tol=1.0e-06  pass\n",
+    ),
+    "harmonic-step-0.3": (
+        MIXED_LEGS_T, {"type": "harmonic", "k": 1000.0}, {"step": 0.3},
+        "frame_closed_vs_rk4       max_dev=1.851e-14  tol=1.0e-09  pass\n"
+        "chi_closed_vs_ode         max_dev=1.299e-14  tol=1.0e-09  pass\n"
+        "chi_frames_vs_closed      max_dev=2.220e-16  tol=1.0e-09  pass\n"
+        "chi_rk4_frames_vs_closed  max_dev=1.132e-14  tol=1.0e-09  pass\n"
+        "symplectic_closed         max_dev=2.220e-16  tol=1.0e-09  pass\n"
+        "symplectic_rk4            max_dev=8.882e-16  tol=1.0e-09  pass\n"
+        "oracle_block_p_qcl        max_dev=7.136e-05  tol=1.0e-06  FAIL\n"
+        "oracle_block_q_qcl        max_dev=1.706e-07  tol=1.0e-06  pass\n"
+        "oracle_probe_p_qcl        max_dev=7.136e-05  tol=1.0e-06  FAIL\n"
+        "oracle_probe_q_qcl        max_dev=1.706e-07  tol=1.0e-06  pass\n",
+    ),
 }
 
 
@@ -763,10 +831,16 @@ def test_verify_oracle_output_pinned(tmp_path, capsys, case):
     # The oracle digits come from the matrix integration alone: the scalar
     # reference pipeline takes its frames from the package's own
     # oracle_evolve_grid, so this is the test that notices when they move.
-    potential, stdout = VERIFY_ORACLE_PINNED[case]
-    cfg = write_config(tmp_path, 2.0, potential, {"n": 24})
-    assert main(["verify", "--config", str(cfg), "--oracle"]) == 0
-    assert capsys.readouterr().out == stdout
+    t_emit, potential, oracle, stdout = VERIFY_ORACLE_PINNED[case]
+    cfg = write_config(tmp_path, t_emit, potential, oracle)
+    code = main(["verify", "--config", str(cfg), "--oracle"])
+    assert (code, capsys.readouterr().out) == (2 if "FAIL" in stdout else 0, stdout)
+
+
+def test_verify_oracle_golden_file(capsys):
+    # CI compares the installed console script's stdout with the same file.
+    assert main(["verify", "--config", str(CONFIG), "--oracle"]) == 0
+    assert capsys.readouterr().out == (DATA / "reference_verify.txt").read_text()
 
 
 def test_verify_unstable_integration_fails_cleanly(tmp_path):

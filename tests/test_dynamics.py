@@ -24,7 +24,14 @@ from photonbox import (
     evolve_closed,
     evolve_numeric_grid,
 )
-from photonbox.dynamics import _chi_generator, _frame_generator, _rk4_grid, _rk4_step
+from photonbox.dynamics import (
+    _chi_generator,
+    _frame_generator,
+    _leg_increment,
+    _leg_steps,
+    _rk4_grid,
+    _rk4_step,
+)
 
 # Rows and columns of a (3, 5) frame.
 Q, P, QCL = range(3)
@@ -363,6 +370,81 @@ def test_leg_map_matches_stepping(M, k, g, c, t, n):
                 y = y + E @ y
             scale = max(1.0, float(np.abs(y).max()))
             assert float(np.abs(got - y).max()) <= LEG_BOUND * scale
+
+
+def rk4_grid_per_leg(K, y0, ts, step, label):
+    """The leg loop as _rk4_grid ran it before it stacked its builds: one map
+    per exact leg length, built alone and cached in a dict, and y = y + F @ y."""
+    maps = {}
+    out = np.empty((len(ts), *y0.shape))
+    y = y0
+    t_prev = 0.0
+    for i, t in enumerate(map(float, ts)):
+        dt = t - t_prev
+        if dt > 0:
+            if dt not in maps:
+                n = _leg_steps(step, t_prev, t, label)
+                maps[dt] = _leg_increment(_rk4_step(K, dt / n), n)
+            y = y + maps[dt] @ y
+        out[i] = y
+        t_prev = t
+    return out
+
+
+def oracle_generator(consts, box):
+    """The 4 x 4 K over (Q, P, Qcl, I) of photonbox.oracle.oracle_evolve_grid."""
+    return np.array(
+        [
+            [0.0, 1.0 / box.M, 0.0, 0.0],
+            [-box.spring_k, 0.0, 0.0, -box.m * consts.g],
+            [-consts.g / (consts.c * consts.c), 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+
+
+GENERATORS = {
+    "K3": (_chi_generator, np.array([0.0, 0.0, 1.0])),
+    "K4": (oracle_generator, np.eye(4)),
+    "K5": (_frame_generator, np.eye(5)),
+}
+# Repeated times, and legs of 1, 2, 498 and 2500 steps at step 1e-3.
+MIXED_GRID = [0.0, 0.0, 1e-4, 1.5e-3, 2.5e-3, 0.5, 0.5, 3.0]
+
+
+@pytest.mark.parametrize("size", sorted(GENERATORS))
+@pytest.mark.parametrize(
+    "ts, step",
+    [
+        (np.linspace(0.0, 2.0, 100), 1e-3),
+        (np.linspace(0.0, 3.7, 100), 1e-3),
+        (np.linspace(0.0, 4.0, 100), 0.3),
+        (np.array(MIXED_GRID), 1e-3),
+        (np.array([0.0, 1e-3, 0.5, 2.0]), 1e-300),  # step counts past int64
+    ],
+    ids=["linspace-2", "linspace-3.7", "linspace-step-0.3", "mixed", "step-1e-300"],
+)
+def test_rk4_grid_matches_the_per_leg_loop_bit_for_bit(consts, ff_box, ho_box, size, ts, step):
+    # Stacking the builds of the maps that share a step count, and writing
+    # y + F y through a scratch buffer, changes no bit of the result.
+    generator, y0 = GENERATORS[size]
+    for box in (ff_box, ho_box):
+        K = generator(consts, box)
+        want = rk4_grid_per_leg(K, y0, ts, step, "numeric.step")
+        assert np.array_equal(_rk4_grid(K, y0, ts, step, "numeric.step"), want)
+
+
+def test_rk4_grid_names_the_first_leg_whose_step_count_overflows(consts, ho_box):
+    # The first leg takes about 1e297 steps, which a float still counts; the
+    # second, 2e310, does not, and the message names that leg's two times, not
+    # those of the shorter third leg, which overflows too.
+    ts = np.array([0.0, 1e-3, 2e10, 3e10])
+    with pytest.raises(InvalidStep) as err:
+        _rk4_grid(_frame_generator(consts, ho_box), np.eye(5), ts, 1e-300, "numeric.step")
+    assert str(err.value) == (
+        "numeric.step 1e-300 is too small for the leg from t=0.001 to t=20000000000.0:"
+        " its step count overflows"
+    )
 
 
 # A leg map formed as I + (a small increment) loses the spring's (h*w)**2/2

@@ -442,8 +442,8 @@ def test_probe_without_reference_skips_block(workspace):
     "potential", [FreeFall(), Harmonic(k=1000.0)], ids=["free", "harmonic"]
 )
 def test_commutator_of_a_stack_matches_per_matrix_calls(workspace, consts, potential):
-    # [P, Qcl] and [Q, Qcl] at every grid time in one broadcast call, as
-    # verify takes them, against one call per matrix pair.
+    # [P, Qcl] and [Q, Qcl] at every grid time in one broadcast call against
+    # one call per matrix pair (verify takes one time's pair per call).
     box = BoxParams(M=1000.0, m=1.0, potential=potential)
     frames = oracle_evolve_grid(workspace, consts, box, GRID)
     chi = oracle_commutator(workspace, frames[:, 1::-1], frames[:, 2:])

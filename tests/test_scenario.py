@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,26 @@ def test_verify_with_oracle_checks():
     assert "oracle_block_p_qcl" in names
     assert "oracle_probe_q_qcl" in names
     assert rep.all_passed
+
+
+# Peak traced memory of verify(use_oracle=True), in dense complex n x n
+# matrices of 16*n**2 bytes.  The check commutes one grid time at a time, so
+# it holds the (5, 3, n, n) frames, the workspace and one time's commutators:
+# 23.0 matrices at n = 256.  Commuting all five times as one stack read 37.0.
+ORACLE_PEAK_MATRICES = 25
+
+
+def test_verify_oracle_memory_is_bounded_by_one_time_of_commutators():
+    n = 256
+    s = make_scenario(oracle=OracleConfig(n=n))
+    verify(s, use_oracle=True)  # any one-time allocation stays out of the peak
+    tracemalloc.start()
+    try:
+        assert verify(s, use_oracle=True).all_passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ORACLE_PEAK_MATRICES * 16 * n * n
 
 
 @pytest.mark.parametrize("fault", [False, True], ids=["true_map", "no_hg2_term"])
