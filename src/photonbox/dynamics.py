@@ -31,7 +31,8 @@ routes compute both:
   one power of the step map.
 
 A grid is a 1-D array of numbers, and every grid time must be finite and
->= 0; the integrated routes and the oracle also need the grid ascending.
+>= 0; the integrated routes and the oracle also need the grid ascending,
+which their shared leg loop :func:`_rk4_grid` checks.
 The first fault in grid order names the InvalidTime error; an int past the
 float range reads as the infinity of its sign.
 """
@@ -340,9 +341,13 @@ def _leg_steps(step: float, t0: float, t1: float, label: str) -> int:
 
 
 def _rk4_grid(
-    K: np.ndarray, y0: np.ndarray, ts: np.ndarray, step: float, label: str
+    K: np.ndarray, y0: np.ndarray, ts: Sequence[float], step: float, label: str
 ) -> np.ndarray:
-    """Integrate y' = K y from y0 at t = 0 across a grid checked by :func:`_times`.
+    """Integrate y' = K y from y0 at t = 0 across an ascending grid ``ts``.
+
+    This is the one place where an integrated route, numeric or oracle,
+    checks its grid: :func:`_times` holds ``ts`` to the time contract and
+    requires it ascending before any leg's step count is taken.
 
     Returns shape (len(ts), *y0.shape): y at each grid time.  Each leg between
     consecutive grid times takes n equal steps no longer than ``step``,
@@ -354,11 +359,13 @@ def _rk4_grid(
 
     Raises
     ------
+    InvalidTime
+        If a time is negative or not finite, or the grid is not ascending.
     InvalidStep
         If a leg's step count overflows a float; the message names ``label``
         and the first such leg in grid order.
     """
-    ts = list(map(float, ts))
+    ts = _times(ts, ascending=True).tolist()
     counts: dict[float, int] = {}  # leg length -> step count, in grid order
     for t_prev, t in zip([0.0, *ts], ts):
         dt = t - t_prev
@@ -409,12 +416,13 @@ def evolve_numeric_grid(
     Raises
     ------
     InvalidTime
-        If a time is negative or not finite, or the grid is not ascending.
+        If a time is negative or not finite, or the grid is not ascending;
+        :func:`_rk4_grid` checks the grid.
     InvalidStep
         If the step is so small that a leg's step count overflows a float.
     """
     K = _frame_generator(consts, box)
-    return _rk4_grid(K, np.eye(5), _times(ts, ascending=True), opts.step, "numeric.step")[:, :3]
+    return _rk4_grid(K, np.eye(5), ts, opts.step, "numeric.step")[:, :3]
 
 
 def commutator_ode_grid(
@@ -438,8 +446,8 @@ def commutator_ode_grid(
     Raises
     ------
     InvalidTime, InvalidStep
-        As in :func:`evolve_numeric_grid`.
+        As in :func:`evolve_numeric_grid`, from the grid check and the leg
+        loop of :func:`_rk4_grid`.
     """
-    K = _chi_generator(consts, box)
     y0 = np.array([0.0, 0.0, 1.0])
-    return _rk4_grid(K, y0, _times(ts, ascending=True), opts.step, "numeric.step")[:, :2]
+    return _rk4_grid(_chi_generator(consts, box), y0, ts, opts.step, "numeric.step")[:, :2]

@@ -14,7 +14,8 @@ the oracle speaks in arrays: a grid of N times gives one dense (N, 3, n, n)
 stack of Q, P and Qcl, and a commutator is the dense matrix [A, B]/(i*hbar),
 over stacks of any shape.  Away from the truncation corner these matrices
 must reproduce the engine's chi values, which is what the scenario-level
-verification uses.
+verification uses; it takes the same frames one grid time at a time, so it
+never holds the stack.
 
 Truncation contaminates the last basis states, so all block comparisons
 are restricted to the leading (n - buffer) x (n - buffer) block, and the
@@ -27,11 +28,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import _rk4_grid, _times
+from .dynamics import _rk4_grid
 from .errors import ConfigError, _require, _require_type
 from .operators import BoxParams, PhysConstants
 
@@ -53,9 +54,11 @@ class OracleConfig:
     """Truncation size and edge buffer (integers), length scale, and ODE step.
 
     ``n`` is capped at :data:`MAX_N`: each n x n complex matrix takes 16*n**2
-    bytes, 64 MiB at the cap.  A ``verify`` check holds about 23 at its peak:
-    the 15 of its five frames, the workspace's q0 and p0, and the products
-    that make one grid time's two commutators.
+    bytes, 64 MiB at the cap.  A ``verify`` check holds about 14 at its peak,
+    since it forms each grid time's frame only when it commutes that time:
+    the workspace's q0 and p0, the (3, n, n) basis the frames are formed
+    from, one time's frame, its two commutators with their product
+    temporary, and the last time's two until they are replaced.
     """
 
     n: int = 60
@@ -117,6 +120,31 @@ def build_workspace(config: OracleConfig, consts: PhysConstants) -> OracleWorksp
     return OracleWorkspace(q0=q0, p0=p0, config=config, hbar=consts.hbar)
 
 
+def _oracle_frames(
+    workspace: OracleWorkspace, consts: PhysConstants, box: BoxParams, ts: Sequence[float]
+) -> Iterator[np.ndarray]:
+    """The (3, n, n) frames of :func:`oracle_evolve_grid`, one grid time at a time.
+
+    Phi is integrated across the whole grid when this is called, so a bad
+    grid or step raises here.  Each frame is formed only when the iterator
+    reaches its time, so a caller that takes them in turn, as ``verify``
+    does, holds one time's frame, not the (len(ts), 3, n, n) stack.
+    """
+    K = np.array(
+        [
+            [0.0, 1.0 / box.M, 0.0, 0.0],
+            [-box.spring_k, 0.0, 0.0, -box.m * consts.g],
+            [-consts.g / (consts.c * consts.c), 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    phi = _rk4_grid(K, np.eye(4), ts, workspace.config.step, "oracle.step")
+    # One (3, 3) x (3, n*n) product per time, the operands that
+    # np.tensordot(..., axes=1) hands to np.dot, without its per-call setup.
+    basis = np.stack([workspace.q0, workspace.p0, np.eye(workspace.config.n)]).reshape(3, -1)
+    return (np.dot(f[:3, [0, 1, 3]], basis).reshape(3, *workspace.q0.shape) for f in phi)
+
+
 def oracle_evolve_grid(
     workspace: OracleWorkspace,
     consts: PhysConstants,
@@ -127,7 +155,8 @@ def oracle_evolve_grid(
 
     Returns a complex array of shape (len(ts), 3, n, n): the matrices Q(t),
     P(t) and Qcl(t) at each grid time, in the row order of
-    :func:`~photonbox.dynamics.closed_form_grid`'s frames.
+    :func:`~photonbox.dynamics.closed_form_grid`'s frames.  An empty grid
+    gives a (0, 3, n, n) array.
 
     The matrices follow
 
@@ -139,8 +168,9 @@ def oracle_evolve_grid(
     engine.  Its propagator Phi(t), the 4 x 4 solution of Phi' = K Phi from
     the identity, is integrated once across the grid by
     ``dynamics._rk4_grid``, the numeric route's RK4 leg loop (a leg shorter
-    than the step is one step).  Each frame is Phi(t) applied to the initial
-    matrices (q0, p0, 0, I).
+    than the step is one step), which also checks the grid.  Each frame is
+    Phi(t) applied to the initial matrices (q0, p0, 0, I), and this stack
+    holds the frames that ``verify`` forms and commutes one time at a time.
 
     Raises
     ------
@@ -150,19 +180,8 @@ def oracle_evolve_grid(
         If the configured step is so small that a leg's step count overflows
         a float.
     """
-    ts = _times(ts, ascending=True)
-    cfg = workspace.config
-    K = np.array(
-        [
-            [0.0, 1.0 / box.M, 0.0, 0.0],
-            [-box.spring_k, 0.0, 0.0, -box.m * consts.g],
-            [-consts.g / (consts.c * consts.c), 0.0, 0.0, 1.0],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
-    )
-    phi = _rk4_grid(K, np.eye(4), ts, cfg.step, "oracle.step")
-    basis = np.stack([workspace.q0, workspace.p0, np.eye(cfg.n)])
-    return np.tensordot(phi[:, :3, [0, 1, 3]], basis, axes=1)
+    n = workspace.config.n
+    return np.fromiter(_oracle_frames(workspace, consts, box, ts), np.dtype((complex, (3, n, n))))
 
 
 def oracle_evolve(

@@ -22,7 +22,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, InvalidPrecision, InvalidTime, RangeError, _require, _require_type
 from .operators import BoxParams, PhysConstants
-from .oracle import OracleConfig, build_workspace, oracle_commutator, oracle_evolve_grid
+from .oracle import OracleConfig, _oracle_frames, build_workspace, oracle_commutator
 from .states import (
     MIN_DEVICE_PRECISION,
     SWEEP_DTYPE,
@@ -210,9 +210,11 @@ def verify(
 
     and, when ``use_oracle`` is set, the truncated-Fock matrix commutators
     (restricted block and its vacuum entry) against the engine's chi at five
-    evenly spaced times, integrated in one pass by
-    :func:`~photonbox.oracle.oracle_evolve_grid` and commuted one time at a
-    time, so only that time's two n x n commutators are held at once.
+    evenly spaced times.  The oracle's propagator is integrated across them
+    in one pass, and each time's (3, n, n) frame is formed only when that
+    time is commuted, so one time's frame and commutators are held at once,
+    never the (5, 3, n, n) stack of
+    :func:`~photonbox.oracle.oracle_evolve_grid`.
     All deviations are measured relative to max(1, |ref|).
 
     Raises
@@ -255,18 +257,17 @@ def verify(
         ws = build_workspace(s.oracle, consts)
         # Truncation is only trustworthy for moderate phase advance, so the
         # oracle grid stays within w*t <= 4 (harmonic) or t <= 4 (free fall).
-        T_o = min(T, 4.0 / (box.omega or 1.0))
-        ts_o = np.linspace(0.0, T_o, 5)
+        ts_o = np.linspace(0.0, min(T, 4.0 / (box.omega or 1.0)), 5)
         refs = closed_form_grid(consts, box, ts_o)[1]
         # A scale far from the oracle's natural length overflows the matrix
         # products the same way; those checks then read inf or nan and fail.
         with np.errstate(over="ignore", invalid="ignore"):
-            frames = oracle_evolve_grid(ws, consts, box, ts_o)
             r = s.oracle.n - s.oracle.buffer
             diag = np.arange(r)
             probe_dev = np.empty(refs.shape, complex)
             block_dev = np.empty(refs.shape)
-            for i, frame in enumerate(frames):  # one time's (2, n, n) commutators at a time
+            # One time's (3, n, n) frame and (2, n, n) commutators at a time.
+            for i, frame in enumerate(_oracle_frames(ws, consts, box, ts_o)):
                 chi = oracle_commutator(ws, frame[_PQ_ROWS], frame[2:])
                 probe_dev[i] = chi[:, 0, 0] - refs[i]  # taken before the block is edited
                 block = chi[:, :r, :r]

@@ -24,10 +24,10 @@ from photonbox import (
     OracleConfig,
     SWEEP_DTYPE,
     Scenario,
-    oracle_evolve_grid,
     sweep,
 )
 from photonbox.dynamics import _leg_steps
+from photonbox.oracle import _oracle_frames
 from photonbox.cli import _BLOCK_ROWS, _build_parser, build_scenario, load_config, main, sci, sci17, sweep_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -621,9 +621,9 @@ def test_verify_oracle_compares_every_positive_time(tmp_path, monkeypatch, capsy
 
     def recording(workspace, consts, box, ts):
         grids.append(list(ts))
-        return oracle_evolve_grid(workspace, consts, box, ts)
+        return _oracle_frames(workspace, consts, box, ts)
 
-    monkeypatch.setattr(photonbox.scenario, "oracle_evolve_grid", recording)
+    monkeypatch.setattr(photonbox.scenario, "_oracle_frames", recording)
     assert main(["verify", "--config", str(cfg), "--oracle"]) == 0
     assert grids == [[0.0, 0.125, 0.25, 0.375, 0.5]]
     lines = capsys.readouterr().out.splitlines()
@@ -830,7 +830,8 @@ VERIFY_ORACLE_PINNED = {
 def test_verify_oracle_output_pinned(tmp_path, capsys, case):
     # The oracle digits come from the matrix integration alone: the scalar
     # reference pipeline takes its frames from the package's own
-    # oracle_evolve_grid, so this is the test that notices when they move.
+    # oracle_evolve_grid, the stack of the frames verify commutes one time at
+    # a time, so this is the test that notices when they move.
     t_emit, potential, oracle, stdout = VERIFY_ORACLE_PINNED[case]
     cfg = write_config(tmp_path, t_emit, potential, oracle)
     code = main(["verify", "--config", str(cfg), "--oracle"])

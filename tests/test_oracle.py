@@ -22,7 +22,8 @@ from photonbox import (
     oracle_evolve,
     oracle_evolve_grid,
 )
-from photonbox.dynamics import _rk4_step
+from photonbox.dynamics import _rk4_grid, _rk4_step
+from photonbox.oracle import _oracle_frames
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +365,54 @@ def test_grid_matches_dense_loop_property(M, m, g, k, step, ts):
     ws = build_workspace(OracleConfig(n=16, buffer=6, step=step), consts)
     box = BoxParams(M=M, m=m, potential=Harmonic(k=k) if k else FreeFall())
     assert_matches_dense(ws, consts, box, ts)
+
+
+# verify forms each oracle time's frame only when it reaches that time, and
+# oracle_evolve_grid stacks the same frames.  Both must equal, bit for bit,
+# the frames of one np.tensordot over the whole grid, the form the pinned
+# oracle digits were taken from.  In the number basis each entry of a frame
+# has one nonzero term per real or imaginary part, so any summation order
+# gives the same bits; the rotated basis fills every entry, so there the
+# order of the products' sums is checked too.
+@pytest.mark.parametrize("basis", ["number", "rotated"])
+@pytest.mark.parametrize("grid", ["verify", "uneven"])
+@pytest.mark.parametrize("n", [16, 33, 60, 257])
+@pytest.mark.parametrize(
+    "potential",
+    [FreeFall(), Harmonic(k=1000.0), Harmonic(k=3.7)],
+    ids=["free", "k1000", "k3.7"],
+)
+def test_grid_is_the_stack_of_the_frames_verify_commutes(consts, n, potential, grid, basis):
+    ws = build_workspace(OracleConfig(n=n, buffer=6, step=1e-3), consts)
+    if basis == "rotated":
+        rot, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((n, n)))
+        ws = OracleWorkspace(
+            q0=rot @ ws.q0 @ rot.T, p0=rot @ ws.p0 @ rot.T, config=ws.config, hbar=ws.hbar
+        )
+    box = BoxParams(M=1000.0, m=1.0, potential=potential)
+    # verify's oracle grid at t_emit 2: five times up to min(2, 4/w).
+    ts = np.linspace(0.0, min(2.0, 4.0 / (box.omega or 1.0)), 5) if grid == "verify" else GRID
+    stack = oracle_evolve_grid(ws, consts, box, ts)
+    assert stack.dtype == complex and stack.shape == (len(ts), 3, n, n)
+    assert stack.tobytes() == np.stack(list(_oracle_frames(ws, consts, box, ts))).tobytes()
+    phi = _rk4_grid(oracle_generator(consts, box), np.eye(4), ts, ws.config.step, "oracle.step")
+    initial = np.stack([ws.q0, ws.p0, np.eye(n)])
+    assert stack.tobytes() == np.tensordot(phi[:, :3, [0, 1, 3]], initial, axes=1).tobytes()
+
+
+def test_empty_grid_gives_an_empty_stack(workspace, consts):
+    box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
+    frames = oracle_evolve_grid(workspace, consts, box, [])
+    n = workspace.config.n
+    assert frames.dtype == complex and frames.shape == (0, 3, n, n)
+
+
+def test_frames_check_the_grid_before_the_first_frame(workspace, consts):
+    # The grid is checked when the frames are asked for, not when the first
+    # is read, so verify fails before it commutes anything.
+    box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
+    with pytest.raises(InvalidTime, match="sorted ascending"):
+        _oracle_frames(workspace, consts, box, (1.0, 0.5))
 
 
 @pytest.mark.parametrize(

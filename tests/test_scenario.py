@@ -283,10 +283,12 @@ def test_verify_with_oracle_checks():
 
 
 # Peak traced memory of verify(use_oracle=True), in dense complex n x n
-# matrices of 16*n**2 bytes.  The check commutes one grid time at a time, so
-# it holds the (5, 3, n, n) frames, the workspace and one time's commutators:
-# 23.0 matrices at n = 256.  Commuting all five times as one stack read 37.0.
-ORACLE_PEAK_MATRICES = 25
+# matrices of 16*n**2 bytes.  The check forms and commutes one grid time at a
+# time, so it holds the workspace's q0 and p0, the oracle's (3, n, n) basis,
+# one time's frame, its two commutators with their product temporary, and the
+# last time's two until they are replaced: 14.0 matrices at n = 256.  Holding
+# all five frames at once read 23.0, and commuting all five as one stack 37.0.
+ORACLE_PEAK_MATRICES = 16
 
 
 def test_verify_oracle_memory_is_bounded_by_one_time_of_commutators():
