@@ -1,32 +1,44 @@
-"""The array-valued core against the scalar per-time pipeline it replaced.
+"""The array core against a 50-digit reference taken from the equations of motion.
 
-The reference below is the loop `sweep` and `run_scenario` ran one time at
-a time before both became views of one array evaluation: scalar
-``math.sin``/``math.cos`` closed forms, one 3x3 propagation per time and
-the mass rule per route.  It calls nothing from photonbox's evaluation
-path (no ``closed_form_grid``, ``evolve_closed``, ``propagate_state`` or
-``mass_uncertainty``), and the core must reproduce it bit for bit: the
-arithmetic and its order are unchanged, and ``np.sin``/``np.cos`` agree
-with ``math.sin``/``math.cos`` on every value these grids produce.
+The equations of motion of :mod:`photonbox.dynamics` are y' = K y over
+y = (q, p, qcl, 1, m), where K has five nonzero entries: 1/M, -k, -g,
+-g/c**2 and 1.  The reference frame at t is the top three rows of
+F(t) = expm(K t), from ``mpmath.expm`` at 50 digits.  Each clock chi is a
+2x2 minor of F, the spreads come from Sigma(t) = S Sigma_0 S^T with S the
+q, p, qcl columns of F, and the mass rule is the README's: dm = dX/|a_m|,
+dE = c**2*dm, dT = dqcl, degenerate (dm = inf) where |a_m| < 1e-12, valid
+where w*t*m < 0.1*M or in free fall.  Of photonbox it reads only the
+scenario's numbers and its initial state.
 
-`verify` has a scalar reference too: the per-frame, per-coefficient
-deviation loop over frames held as tuples of rows, one scalar
-a_q(X)*a_p(Y) - a_p(X)*a_q(Y) per pair and frame, and running maxima over
-the oracle times, fed by the same scalar closed forms and by its own RK4
-loop, which takes one step at a time.  `verify` folds each leg's steps into
-one power of the step map, so the two differ by rounding: every ``max_dev``
-must agree within ``DEV_BOUND``, and every verdict must be the same unless
-the reference's deviation lies within ``DEV_BOUND`` of the tolerance.
+Every value of `sweep` and `run_scenario` must lie within ``BOUND`` of the
+reference, relative to that quantity's scale: its largest magnitude over
+the grid (for a run, over ``RUN_GRID`` times from 0 to t_emit).  dm, dE and
+the products are compared through |a_m| = dX/dm, because near a revival dm
+inherits the conditioning of a_m.  Flags must match, except a degenerate
+flag where the reference |a_m| lies within the bound of DEGENERACY_ATOL.
+The mutation harness shows that a relative fault of 1e-12 in any one
+varying frame coefficient or chi of the closed forms fails this.
+
+`verify` has a scalar reference: the per-frame deviation loop over frames
+held as tuples of rows, fed by the 50-digit reference rounded to float and
+by its own RK4 loop, which takes one step at a time where `verify` folds a
+leg's steps into one power of the step map.  Every ``max_dev`` must agree
+within ``DEV_BOUND``, and every verdict must be the same unless the
+reference's deviation lies within ``DEV_BOUND`` of the tolerance.
 """
 
 import dataclasses
 import math
 import random
+from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
 from photonbox import (
+    BOUND_SLACK,
     BoxParams,
     FreeFall,
     Harmonic,
@@ -36,11 +48,12 @@ from photonbox import (
     OracleConfig,
     PhysConstants,
     Route,
-    SWEEP_DTYPE,
     Scenario,
     build_workspace,
+    dynamics,
     oracle_evolve_grid,
     run_scenario,
+    states,
     sweep,
     verify,
 )
@@ -48,173 +61,119 @@ from photonbox import (
 DEGENERACY_ATOL = 1e-12
 SI = dict(hbar=1.054571817e-34, c=299792458.0, g=9.81)
 
+# The unmutated engine's worst over the four families below is 7.1e-15 of a
+# quantity's scale (a_m on the revival grids), and a relative fault of 1e-12
+# in a coefficient moves it by 1e-12 of the scale where it is near its largest.
+BOUND = 1e-13
+RUN_GRID = 33
+
 
 # ---------------------------------------------------------------------------
-# scalar reference
+# 50-digit reference
 # ---------------------------------------------------------------------------
 
 
-def ref_kernels(w, t):
-    """cos(wt), sin(wt)/w, (1 - cos(wt))/w**2, (t - sin(wt)/w)/w**2; at w = 0 their limits."""
-    x = w * t
-    if w == 0.0:
-        return 1.0, t, t * t / 2.0, t * t * t / 6.0
-    s = math.sin(x) / w
-    h = math.sin(0.5 * x) / w
-    if x < 0.25:
-        series = 1.0 / 6652800.0  # 6*(x - sin x)/x**3 in x**2, by Horner
-        for a in (-1.0 / 60480.0, 1.0 / 840.0, -1.0 / 20.0, 1.0):
-            series = series * (x * x) + a
-        d = t * t * t / 6.0 * series
-    else:
-        d = (t - s) / (w * w)
-    return math.cos(x), s, 2.0 * h * h, d
+def reference(s, t_min, t_max, steps):
+    """The reference at np.linspace(t_min, t_max, steps), rounded to float.
 
-
-def ref_frame(consts, box, t):
-    """Rows Q, P, Qcl of (a_q, a_p, a_cl, a_1, a_m) at backward time t."""
-    g = consts.g
-    c2 = consts.c * consts.c
-    M = box.M
-    cw, s, c, d = ref_kernels(box.omega, t)
-    return [
-        [cw, s / M, 0.0, 0.0, -g * c / M],
-        [-box.spring_k * s, cw, 0.0, 0.0, -g * s],
-        [-(g / c2) * s, -(g / c2) * c / M, 1.0, t, g * g * d / (M * c2)],
-    ]
-
-
-def ref_chi(consts, box, t):
-    """(chi_p_qcl, chi_q_qcl) at backward time t."""
-    c2 = consts.c * consts.c
-    _, s, c, _ = ref_kernels(box.omega, t)
-    return consts.g * s / c2, consts.g * c / (box.M * c2)
-
-
-def ref_propagate(rows, state0, m):
-    """Means and covariance of Q, P, Qcl: mean_of per row, S Sigma S^T."""
-    mu_q, mu_p, mu_cl = state0.mu
-    mu = [r[0] * mu_q + r[1] * mu_p + r[2] * mu_cl + r[3] + r[4] * m for r in rows]
-    S = np.array([r[:3] for r in rows])
-    sigma = S @ state0.sigma @ S.T
-    sigma = 0.5 * (sigma + sigma.T)
-    return mu, sigma
-
-
-def ref_mass(a_m, dx, t, box):
-    """(dm, valid, degenerate) for one measured spread."""
-    coeff = abs(a_m)
-    degenerate = coeff < DEGENERACY_ATOL
-    dm = math.inf if degenerate else dx / coeff
-    if isinstance(box.potential, Harmonic):
-        valid = box.omega * t * box.m < 0.1 * box.M
-    else:
-        valid = True
-    return dm, valid, degenerate
-
-
-def ref_point(s, t):
-    """Everything the core evaluates at one time, from the scalar pipeline."""
-    consts, box = s.constants, s.box
-    c2 = consts.c * consts.c
-    rows = ref_frame(consts, box, t)
-    mu, sigma = ref_propagate(rows, s.initial_state(), box.m)
-    dq, dp, dqcl = (float(v) for v in np.sqrt(np.maximum(np.diag(sigma), 0.0)))
-    out = {"rows": rows, "mu": mu, "sigma": sigma, "dq": dq, "dp": dp, "dqcl": dqcl}
-    out["chi_p"], out["chi_q"] = ref_chi(consts, box, t)
-    for route, row, dx in (("p", rows[1], dp), ("q", rows[0], dq)):
-        dm, valid, degenerate = ref_mass(row[4], dx, t, box)
-        dE = math.inf if degenerate else c2 * dm
-        out[route] = dict(
-            dm=dm,
-            dE=dE,
-            product=math.inf if degenerate else dE * dqcl,
-            valid=valid,
-            degenerate=degenerate,
-        )
-    return out
-
-
-def ref_sweep(s, t_min, t_max, steps):
-    """The sweep as tuples of Python floats and bools, one per time, in SWEEP_DTYPE's field order."""
+    F(t_min) and the step map expm(K h) come from ``mpmath.expm``; the steps
+    and all that follows run in 50-digit decimals, several times faster than
+    mpf.  The P/Q axis of ``chi``, ``dx`` and ``a_m`` runs route p, then q.
+    """
+    with mpmath.workdps(50):
+        g, c, M, k = map(mpmath.mpf, (s.constants.g, s.constants.c, s.box.M, s.box.spring_k))
+        K = mpmath.zeros(5)
+        K[0, 1], K[1, 0], K[1, 4], K[2, 0], K[2, 3] = 1 / M, -k, -g, -g / c**2, 1
+        h = (mpmath.mpf(t_max) - t_min) / (steps - 1)
+        F, step = (mpmath.expm(K * t) if t else mpmath.eye(5) for t in (t_min, h))
+        F, step = decimals(F[:3, :]), decimals(step)
+        h, w = Decimal(str(h)), Decimal(str(mpmath.sqrt(k / M)))
+    sigma0 = np.array([[Decimal(v) for v in row] for row in s.initial_state().sigma.tolist()])
     rows = []
-    for t in np.linspace(t_min, t_max, steps):
-        t = float(t)
-        r = ref_point(s, t)
-        p, q = r["p"], r["q"]
-        row = dict(
-            t=t,
-            chi_p_qcl=r["chi_p"],
-            chi_q_qcl=r["chi_q"],
-            dq=r["dq"],
-            dp=r["dp"],
-            dqcl=r["dqcl"],
-            dm_p=p["dm"],
-            dm_q=q["dm"],
-            dE_p=p["dE"],
-            dE_q=q["dE"],
-            dT=r["dqcl"],
-            prod_p=p["product"],
-            prod_q=q["product"],
-            bound_ET=s.constants.hbar / 2.0,
-            valid=p["valid"],
-            degenerate_p=p["degenerate"],
-            degenerate_q=q["degenerate"],
-        )
-        assert tuple(row) == SWEEP_DTYPE.names
-        rows.append(tuple(row.values()))
-    return rows
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for i in range(steps):
+            t, S = Decimal(t_min) + i * h, F[:, :3]
+            variances = ((S @ sigma0) * S).sum(axis=1)  # the diagonal of S Sigma_0 S^T
+            rows.append(
+                [t, *F.flat]
+                + [F[r, 0] * F[2, 1] - F[r, 1] * F[2, 0] for r in (1, 0)]  # chi of [P, Qcl], [Q, Qcl]
+                + [variances[r].sqrt() for r in (1, 0, 2)]  # dp, dq, dqcl
+                + [abs(F[1, 4]), abs(F[0, 4])]
+                + [w == 0 or w * t * Decimal(s.box.m) < Decimal(s.box.M) / 10]  # valid
+            )
+            F = F @ step
+    a = np.array(rows, dtype=float)
+    return SimpleNamespace(t=a[:, 0], frames=a[:, 1:16].reshape(-1, 3, 5), chi=a[:, 16:18],
+                           dx=a[:, 18:20], dqcl=a[:, 20], a_m=a[:, 21:23], valid=a[:, 23] == 1.0)
 
 
-# ---------------------------------------------------------------------------
-# bitwise comparison
-# ---------------------------------------------------------------------------
+def decimals(A):
+    """An mpmath matrix as an object array of Decimals, with the working precision's digits."""
+    return np.array([[Decimal(str(x)) for x in row] for row in A.tolist()])
 
 
-def bits(value):
-    """A float's exact bit pattern (so -0.0 != 0.0 and nan == nan); bools as is."""
-    if isinstance(value, bool):
-        return value
-    assert type(value) is float, type(value)
-    return value.hex()
+def scale(values):
+    """A quantity's scale: its largest magnitude over the grid (axis 0)."""
+    return np.abs(values).max(axis=0)
 
 
-def row_bits(row):
-    return tuple(bits(v) for v in tuple(row))
+def assert_close(name, got, want, size):
+    dev = np.abs(np.asarray(got, dtype=float) - want)
+    bad = ~(dev <= BOUND * size)  # nan is bad
+    assert not bad.any(), f"{name} is off the reference at {np.argwhere(bad)[0]} by {dev[bad][0]!r}"
+
+
+def assert_inference(s, ref, got, routes="pq", at=slice(None)):
+    """SWEEP_DTYPE columns ``got`` of ``routes`` at the reference's times [at]."""
+    columns = {"t": ref.t, "chi_p_qcl": ref.chi[:, 0], "chi_q_qcl": ref.chi[:, 1],
+               "dp": ref.dx[:, 0], "dq": ref.dx[:, 1], "dqcl": ref.dqcl, "dT": ref.dqcl}
+    for name, want in columns.items():
+        assert_close(name, got[name], want[at], scale(want))
+    assert_close("bound_ET", got["bound_ET"], s.constants.hbar / 2.0, s.constants.hbar / 2.0)
+    assert np.all(got["valid"] == ref.valid[at])
+    for route in routes:
+        i = "pq".index(route)
+        a_m, dx = ref.a_m[:, i], np.asarray(got[("dp", "dq")[i]])  # the engine's dX, checked above
+        degenerate = np.asarray(got[f"degenerate_{route}"])
+        near = np.abs(a_m - DEGENERACY_ATOL) <= BOUND * scale(a_m)
+        assert np.all((degenerate == (a_m < DEGENERACY_ATOL)[at]) | near[at]), f"degenerate_{route}"
+        c2dx = s.constants.c ** 2 * dx
+        for name, numerator in (("dm", dx), ("dE", c2dx), ("prod", c2dx * np.asarray(got["dT"]))):
+            a_m_got = np.where(degenerate, a_m[at], numerator / np.asarray(got[f"{name}_{route}"]))
+            assert_close(f"{name}_{route} as |a_m|", a_m_got, a_m[at], scale(a_m))
+
+
+def assert_run(s, ref, got):
+    """Every field of ``got``, a run at the reference's last time."""
+    rep, hbar = got.report, s.constants.hbar
+    assert rep.route is s.measurement.route
+    r = rep.route.value
+    columns = {
+        "t": rep.t, "chi_p_qcl": got.chi_p_qcl, "chi_q_qcl": got.chi_q_qcl, "dq": got.dq, "dp": got.dp,
+        "dqcl": got.dqcl, "dT": rep.dT, "bound_ET": rep.bound, "valid": rep.valid, f"dm_{r}": rep.dm,
+        f"dE_{r}": rep.dE, f"prod_{r}": rep.product, f"degenerate_{r}": rep.degenerate,
+    }
+    assert_inference(s, ref, columns, r, at=-1)
+    assert_close("frame", got.frame, ref.frames[-1], scale(ref.frames))
+    i = "pq".index(r)  # product c**2*dX*dT/|a_m| >= hbar/2, less the slack
+    floor = hbar / 2.0 * ref.a_m[-1, i] * (1.0 - BOUND_SLACK)
+    assert rep.ok == (rep.degenerate or s.constants.c ** 2 * ref.dx[-1, i] * ref.dqcl[-1] >= floor)
+    for i, check in enumerate((got.check_p, got.check_q)):
+        dx, bound = ref.dx[:, i], hbar * np.abs(ref.chi[:, i]) / 2.0
+        for name, want in {"dx": dx, "dy": ref.dqcl, "product": dx * ref.dqcl, "bound": bound}.items():
+            assert_close(f"check_{'pq'[i]}.{name}", getattr(check, name), want[-1], scale(want))
+        assert check.ok == (dx[-1] * ref.dqcl[-1] >= bound[-1] * (1.0 - BOUND_SLACK))
 
 
 def assert_sweep_matches(s, t_min, t_max, steps):
-    got = sweep(s, t_min, t_max, steps)
-    ref = ref_sweep(s, t_min, t_max, steps)
-    assert len(got) == len(ref) == steps
-    for i, (g, r) in enumerate(zip(got.tolist(), ref)):
-        assert row_bits(g) == row_bits(r), f"row {i} (t={r[0]!r})"
+    rows = sweep(s, t_min, t_max, steps)
+    assert_inference(s, reference(s, t_min, t_max, steps), rows)
+    return rows
 
 
 def assert_run_matches(s):
-    got = run_scenario(s)
-    ref = ref_point(s, s.t_emit)
-    route = ref[s.measurement.route.value]
-    rep = got.report
-    assert rep.route is s.measurement.route
-    assert bits(rep.t) == bits(float(s.t_emit))
-    for name in ("dm", "dE", "product"):
-        assert bits(getattr(rep, name)) == bits(route[name]), name
-    assert bits(rep.dT) == bits(ref["dqcl"])
-    assert bits(rep.bound) == bits(s.constants.hbar / 2.0)
-    assert (rep.valid, rep.degenerate) == (route["valid"], route["degenerate"])
-    for name in ("dq", "dp", "dqcl"):
-        assert bits(getattr(got, name)) == bits(ref[name]), name
-    assert bits(got.chi_p_qcl) == bits(ref["chi_p"])
-    assert bits(got.chi_q_qcl) == bits(ref["chi_q"])
-    assert got.frame.shape == (3, 5)
-    frame = [[bits(v) for v in row] for row in got.frame.tolist()]
-    assert frame == [[bits(v) for v in row] for row in ref["rows"]]
-    pairs = ((got.check_p, ref["dp"], ref["chi_p"]), (got.check_q, ref["dq"], ref["chi_q"]))
-    for check, dx, chi in pairs:
-        assert (bits(check.dx), bits(check.dy)) == (bits(dx), bits(ref["dqcl"]))
-        assert bits(check.product) == bits(dx * ref["dqcl"])
-        assert bits(check.bound) == bits(s.constants.hbar * abs(chi) / 2.0)
+    assert_run(s, reference(s, 0.0, s.t_emit, RUN_GRID), run_scenario(s))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +224,7 @@ def test_harmonic_sweep_on_revivals(seed):
         s = scenario(rng, unit_consts(rng), M, Harmonic(k=M * w * w), route)
         periods = rng.choice((2, 4, 5, 8))
         t_max = periods * 2.0 * math.pi / w
-        assert_sweep_matches(s, 0.0, t_max, periods * 64 + 1)
-        rows = sweep(s, 0.0, t_max, periods * 64 + 1)
+        rows = assert_sweep_matches(s, 0.0, t_max, periods * 64 + 1)
         assert any(r.degenerate_p for r in rows[64::64])
         for t in (2.0 * math.pi / w, rng.uniform(0.5, 4.0)):
             assert_run_matches(dataclasses.replace(s, t_emit=t))
@@ -306,19 +264,61 @@ def test_overflow_names_coefficient_and_first_time():
 
 
 # ---------------------------------------------------------------------------
+# mutation harness
+# ---------------------------------------------------------------------------
+
+
+def mutant(which, index):
+    """closed_form_grid with frames (which 0) or chis (which 1) [..., *index] scaled by 1 + 1e-12."""
+    def closed_form_grid(*args):
+        arrays = dynamics.closed_form_grid(*args)
+        arrays[which][(..., *index)] *= 1.0 + 1e-12
+        return arrays
+    return closed_form_grid
+
+
+# One scenario per family, at t_emit 2, where no varying coefficient is near
+# a zero; the revival spring is at w*t = 2*pi + 1.
+MUTATION_FAMILIES = {
+    family: scenario(random.Random(f"mutant:{family}"), consts, M, potential, route, dx, t_emit=2.0)
+    for family, consts, M, potential, route, dx in (
+        ("free", PhysConstants(), 1000.0, FreeFall(), "p", None),
+        ("revival", PhysConstants(), 1000.0, Harmonic(k=250.0 * (2 * math.pi + 1) ** 2), "q", None),
+        ("soft", PhysConstants(), 1000.0, Harmonic(k=0.1), "q", None),  # w*t = 0.02
+        ("si", PhysConstants(**SI), 1.0, Harmonic(k=2.0), "q", 1e-8),
+    )
+}
+
+
+@pytest.mark.parametrize("family", MUTATION_FAMILIES)
+def test_a_relative_fault_of_1e_12_in_any_varying_coefficient_fails(family, monkeypatch):
+    s = MUTATION_FAMILIES[family]
+    ref = reference(s, 0.0, s.t_emit, RUN_GRID)
+
+    def assert_matches():
+        assert_inference(s, ref, sweep(s, 0.0, s.t_emit, RUN_GRID))
+        assert_run(s, ref, run_scenario(s))
+
+    assert_matches()
+    varying = [(0, (i, j)) for i, j in np.ndindex(3, 5) if np.ptp(ref.frames[:, i, j]) > 0]
+    assert len(varying) == (7 if family == "free" else 10)
+    survivors = []
+    for which, index in varying + [(1, (0,)), (1, (1,))]:
+        monkeypatch.setattr(states, "closed_form_grid", mutant(which, index))
+        try:
+            assert_matches()
+        except AssertionError:
+            continue
+        survivors.append((("frames", "chis")[which], index))
+    assert not survivors
+
+
+# ---------------------------------------------------------------------------
 # verify: scalar deviation reference
 # ---------------------------------------------------------------------------
 
 def ref_unit_floor_dev(value, ref):
     return abs(value - ref) / max(1.0, abs(ref))
-
-
-def ref_frame_dev(numeric, closed):
-    dev = 0.0
-    for num_row, ref_row in zip(numeric, closed):  # rows Q, P, Qcl
-        for value, ref in zip(num_row, ref_row):  # a_q, a_p, a_cl, a_1, a_m
-            dev = max(dev, ref_unit_floor_dev(value, ref))
-    return dev
 
 
 def ref_commutator(x, y):
@@ -353,14 +353,14 @@ def ref_rk4_grid(G, src, y, ts, step):
 def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
     """(name, max_dev, tol, passed) per check, computed one frame at a time."""
     consts, box = s.constants, s.box
-    g = consts.g
-    c2 = consts.c * consts.c
+    g, c2 = consts.g, consts.c * consts.c
     T = s.t_emit if s.t_emit > 0 else 4.0
     ts = [float(t) for t in np.linspace(0.0, T, grid)]
 
     # frames as tuples of rows (Q, P, Qcl)
-    closed = [tuple(ref_frame(consts, box, t)) for t in ts]
-    chi_closed = [ref_chi(consts, box, t) for t in ts]
+    ref = reference(s, 0.0, T, grid)
+    closed = [tuple(frame.tolist()) for frame in ref.frames]
+    chi_closed = ref.chi.tolist()
     G = np.array([[0.0, 1.0 / box.M, 0.0], [-box.spring_k, 0.0, 0.0], [-g / c2, 0.0, 0.0]])
     src = np.zeros((3, 5))
     src[1, 4] = -g
@@ -370,13 +370,16 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
     G = np.array([[0.0, -box.spring_k], [1.0 / box.M, 0.0]])
     chi_ode = ref_rk4_grid(G, np.array([g / c2, 0.0]), np.zeros(2), ts, s.numeric.step)
 
-    frame_dev = max(ref_frame_dev(n, c) for n, c in zip(numeric, closed))
+    frame_dev = max(
+        ref_unit_floor_dev(value, ref)
+        for num, cl in zip(numeric, closed)
+        for num_row, ref_row in zip(num, cl)  # rows Q, P, Qcl
+        for value, ref in zip(num_row, ref_row)  # a_q, a_p, a_cl, a_1, a_m
+    )
     ode_dev = max(
-        max(
-            ref_unit_floor_dev(float(ode[0]), ref[0]),
-            ref_unit_floor_dev(float(ode[1]), ref[1]),
-        )
-        for ode, ref in zip(chi_ode, chi_closed)
+        ref_unit_floor_dev(float(value), ref)
+        for ode, chis in zip(chi_ode, chi_closed)
+        for value, ref in zip(ode, chis)
     )
     algebra_dev = rk4_algebra_dev = sympl_closed_dev = sympl_rk4_dev = 0.0
     for (q_c, p_c, qcl_c), (q_n, p_n, qcl_n), ref in zip(closed, numeric, chi_closed):
@@ -403,19 +406,16 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
 
     if use_oracle:
         ws = build_workspace(s.oracle, consts)
-        if isinstance(box.potential, Harmonic):
-            T_o = min(T, 4.0 / box.omega)
-        else:
-            T_o = min(T, 4.0)
+        T_o = min(T, 4.0 / box.omega if isinstance(box.potential, Harmonic) else 4.0)
         ts_o = [float(t) for t in np.linspace(0.0, T_o, 5)]
         r = ws.config.n - ws.config.buffer
         # The probe as a vacuum expectation value, not as verify reads it (an entry)
         vacuum = np.zeros(ws.config.n, dtype=complex)
         vacuum[0] = 1.0
         block_p = block_q = probe_p = probe_q = 0.0
-        for t, frame in zip(ts_o, oracle_evolve_grid(ws, consts, box, ts_o)):
+        chis = reference(s, 0.0, T_o, 5).chi.tolist()
+        for (ref_p, ref_q), frame in zip(chis, oracle_evolve_grid(ws, consts, box, ts_o)):
             q, p, qcl = frame
-            ref_p, ref_q = ref_chi(consts, box, t)
             devs = []
             for a, ref in ((p, ref_p), (q, ref_q)):
                 chi = (a @ qcl - qcl @ a) / (1j * consts.hbar)
@@ -438,14 +438,15 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
 # Stepping one step at a time accumulates about steps * eps of rounding: with
 # at most 4000 steps here (t_emit 4 at step 1e-3) about 5e-13 relative, which
 # this bound doubles.  The folded legs accumulate far less.  The worst max_dev
-# difference seen over these cases was 2.4e-13.
+# difference over these cases is 6.1e-13, in symplectic_rk4, which reads no
+# closed form; of the checks that do, the worst is chi_closed_vs_ode's 4.3e-13.
 DEV_BOUND = 1e-12
 
 
 def assert_verify_matches(s, **kwargs):
     got = verify(s, **kwargs).checks
     ref = ref_verify(s, **kwargs)
-    assert [(c.name, bits(c.tol)) for c in got] == [(name, bits(tol)) for name, _, tol, _ in ref]
+    assert [(c.name, c.tol) for c in got] == [(name, tol) for name, _, tol, _ in ref]
     for c, (name, dev, tol, passed) in zip(got, ref):
         assert c.max_dev == dev or abs(c.max_dev - dev) <= DEV_BOUND, name
         assert c.passed == passed or abs(dev - tol) <= DEV_BOUND, name
@@ -504,8 +505,4 @@ def test_verify_oracle(potential):
     s = dataclasses.replace(s, oracle=OracleConfig(n=24, buffer=4))
     got = assert_verify_matches(s, grid=20, use_oracle=True)
     assert [c.name for c in got][6:] == [
-        "oracle_block_p_qcl",
-        "oracle_block_q_qcl",
-        "oracle_probe_p_qcl",
-        "oracle_probe_q_qcl",
-    ]
+        "oracle_block_p_qcl", "oracle_block_q_qcl", "oracle_probe_p_qcl", "oracle_probe_q_qcl"]
