@@ -77,16 +77,21 @@ def reference(s, t_min, t_max, steps):
     """The reference at np.linspace(t_min, t_max, steps), rounded to float.
 
     F(t_min) and the step map expm(K h) come from ``mpmath.expm``; the steps
-    and all that follows run in 50-digit decimals, several times faster than
-    mpf.  The P/Q axis of ``chi``, ``dx`` and ``a_m`` runs route p, then q.
+    and all that follows run in 50-digit decimals, which halves this module's
+    run time against the same loop in mpf.  The P/Q axis of ``chi``, ``dx``
+    and ``a_m`` runs route p, then q.
     """
     with mpmath.workdps(50):
         g, c, M, k = map(mpmath.mpf, (s.constants.g, s.constants.c, s.box.M, s.box.spring_k))
         K = mpmath.zeros(5)
-        K[0, 1], K[1, 0], K[1, 4], K[2, 0], K[2, 3] = 1 / M, -k, -g, -g / c**2, 1
+        K[0, 1] = 1 / M
+        K[1, 0] = -k
+        K[1, 4] = -g
+        K[2, 0] = -g / c**2
+        K[2, 3] = 1
         h = (mpmath.mpf(t_max) - t_min) / (steps - 1)
-        F, step = (mpmath.expm(K * t) if t else mpmath.eye(5) for t in (t_min, h))
-        F, step = decimals(F[:3, :]), decimals(step)
+        F = decimals(mpmath.expm(K * t_min) if t_min else mpmath.eye(5))[:3]
+        step = decimals(mpmath.expm(K * h))
         h, w = Decimal(str(h)), Decimal(str(mpmath.sqrt(k / M)))
     sigma0 = np.array([[Decimal(v) for v in row] for row in s.initial_state().sigma.tolist()])
     rows = []
@@ -97,15 +102,23 @@ def reference(s, t_min, t_max, steps):
             variances = ((S @ sigma0) * S).sum(axis=1)  # the diagonal of S Sigma_0 S^T
             rows.append(
                 [t, *F.flat]
-                + [F[r, 0] * F[2, 1] - F[r, 1] * F[2, 0] for r in (1, 0)]  # chi of [P, Qcl], [Q, Qcl]
+                # chi of [P, Qcl] and of [Q, Qcl]
+                + [F[r, 0] * F[2, 1] - F[r, 1] * F[2, 0] for r in (1, 0)]
                 + [variances[r].sqrt() for r in (1, 0, 2)]  # dp, dq, dqcl
                 + [abs(F[1, 4]), abs(F[0, 4])]
                 + [w == 0 or w * t * Decimal(s.box.m) < Decimal(s.box.M) / 10]  # valid
             )
             F = F @ step
     a = np.array(rows, dtype=float)
-    return SimpleNamespace(t=a[:, 0], frames=a[:, 1:16].reshape(-1, 3, 5), chi=a[:, 16:18],
-                           dx=a[:, 18:20], dqcl=a[:, 20], a_m=a[:, 21:23], valid=a[:, 23] == 1.0)
+    return SimpleNamespace(
+        t=a[:, 0],
+        frames=a[:, 1:16].reshape(-1, 3, 5),
+        chi=a[:, 16:18],
+        dx=a[:, 18:20],
+        dqcl=a[:, 20],
+        a_m=a[:, 21:23],
+        valid=a[:, 23] == 1.0,
+    )
 
 
 def decimals(A):
@@ -126,8 +139,15 @@ def assert_close(name, got, want, size):
 
 def assert_inference(s, ref, got, routes="pq", at=slice(None)):
     """SWEEP_DTYPE columns ``got`` of ``routes`` at the reference's times [at]."""
-    columns = {"t": ref.t, "chi_p_qcl": ref.chi[:, 0], "chi_q_qcl": ref.chi[:, 1],
-               "dp": ref.dx[:, 0], "dq": ref.dx[:, 1], "dqcl": ref.dqcl, "dT": ref.dqcl}
+    columns = {
+        "t": ref.t,
+        "chi_p_qcl": ref.chi[:, 0],
+        "chi_q_qcl": ref.chi[:, 1],
+        "dp": ref.dx[:, 0],
+        "dq": ref.dx[:, 1],
+        "dqcl": ref.dqcl,
+        "dT": ref.dqcl,
+    }
     for name, want in columns.items():
         assert_close(name, got[name], want[at], scale(want))
     assert_close("bound_ET", got["bound_ET"], s.constants.hbar / 2.0, s.constants.hbar / 2.0)
@@ -140,7 +160,9 @@ def assert_inference(s, ref, got, routes="pq", at=slice(None)):
         assert np.all((degenerate == (a_m < DEGENERACY_ATOL)[at]) | near[at]), f"degenerate_{route}"
         c2dx = s.constants.c ** 2 * dx
         for name, numerator in (("dm", dx), ("dE", c2dx), ("prod", c2dx * np.asarray(got["dT"]))):
-            a_m_got = np.where(degenerate, a_m[at], numerator / np.asarray(got[f"{name}_{route}"]))
+            value = np.asarray(got[f"{name}_{route}"])  # inf exactly where degenerate
+            assert np.array_equal(value == np.inf, degenerate), f"{name}_{route} vs degenerate"
+            a_m_got = np.where(degenerate, a_m[at], numerator / value)
             assert_close(f"{name}_{route} as |a_m|", a_m_got, a_m[at], scale(a_m))
 
 
@@ -150,24 +172,42 @@ def assert_run(s, ref, got):
     assert rep.route is s.measurement.route
     r = rep.route.value
     columns = {
-        "t": rep.t, "chi_p_qcl": got.chi_p_qcl, "chi_q_qcl": got.chi_q_qcl, "dq": got.dq, "dp": got.dp,
-        "dqcl": got.dqcl, "dT": rep.dT, "bound_ET": rep.bound, "valid": rep.valid, f"dm_{r}": rep.dm,
-        f"dE_{r}": rep.dE, f"prod_{r}": rep.product, f"degenerate_{r}": rep.degenerate,
+        "t": rep.t,
+        "chi_p_qcl": got.chi_p_qcl,
+        "chi_q_qcl": got.chi_q_qcl,
+        "dq": got.dq,
+        "dp": got.dp,
+        "dqcl": got.dqcl,
+        "dT": rep.dT,
+        "bound_ET": rep.bound,
+        "valid": rep.valid,
+        f"dm_{r}": rep.dm,
+        f"dE_{r}": rep.dE,
+        f"prod_{r}": rep.product,
+        f"degenerate_{r}": rep.degenerate,
     }
     assert_inference(s, ref, columns, r, at=-1)
+    assert got.frame.shape == (3, 5)
     assert_close("frame", got.frame, ref.frames[-1], scale(ref.frames))
     i = "pq".index(r)  # product c**2*dX*dT/|a_m| >= hbar/2, less the slack
     floor = hbar / 2.0 * ref.a_m[-1, i] * (1.0 - BOUND_SLACK)
     assert rep.ok == (rep.degenerate or s.constants.c ** 2 * ref.dx[-1, i] * ref.dqcl[-1] >= floor)
     for i, check in enumerate((got.check_p, got.check_q)):
         dx, bound = ref.dx[:, i], hbar * np.abs(ref.chi[:, i]) / 2.0
-        for name, want in {"dx": dx, "dy": ref.dqcl, "product": dx * ref.dqcl, "bound": bound}.items():
+        wants = {
+            "dx": dx,
+            "dy": ref.dqcl,
+            "product": dx * ref.dqcl,
+            "bound": bound,
+        }
+        for name, want in wants.items():
             assert_close(f"check_{'pq'[i]}.{name}", getattr(check, name), want[-1], scale(want))
         assert check.ok == (dx[-1] * ref.dqcl[-1] >= bound[-1] * (1.0 - BOUND_SLACK))
 
 
 def assert_sweep_matches(s, t_min, t_max, steps):
     rows = sweep(s, t_min, t_max, steps)
+    assert len(rows) == steps
     assert_inference(s, reference(s, t_min, t_max, steps), rows)
     return rows
 
@@ -269,7 +309,7 @@ def test_overflow_names_coefficient_and_first_time():
 
 
 def mutant(which, index):
-    """closed_form_grid with frames (which 0) or chis (which 1) [..., *index] scaled by 1 + 1e-12."""
+    """closed_form_grid with frames (which 0) or chis (which 1) [..., *index] times 1 + 1e-12."""
     def closed_form_grid(*args):
         arrays = dynamics.closed_form_grid(*args)
         arrays[which][(..., *index)] *= 1.0 + 1e-12
@@ -321,6 +361,14 @@ def ref_unit_floor_dev(value, ref):
     return abs(value - ref) / max(1.0, abs(ref))
 
 
+def ref_frame_dev(numeric, closed):
+    dev = 0.0
+    for num_row, ref_row in zip(numeric, closed):  # rows Q, P, Qcl
+        for value, ref in zip(num_row, ref_row):  # a_q, a_p, a_cl, a_1, a_m
+            dev = max(dev, ref_unit_floor_dev(value, ref))
+    return dev
+
+
 def ref_commutator(x, y):
     """chi of [X, Y] for two rows (a_q, a_p, a_cl, a_1, a_m)."""
     return x[0] * y[1] - x[1] * y[0]
@@ -353,14 +401,15 @@ def ref_rk4_grid(G, src, y, ts, step):
 def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
     """(name, max_dev, tol, passed) per check, computed one frame at a time."""
     consts, box = s.constants, s.box
-    g, c2 = consts.g, consts.c * consts.c
+    g = consts.g
+    c2 = consts.c * consts.c
     T = s.t_emit if s.t_emit > 0 else 4.0
     ts = [float(t) for t in np.linspace(0.0, T, grid)]
 
     # frames as tuples of rows (Q, P, Qcl)
-    ref = reference(s, 0.0, T, grid)
-    closed = [tuple(frame.tolist()) for frame in ref.frames]
-    chi_closed = ref.chi.tolist()
+    exact = reference(s, 0.0, T, grid)
+    closed = [tuple(frame.tolist()) for frame in exact.frames]
+    chi_closed = exact.chi.tolist()
     G = np.array([[0.0, 1.0 / box.M, 0.0], [-box.spring_k, 0.0, 0.0], [-g / c2, 0.0, 0.0]])
     src = np.zeros((3, 5))
     src[1, 4] = -g
@@ -370,16 +419,13 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
     G = np.array([[0.0, -box.spring_k], [1.0 / box.M, 0.0]])
     chi_ode = ref_rk4_grid(G, np.array([g / c2, 0.0]), np.zeros(2), ts, s.numeric.step)
 
-    frame_dev = max(
-        ref_unit_floor_dev(value, ref)
-        for num, cl in zip(numeric, closed)
-        for num_row, ref_row in zip(num, cl)  # rows Q, P, Qcl
-        for value, ref in zip(num_row, ref_row)  # a_q, a_p, a_cl, a_1, a_m
-    )
+    frame_dev = max(ref_frame_dev(n, c) for n, c in zip(numeric, closed))
     ode_dev = max(
-        ref_unit_floor_dev(float(value), ref)
-        for ode, chis in zip(chi_ode, chi_closed)
-        for value, ref in zip(ode, chis)
+        max(
+            ref_unit_floor_dev(float(ode[0]), ref[0]),
+            ref_unit_floor_dev(float(ode[1]), ref[1]),
+        )
+        for ode, ref in zip(chi_ode, chi_closed)
     )
     algebra_dev = rk4_algebra_dev = sympl_closed_dev = sympl_rk4_dev = 0.0
     for (q_c, p_c, qcl_c), (q_n, p_n, qcl_n), ref in zip(closed, numeric, chi_closed):
@@ -406,7 +452,10 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
 
     if use_oracle:
         ws = build_workspace(s.oracle, consts)
-        T_o = min(T, 4.0 / box.omega if isinstance(box.potential, Harmonic) else 4.0)
+        if isinstance(box.potential, Harmonic):
+            T_o = min(T, 4.0 / box.omega)
+        else:
+            T_o = min(T, 4.0)
         ts_o = [float(t) for t in np.linspace(0.0, T_o, 5)]
         r = ws.config.n - ws.config.buffer
         # The probe as a vacuum expectation value, not as verify reads it (an entry)
@@ -447,6 +496,7 @@ def assert_verify_matches(s, **kwargs):
     got = verify(s, **kwargs).checks
     ref = ref_verify(s, **kwargs)
     assert [(c.name, c.tol) for c in got] == [(name, tol) for name, _, tol, _ in ref]
+    assert all(type(c.tol) is float for c in got)
     for c, (name, dev, tol, passed) in zip(got, ref):
         assert c.max_dev == dev or abs(c.max_dev - dev) <= DEV_BOUND, name
         assert c.passed == passed or abs(dev - tol) <= DEV_BOUND, name
@@ -505,4 +555,8 @@ def test_verify_oracle(potential):
     s = dataclasses.replace(s, oracle=OracleConfig(n=24, buffer=4))
     got = assert_verify_matches(s, grid=20, use_oracle=True)
     assert [c.name for c in got][6:] == [
-        "oracle_block_p_qcl", "oracle_block_q_qcl", "oracle_probe_p_qcl", "oracle_probe_q_qcl"]
+        "oracle_block_p_qcl",
+        "oracle_block_q_qcl",
+        "oracle_probe_p_qcl",
+        "oracle_probe_q_qcl",
+    ]
