@@ -22,7 +22,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, InvalidPrecision, InvalidTime, RangeError, _require, _require_type
 from .operators import BoxParams, PhysConstants
-from .oracle import OracleConfig, _oracle_frames, build_workspace, oracle_commutator
+from .oracle import OracleConfig, _clock_devs
 from .states import (
     MIN_DEVICE_PRECISION,
     SWEEP_DTYPE,
@@ -211,10 +211,11 @@ def verify(
     and, when ``use_oracle`` is set, the truncated-Fock matrix commutators
     (restricted block and its vacuum entry) against the engine's chi at five
     evenly spaced times.  The oracle's propagator is integrated across them
-    in one pass, and each time's (3, n, n) frame is formed only when that
-    time is commuted, so one time's frame and commutators are held at once,
-    never the (5, 3, n, n) stack of
-    :func:`~photonbox.oracle.oracle_evolve_grid`.
+    in one pass.  In the number basis its frames are tridiagonal and their
+    commutators pentadiagonal, so the check holds them as their diagonals,
+    in O(n) work and memory per time, where
+    :func:`~photonbox.oracle.oracle_evolve_grid` and
+    :func:`~photonbox.oracle.oracle_commutator` give dense n x n matrices.
     All deviations are measured relative to max(1, |ref|).
 
     Raises
@@ -254,7 +255,6 @@ def verify(
         ]
 
     if use_oracle:
-        ws = build_workspace(s.oracle, consts)
         # Truncation is only trustworthy for moderate phase advance, so the
         # oracle grid stays within w*t <= 4 (harmonic) or t <= 4 (free fall).
         ts_o = np.linspace(0.0, min(T, 4.0 / (box.omega or 1.0)), 5)
@@ -262,17 +262,7 @@ def verify(
         # A scale far from the oracle's natural length overflows the matrix
         # products the same way; those checks then read inf or nan and fail.
         with np.errstate(over="ignore", invalid="ignore"):
-            r = s.oracle.n - s.oracle.buffer
-            diag = np.arange(r)
-            probe_dev = np.empty(refs.shape, complex)
-            block_dev = np.empty(refs.shape)
-            # One time's (3, n, n) frame and (2, n, n) commutators at a time.
-            for i, frame in enumerate(_oracle_frames(ws, consts, box, ts_o)):
-                chi = oracle_commutator(ws, frame[_PQ_ROWS], frame[2:])
-                probe_dev[i] = chi[:, 0, 0] - refs[i]  # taken before the block is edited
-                block = chi[:, :r, :r]
-                block[:, diag, diag] -= refs[i, :, None]  # chi * I, on the diagonal alone
-                block_dev[i] = np.abs(block).max(axis=(-2, -1))
+            block_dev, probe_dev = _clock_devs(s.oracle, consts, box, ts_o, refs)
             for kind, diff in (("block", block_dev), ("probe", probe_dev)):
                 for j, pair in enumerate(Pair):
                     dev = _max_rel_dev(diff[:, j], refs[:, j])

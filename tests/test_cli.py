@@ -27,7 +27,7 @@ from photonbox import (
     sweep,
 )
 from photonbox.dynamics import _leg_steps
-from photonbox.oracle import _oracle_frames
+from photonbox.oracle import _phi
 from photonbox.cli import _BLOCK_ROWS, _build_parser, build_scenario, load_config, main, sci, sci17, sweep_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -619,11 +619,11 @@ def test_verify_oracle_compares_every_positive_time(tmp_path, monkeypatch, capsy
     cfg = write_config(tmp_path, 0.5, {"type": "harmonic", "k": 1000.0}, {"step": 0.2})
     grids = []
 
-    def recording(workspace, consts, box, ts):
+    def recording(consts, box, ts, step):
         grids.append(list(ts))
-        return _oracle_frames(workspace, consts, box, ts)
+        return _phi(consts, box, ts, step)
 
-    monkeypatch.setattr(photonbox.scenario, "_oracle_frames", recording)
+    monkeypatch.setattr(photonbox.oracle, "_phi", recording)
     assert main(["verify", "--config", str(cfg), "--oracle"]) == 0
     assert grids == [[0.0, 0.125, 0.25, 0.375, 0.5]]
     lines = capsys.readouterr().out.splitlines()
@@ -666,12 +666,13 @@ def test_step_count_overflow_exits_1(tmp_path, section):
 
 @pytest.mark.parametrize("n", [10**5, 10**400], ids=["1e5", "401-digit"])
 def test_oracle_n_beyond_cap_exits_1(tmp_path, monkeypatch, capsys, n):
-    # Refused as the config is read, before any n x n matrix exists: n = 1e5
-    # would ask for about 160 GB, and the 401-digit n overflows np.arange.
-    def no_workspace(*args):
-        raise AssertionError("a workspace was built")
+    # Refused as the config is read, before any oracle array exists: n = 1e5
+    # would ask for about 160 GB of dense matrices, and the 401-digit n
+    # overflows np.arange.
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran")
 
-    monkeypatch.setattr(photonbox.scenario, "build_workspace", no_workspace)
+    monkeypatch.setattr(photonbox.scenario, "_clock_devs", no_oracle)
     cfg = write_config(tmp_path, 2.0, oracle={"n": n})
     assert main(["verify", "--config", str(cfg), "--oracle"]) == 1
     captured = capsys.readouterr()
@@ -749,7 +750,7 @@ VERIFY_ORACLE_PINNED = {
         "chi_rk4_frames_vs_closed  max_dev=3.686e-18  tol=1.0e-09  pass\n"
         "symplectic_closed         max_dev=0.000e+00  tol=1.0e-09  pass\n"
         "symplectic_rk4            max_dev=0.000e+00  tol=1.0e-09  pass\n"
-        "oracle_block_p_qcl        max_dev=5.107e-15  tol=1.0e-06  pass\n"
+        "oracle_block_p_qcl        max_dev=5.329e-15  tol=1.0e-06  pass\n"
         "oracle_block_q_qcl        max_dev=1.776e-15  tol=1.0e-06  pass\n"
         "oracle_probe_p_qcl        max_dev=2.220e-16  tol=1.0e-06  pass\n"
         "oracle_probe_q_qcl        max_dev=4.337e-19  tol=1.0e-06  pass\n",
@@ -777,7 +778,7 @@ VERIFY_ORACLE_PINNED = {
         "chi_rk4_frames_vs_closed  max_dev=3.686e-18  tol=1.0e-09  pass\n"
         "symplectic_closed         max_dev=0.000e+00  tol=1.0e-09  pass\n"
         "symplectic_rk4            max_dev=0.000e+00  tol=1.0e-09  pass\n"
-        "oracle_block_p_qcl        max_dev=1.169e-14  tol=1.0e-06  pass\n"
+        "oracle_block_p_qcl        max_dev=1.184e-14  tol=1.0e-06  pass\n"
         "oracle_block_q_qcl        max_dev=1.776e-15  tol=1.0e-06  pass\n"
         "oracle_probe_p_qcl        max_dev=2.220e-16  tol=1.0e-06  pass\n"
         "oracle_probe_q_qcl        max_dev=4.337e-19  tol=1.0e-06  pass\n",
@@ -805,7 +806,7 @@ VERIFY_ORACLE_PINNED = {
         "chi_rk4_frames_vs_closed  max_dev=7.373e-18  tol=1.0e-09  pass\n"
         "symplectic_closed         max_dev=0.000e+00  tol=1.0e-09  pass\n"
         "symplectic_rk4            max_dev=0.000e+00  tol=1.0e-09  pass\n"
-        "oracle_block_p_qcl        max_dev=1.906e-14  tol=1.0e-06  pass\n"
+        "oracle_block_p_qcl        max_dev=1.998e-14  tol=1.0e-06  pass\n"
         "oracle_block_q_qcl        max_dev=7.105e-15  tol=1.0e-06  pass\n"
         "oracle_probe_p_qcl        max_dev=1.850e-16  tol=1.0e-06  pass\n"
         "oracle_probe_q_qcl        max_dev=8.674e-19  tol=1.0e-06  pass\n",
@@ -829,9 +830,9 @@ VERIFY_ORACLE_PINNED = {
 @pytest.mark.parametrize("case", sorted(VERIFY_ORACLE_PINNED))
 def test_verify_oracle_output_pinned(tmp_path, capsys, case):
     # The oracle digits come from the matrix integration alone: the scalar
-    # reference pipeline takes its frames from the package's own
-    # oracle_evolve_grid, the stack of the frames verify commutes one time at
-    # a time, so this is the test that notices when they move.
+    # reference pipeline takes its frames from the package's own dense
+    # oracle_evolve_grid, whose diagonals are the frames verify commutes, so
+    # this is the test that notices when they move.
     t_emit, potential, oracle, stdout = VERIFY_ORACLE_PINNED[case]
     cfg = write_config(tmp_path, t_emit, potential, oracle)
     code = main(["verify", "--config", str(cfg), "--oracle"])

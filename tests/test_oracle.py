@@ -23,7 +23,7 @@ from photonbox import (
     oracle_evolve_grid,
 )
 from photonbox.dynamics import _rk4_grid, _rk4_step
-from photonbox.oracle import _oracle_frames
+from photonbox.oracle import _band_commutator, _dense, _frames, _number_bands, _phi
 
 
 @pytest.fixture(scope="module")
@@ -370,13 +370,11 @@ def test_grid_matches_dense_loop_property(M, m, g, k, step, ts):
     assert_matches_dense(ws, consts, box, ts)
 
 
-# verify forms each oracle time's frame only when it reaches that time, and
-# oracle_evolve_grid stacks the same frames.  Both must equal, bit for bit,
-# the frames of one np.tensordot over the whole grid, the form the pinned
-# oracle digits were taken from.  In the number basis each entry of a frame
-# has one nonzero term per real or imaginary part, so any summation order
-# gives the same bits; the rotated basis fills every entry, so there the
-# order of the products' sums is checked too.
+# The dense grid is Phi's block applied to (q0, p0, I) by one np.tensordot,
+# in any basis; in the number basis verify forms the same frames as their
+# three diagonals.  Each real or imaginary part of a frame entry has one
+# nonzero term there, so the diagonals of the dense frames must be verify's
+# frames bit for bit, signed zeros included, and every other dense entry 0.
 @pytest.mark.parametrize("basis", ["number", "rotated"])
 @pytest.mark.parametrize("grid", ["verify", "uneven"])
 @pytest.mark.parametrize("n", [16, 33, 60, 257])
@@ -386,7 +384,8 @@ def test_grid_matches_dense_loop_property(M, m, g, k, step, ts):
     ids=["free", "k1000", "k3.7"],
 )
 def test_grid_is_the_stack_of_the_frames_verify_commutes(consts, n, potential, grid, basis):
-    ws = build_workspace(OracleConfig(n=n, buffer=6, step=1e-3), consts)
+    config = OracleConfig(n=n, buffer=6, step=1e-3)
+    ws = build_workspace(config, consts)
     if basis == "rotated":
         rot, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((n, n)))
         ws = OracleWorkspace(
@@ -397,10 +396,70 @@ def test_grid_is_the_stack_of_the_frames_verify_commutes(consts, n, potential, g
     ts = np.linspace(0.0, min(2.0, 4.0 / (box.omega or 1.0)), 5) if grid == "verify" else GRID
     stack = oracle_evolve_grid(ws, consts, box, ts)
     assert stack.dtype == complex and stack.shape == (len(ts), 3, n, n)
-    assert stack.tobytes() == np.stack(list(_oracle_frames(ws, consts, box, ts))).tobytes()
     phi = _rk4_grid(oracle_generator(consts, box), np.eye(4), ts, ws.config.step, "oracle.step")
     initial = np.stack([ws.q0, ws.p0, np.eye(n)])
     assert stack.tobytes() == np.tensordot(phi[:, :3, [0, 1, 3]], initial, axes=1).tobytes()
+    if basis == "number":
+        bands = _frames(_phi(consts, box, ts, config.step), _number_bands(config, consts))
+        assert bands.dtype == complex and bands.shape == (len(ts), 3, 3, n)
+        for k in (-1, 0, 1):  # band k + 1 holds entries [i, i + k]
+            band = bands[..., k + 1, max(0, -k) : n - max(0, k)]
+            assert band.tobytes() == np.diagonal(stack, k, axis1=-2, axis2=-1).tobytes()
+        assert not bands[..., 0, 0].any() and not bands[..., 2, -1].any()  # outside
+        assert np.array_equal(_dense(bands), stack)
+
+
+# Each real or imaginary part of an entry of A @ B is a sum of at most six
+# real products (three terms, each two products), so either route computes
+# it within gamma_6 * (|A| |B|)_ij of the exact sum (Higham, Accuracy and
+# Stability of Numerical Algorithms, 3.5; a fused multiply-add only lowers
+# the error).  The difference AB - BA and the division by hbar (the dense
+# route multiplies by 1/hbar, two roundings) add at most 3u of
+# M = (|A| |B| + |B| |A|)/hbar, so each route is within about 9u * M of the
+# exact commutator and the two within 18u * M.  The test takes 10 * eps = 20u;
+# the worst seen over these cases is 1.0u * M.
+COMMUTATOR_BOUND = 10 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [16, 33, 60, 257])
+@pytest.mark.parametrize(
+    "potential",
+    [FreeFall(), Harmonic(k=1000.0), Harmonic(k=3.7)],
+    ids=["free", "k1000", "k3.7"],
+)
+def test_banded_commutators_match_the_dense_products(consts, n, potential):
+    config = OracleConfig(n=n, buffer=6, step=1e-3)
+    ws = build_workspace(config, consts)
+    box = BoxParams(M=1000.0, m=1.0, potential=potential)
+    ts = np.linspace(0.0, min(2.0, 4.0 / (box.omega or 1.0)), 5)
+    bands = _frames(_phi(consts, box, ts, config.step), _number_bands(config, consts))
+    chi = _band_commutator(bands[:, 1::-1], bands[:, 2:], consts.hbar)
+    assert chi.dtype == complex and chi.shape == (len(ts), 2, 5, n)
+    frames = oracle_evolve_grid(ws, consts, box, ts)
+    a, b = frames[:, 1::-1], frames[:, 2:]
+    want = oracle_commutator(ws, a, b)
+    scale = (np.abs(a) @ np.abs(b) + np.abs(b) @ np.abs(a)) / consts.hbar
+    got = _dense(chi)
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(got) - part(want)) <= COMMUTATOR_BOUND * scale)
+
+
+# The number-basis matrices as build_workspace formed them densely, entry by
+# entry.  p0's subdiagonal is lower - raise_op, (0+0j) - (x-0j) = -x+0j; a
+# band written as -x would give -x-0j, which the bytes tell apart.
+@pytest.mark.parametrize("n", [16, 33, 60, 257])
+@pytest.mark.parametrize(
+    "hbar, scale", [(1.0, 1.0), (1.0, 0.37), (1.054571817e-34, 2.3e-17)], ids=str
+)
+def test_workspace_is_the_dense_ladder_arithmetic_bit_for_bit(n, hbar, scale):
+    ws = build_workspace(OracleConfig(n=n, buffer=6, scale=scale), PhysConstants(hbar=hbar))
+    lower = np.diag(np.sqrt(np.arange(1.0, n)), 1).astype(complex)
+    raise_op = lower.conj().T
+    sqrt2 = math.sqrt(2.0)
+    q0 = scale * (lower + raise_op) / sqrt2
+    p0 = (hbar / scale) * (lower - raise_op) / (1j * sqrt2)
+    assert ws.q0.tobytes() == q0.tobytes()
+    assert ws.p0.tobytes() == p0.tobytes()
 
 
 def test_empty_grid_gives_an_empty_stack(workspace, consts):
@@ -411,11 +470,11 @@ def test_empty_grid_gives_an_empty_stack(workspace, consts):
 
 
 def test_frames_check_the_grid_before_the_first_frame(workspace, consts):
-    # The grid is checked when the frames are asked for, not when the first
-    # is read, so verify fails before it commutes anything.
+    # Phi checks the grid before any frame is formed from it, so verify fails
+    # before it commutes anything.
     box = BoxParams(M=1000.0, m=1.0, potential=FreeFall())
     with pytest.raises(InvalidTime, match="sorted ascending"):
-        _oracle_frames(workspace, consts, box, (1.0, 0.5))
+        _phi(consts, box, (1.0, 0.5), workspace.config.step)
 
 
 @pytest.mark.parametrize(

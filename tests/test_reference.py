@@ -489,6 +489,9 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
 # this bound doubles.  The folded legs accumulate far less.  The worst max_dev
 # difference over these cases is 6.1e-13, in symplectic_rk4, which reads no
 # closed form; of the checks that do, the worst is chi_closed_vs_ode's 4.3e-13.
+# In test_verify_oracle the worst is 1.0e-14 (the spring's symplectic_rk4); of
+# its oracle lines, whose reference commutes the dense frames where verify
+# commutes their diagonals, 2.2e-16 (oracle_block_p_qcl in free fall).
 DEV_BOUND = 1e-12
 
 
