@@ -238,15 +238,11 @@ def _phi(consts: PhysConstants, box: BoxParams, ts: Sequence[float], step: float
 def _frames(coeffs: np.ndarray, initial: np.ndarray) -> np.ndarray:
     """Each time's (3, 3) block of Phi applied to the (3, ...) initial q0, p0, I.
 
-    One (3, 3) x (3, size) ``np.dot`` per time, the operands that
-    ``np.tensordot(..., axes=1)`` hands to it.  In the number basis every
-    real or imaginary part of a frame entry has one nonzero term, so the
-    frames of diagonals and of dense matrices agree bit for bit on the
-    diagonals.
+    In the number basis every real or imaginary part of a frame entry has
+    one nonzero term, so the frames of diagonals and of dense matrices agree
+    bit for bit on the diagonals.
     """
-    flat = initial.reshape(3, -1)
-    frames = np.fromiter((np.dot(f, flat) for f in coeffs), np.dtype((complex, flat.shape)))
-    return frames.reshape(len(coeffs), *initial.shape)
+    return np.tensordot(coeffs, initial, axes=1)
 
 
 def _clock_devs(

@@ -58,6 +58,12 @@ __all__ = [
 # saturate an uncertainty relation are not rejected by rounding.
 BOUND_SLACK = 1e-9
 
+
+def _clears(product: float, bound: float) -> bool:
+    """The verdict of every bound comparison: ``product`` reaches ``bound``, less the slack."""
+    return product >= bound * (1.0 - BOUND_SLACK)
+
+
 # Mass coefficients smaller than this (in the engine's dimensionless units)
 # count as vanished: the measurement carries no mass information there.
 # sin(w*t) evaluated at the floating-point representation of a full period
@@ -227,7 +233,7 @@ class InferenceReport:
     degenerate: bool
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ok", self.product >= self.bound * (1.0 - BOUND_SLACK))
+        object.__setattr__(self, "ok", _clears(self.product, self.bound))
 
 
 @dataclass(frozen=True)
@@ -423,7 +429,7 @@ def _robertson(dx: float, dy: float, chi: float, hbar: float) -> BoundCheck:
         dy=dy,
         product=product,
         bound=bound,
-        ok=product >= bound * (1.0 - BOUND_SLACK),
+        ok=_clears(product, bound),
     )
 
 

@@ -32,6 +32,9 @@ from photonbox.dynamics import (
     _rk4_grid,
     _rk4_step,
 )
+from photonbox.oracle import _phi
+
+from exact_rk4 import chi_generator, frame_grid, oracle_phi, rk4_grid
 
 # Rows and columns of a (3, 5) frame.
 Q, P, QCL = range(3)
@@ -336,9 +339,13 @@ def test_property_chi_consistency(t):
     )
 
 
-# The iterated map rounds once per step, about n * eps relative for n up to
-# 5000 steps (1e-12); the folded power rounds far less.  Fixed before any run,
-# with a factor of ten in hand; the worst seen was 6.5e-13.
+# The folded power and the exact reference's n steps are the same polynomial
+# in h*K, so they differ by the fold's rounding alone.  The leg map carries
+# its increment over I, whose rounding turns the phase by about eps*w*h a
+# step, so the deviation grows as eps*w*t: with w*t up to about 250 here,
+# some 1e-13 of max(1, the largest |entry|).  The bound was fixed before any
+# run; the worst over 20000 draws of these ranges was 2.3e-13 (a stiff
+# spring's frames and Phi, w*t = 88).
 LEG_BOUND = 1e-11
 
 
@@ -353,23 +360,25 @@ LEG_BOUND = 1e-11
 )
 def test_leg_map_matches_stepping(M, k, g, c, t, n):
     # One leg of n steps, then a second leg of the same length, which reuses
-    # the cached map; the reference applies the one-step map 2n times.
+    # the cached map; the reference takes the n steps of each leg exactly.
     box = BoxParams(M=M, m=0.5, potential=Harmonic(k=k) if k else FreeFall())
     assume(t / n * box.omega <= 1.0)  # inside RK4's stable region
     consts = PhysConstants(hbar=1.0, c=c, g=g)
     step = t / (n - 0.5)  # ceil(t / step) is n, clear of rounding
-    for generator, y0 in (
-        (_frame_generator, np.eye(5)),
-        (_chi_generator, np.array([0.0, 0.0, 1.0])),
+    ts = [t, 2.0 * t]
+    y0 = np.array([0.0, 0.0, 1.0])
+    frames = frame_grid(consts, box, ts, step)
+    for got, want in (
+        (_rk4_grid(_frame_generator(consts, box), np.eye(5), ts, step, "numeric.step"), frames),
+        (
+            _rk4_grid(_chi_generator(consts, box), y0, ts, step, "numeric.step"),
+            rk4_grid(chi_generator(consts, box), y0, ts, step),
+        ),
+        (_phi(consts, box, ts, step), oracle_phi(frames, box.m)),
     ):
-        K = generator(consts, box)
-        E = _rk4_step(K, t / n)
-        y = y0
-        for got in _rk4_grid(K, y0, [t, 2.0 * t], step, "numeric.step"):
-            for _ in range(n):
-                y = y + E @ y
-            scale = max(1.0, float(np.abs(y).max()))
-            assert float(np.abs(got - y).max()) <= LEG_BOUND * scale
+        want = want.astype(float)
+        scale = max(1.0, float(np.abs(want).max()))
+        assert float(np.abs(got - want).max()) <= LEG_BOUND * scale
 
 
 def rk4_grid_per_leg(K, y0, ts, step, label):

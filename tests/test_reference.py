@@ -20,11 +20,12 @@ The mutation harness shows that a relative fault of 1e-12 in any one
 varying frame coefficient or chi of the closed forms fails this.
 
 `verify` has a scalar reference: the per-frame deviation loop over frames
-held as tuples of rows, fed by the 50-digit reference rounded to float and
-by its own RK4 loop, which takes one step at a time where `verify` folds a
-leg's steps into one power of the step map.  Every ``max_dev`` must agree
-within ``DEV_BOUND``, and every verdict must be the same unless the
-reference's deviation lies within ``DEV_BOUND`` of the tolerance.
+held as tuples of rows, fed by the 50-digit reference rounded to float and,
+for the integrated routes, by the exact RK4 reference of ``exact_rk4``:
+the same legs, step counts and step map as `verify`'s, taken at 50 digits
+from the same K and rounded to float.  Every ``max_dev`` must agree within
+``DEV_BOUND``, and every verdict must be the same unless the reference's
+deviation lies within ``DEV_BOUND`` of the tolerance.
 """
 
 import dataclasses
@@ -58,6 +59,8 @@ from photonbox import (
     verify,
 )
 
+from exact_rk4 import chi_generator, frame_generator, frame_grid, rk4_grid
+
 DEGENERACY_ATOL = 1e-12
 SI = dict(hbar=1.054571817e-34, c=299792458.0, g=9.81)
 
@@ -82,13 +85,8 @@ def reference(s, t_min, t_max, steps):
     and ``a_m`` runs route p, then q.
     """
     with mpmath.workdps(50):
-        g, c, M, k = map(mpmath.mpf, (s.constants.g, s.constants.c, s.box.M, s.box.spring_k))
-        K = mpmath.zeros(5)
-        K[0, 1] = 1 / M
-        K[1, 0] = -k
-        K[1, 4] = -g
-        K[2, 0] = -g / c**2
-        K[2, 3] = 1
+        K = mpmath.matrix(frame_generator(s.constants, s.box).astype(str).tolist())
+        M, k = map(mpmath.mpf, (s.box.M, s.box.spring_k))
         h = (mpmath.mpf(t_max) - t_min) / (steps - 1)
         F = decimals(mpmath.expm(K * t_min) if t_min else mpmath.eye(5))[:3]
         step = decimals(mpmath.expm(K * h))
@@ -374,35 +372,9 @@ def ref_commutator(x, y):
     return x[0] * y[1] - x[1] * y[0]
 
 
-def ref_rk4_grid(G, src, y, ts, step):
-    """y' = G y + src from y at t = 0: one affine RK4 map per leg, applied
-    once per step."""
-    eye = np.eye(G.shape[0])
-    out = []
-    t_prev = 0.0
-    for t in ts:
-        dt = t - t_prev
-        if dt > 0:
-            n = max(1, math.ceil(dt / step - 1e-12))
-            h = dt / n
-            hg = h * G
-            hg2 = hg @ hg
-            hg3 = hg2 @ hg
-            hg4 = hg3 @ hg
-            R = eye + hg + hg2 / 2.0 + hg3 / 6.0 + hg4 / 24.0
-            r = h * ((eye + hg / 2.0 + hg2 / 6.0 + hg3 / 24.0) @ src)
-            for _ in range(n):
-                y = R @ y + r
-        out.append(y)
-        t_prev = t
-    return out
-
-
 def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
     """(name, max_dev, tol, passed) per check, computed one frame at a time."""
     consts, box = s.constants, s.box
-    g = consts.g
-    c2 = consts.c * consts.c
     T = s.t_emit if s.t_emit > 0 else 4.0
     ts = [float(t) for t in np.linspace(0.0, T, grid)]
 
@@ -410,14 +382,10 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
     exact = reference(s, 0.0, T, grid)
     closed = [tuple(frame.tolist()) for frame in exact.frames]
     chi_closed = exact.chi.tolist()
-    G = np.array([[0.0, 1.0 / box.M, 0.0], [-box.spring_k, 0.0, 0.0], [-g / c2, 0.0, 0.0]])
-    src = np.zeros((3, 5))
-    src[1, 4] = -g
-    src[2, 3] = 1.0
-    rows = ref_rk4_grid(G, src, np.eye(3, 5), ts, s.numeric.step)
-    numeric = [tuple(r.tolist()) for r in rows]
-    G = np.array([[0.0, -box.spring_k], [1.0 / box.M, 0.0]])
-    chi_ode = ref_rk4_grid(G, np.array([g / c2, 0.0]), np.zeros(2), ts, s.numeric.step)
+    # the integrated routes as the exact RK4 reference rounds them to float
+    step = s.numeric.step
+    numeric = [tuple(f.tolist()) for f in frame_grid(consts, box, ts, step)[:, :3].astype(float)]
+    chi_ode = rk4_grid(chi_generator(consts, box), [0.0, 0.0, 1.0], ts, step)[:, :2].astype(float)
 
     frame_dev = max(ref_frame_dev(n, c) for n, c in zip(numeric, closed))
     ode_dev = max(
@@ -484,14 +452,14 @@ def ref_verify(s, grid=100, tol=1e-9, use_oracle=False, oracle_tol=1e-6):
     return [(name, dev, tol, dev <= tol) for name, dev, tol in checks]
 
 
-# Stepping one step at a time accumulates about steps * eps of rounding: with
-# at most 4000 steps here (t_emit 4 at step 1e-3) about 5e-13 relative, which
-# this bound doubles.  The folded legs accumulate far less.  The worst max_dev
-# difference over these cases is 6.1e-13, in symplectic_rk4, which reads no
-# closed form; of the checks that do, the worst is chi_closed_vs_ode's 4.3e-13.
-# In test_verify_oracle the worst is 1.0e-14 (the spring's symplectic_rk4); of
-# its oracle lines, whose reference commutes the dense frames where verify
-# commutes their diagonals, 2.2e-16 (oracle_block_p_qcl in free fall).
+# The exact RK4 reference leaves only verify's own rounding of its folded
+# legs, about eps times a frame's largest entry, sqrt(k*M) up to about 3e3
+# here, which max(1, |ref|) measures absolutely where an entry passes zero.
+# The worst max_dev difference over these cases is 1.2e-13, in
+# frame_closed_vs_rk4 of a k = 2100 spring (100 points, step 1e-3); of the
+# oracle lines, whose reference commutes oracle_evolve_grid's dense frames
+# where verify commutes their diagonals, 2.2e-16.  Over 1150 further draws
+# in these ranges the worst was 7.2e-13, in frame_closed_vs_rk4 at k = 5200.
 DEV_BOUND = 1e-12
 
 
