@@ -75,10 +75,12 @@ def sci17(x: float) -> str:
 # rounded h + lo: 1e-6 gives h = 1e16 exactly with lo < 0, so its digits are
 # 9.99...95e-7.  (h, lo) is within about 1.7e-15 of the exact product, far
 # inside _TIE_MARGIN, so any cell outside the margin rounds as sci17 does.
+# Each cell ends in its separator, a comma or, after a row's last cell, a
+# newline; the last cell is a flag, so every float cell ends in a comma.
 # Rows go in blocks of _BLOCK_ROWS, and the CLI writes each block's text as
 # it is made, so the writer holds one block however long the sweep.
 SWEEP_HEADER = ",".join(SWEEP_DTYPE.names)
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 512
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _DECADES = range(-283, 283)  # every E the fast range reaches, moved by one either way
 _TIE_MARGIN = 1e-12
@@ -89,8 +91,12 @@ def _words(strings: Iterable[str], width: int, dtype: type = np.uint32) -> np.nd
     return np.frombuffer(b"".join(s.encode().ljust(width, b"\0") for s in strings), dtype)
 
 
-_SEPARATORS = _words(["\n"] + [","] * (len(SWEEP_DTYPE) - 1), 4)
-_BOOL_WORDS = _words(["false", "true"], 8).reshape(2, 2)
+# One row's text as words, in _BLOCKS' order: 7 for each float, 2 for each flag.
+_ROW_WORDS = np.dtype([(name, np.uint32, _BLOCKS[name].shape + (width,))
+                       for name, width in (("floats", 7), ("flags", 2))])
+_BOOL_WORDS = _words(["false,", "true,", "false\n", "true\n"], 8).reshape(4, 2)
+# Each flag's index into _BOOL_WORDS past its value: the last one ends the row.
+_BOOL_OFFSETS = np.array([0] * (_ROW_WORDS["flags"].shape[0] - 1) + [2])
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,23 +125,23 @@ def _powers_of_ten() -> tuple[np.ndarray, ...]:
 
 @functools.cache
 def _glyphs() -> tuple[np.ndarray, ...]:
-    """Words of a float text: sign, lead digit and point; every 4-digit group; ``e<E>``.
+    """Words of a float cell: sign, lead digit and point; every 4-digit group; ``e<E>,``.
 
-    Last, the whole texts sci17 gives 0, inf, -inf and nan.
+    Last, the whole cells sci17 gives 0, inf, -inf and nan.
     """
     place = np.uint16([1000, 100, 10, 1])
     groups = np.arange(10000, dtype=np.uint16)[:, None] // place % 10 + ord("0")
     return (
         _words([f"{sign}{lead}." for sign in ("", "-") for lead in range(10)], 4),
         groups.astype(np.uint8).view(np.uint32).ravel(),
-        _words([f"e{e}" for e in _DECADES], 8, np.uint64),
-        _words(map(sci17, [0.0, math.inf, -math.inf, math.nan]), 28).reshape(4, 7),
+        _words([f"e{e}," for e in _DECADES], 8).reshape(-1, 2),
+        _words([sci17(x) + "," for x in (0.0, math.inf, -math.inf, math.nan)], 28).reshape(4, 7),
     )
 
 
-def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``a·10**(16-e)`` as a normalised double-double (h, lo)."""
-    pow_hi, pow_hh, pow_hl, pow_lo = (t[e - _DECADES.start] for t in _powers_of_ten())
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a·10**(16-E)`` as a normalised double-double (h, lo), for E = _DECADES[k]."""
+    pow_hi, pow_hh, pow_hl, pow_lo = (t[k] for t in _powers_of_ten())
     a_hi, a_lo = _split(a)
     h = a * pow_hi
     err = ((a_hi * pow_hh - h) + a_hi * pow_hl + a_lo * pow_hh) + a_lo * pow_hl
@@ -151,55 +157,52 @@ def _decade_shift(h: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return above.astype(np.intp) - below
 
 
-def _float_texts(x: np.ndarray) -> np.ndarray:
-    """The sci17 text of each cell of a C-contiguous x, as 7 zero-padded words."""
+def _float_texts(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the sci17 text of each cell of a C-contiguous x, and a comma, as 7 zero-padded words of out."""
     heads, groups, exps, fixed = _glyphs()
     a = np.abs(x)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    h, lo = _scaled(a, e)
-    shift = _decade_shift(h, lo)
-    if shift.any():
-        e += shift
-        h, lo = _scaled(a, e)
-        fast &= _decade_shift(h, lo) == 0
-    whole = np.floor(lo)
-    frac = lo - whole
-    fast &= np.abs(frac - 0.5) > _TIE_MARGIN
-    digits = h.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    a = np.where(fast, a, 2.0)  # a stand-in well inside its decade; its text is overwritten
+    k = (np.floor(np.log10(a)) - _DECADES.start).astype(np.intp)  # the decade E, as its index
+    h, lo = _scaled(a, k)
+    if h.min() <= 1e16 or h.max() >= 1e17:  # some floor(log10) may be off by one
+        shift = _decade_shift(h, lo)
+        if shift.any():
+            k += shift
+            h, lo = _scaled(a, k)
+            fast &= _decade_shift(h, lo) == 0
+    rounded = np.rint(lo)  # ties to even, but a cell near a tie is not fast
+    fast &= np.abs(lo - rounded) < 0.5 - _TIE_MARGIN
+    digits = h.astype(np.int64) + rounded.astype(np.int64)
     carry = digits == 10**17
-    e += carry
+    k += carry
     digits[carry | ~fast] = 10**16  # cells that fall back are overwritten below
 
-    out = np.empty(x.shape + (7,), np.uint32)
     for word in (4, 3, 2, 1):
         rest = digits // 10000
         out[..., word] = groups[digits - 10000 * rest]
         digits = rest
     out[..., 0] = heads[digits + 10 * (x < 0)]
-    out[..., 5:] = exps[e - _DECADES.start].view(np.uint32).reshape(x.shape + (2,))
-    fixed_cells = (x == 0) | ~np.isfinite(x)
-    if fixed_cells.any():
-        f = x[fixed_cells]
-        out[fixed_cells] = fixed[np.where(np.isnan(f), 3, np.where(f == 0, 0, 1 + (f < 0)))]
-    others = ~(fast | fixed_cells)
-    out[others] = _words(map(sci17, x[others].tolist()), 28).reshape(-1, 7)
-    return out
+    out[..., 5:] = np.take(exps, k, axis=0)
+    slow = ~fast
+    if slow.any():  # zeros, nan, infinities, ties and magnitudes outside the fast range
+        f = x[slow]
+        cells = fixed[np.where(np.isnan(f), 3, np.where(f == 0, 0, 1 + (f < 0)))]
+        other = np.isfinite(f) & (f != 0)
+        cells[other] = _words((sci17(y) + "," for y in f[other].tolist()), 28).reshape(-1, 7)
+        out[slow] = cells
 
 
 def _csv_chunks(rows: np.ndarray | Sequence[tuple]) -> Iterator[bytes]:
-    """The sweep CSV as ASCII chunks: the header, one chunk per block of rows, the last LF."""
+    """The sweep CSV as ASCII chunks: the header line, then one chunk per block of rows."""
     blocks = np.asarray(rows, SWEEP_DTYPE).view(_BLOCKS)  # each row: its floats, then its flags
-    yield SWEEP_HEADER.encode()
+    yield SWEEP_HEADER.encode() + b"\n"
     for start in range(0, len(blocks), _BLOCK_ROWS):
         floats, flags = (blocks[name][start:start + _BLOCK_ROWS] for name in _BLOCKS.names)
-        words = np.zeros((len(floats), len(SWEEP_DTYPE), 8), np.uint32)
-        words[:, :, 0] = _SEPARATORS
-        words[:, :floats.shape[1], 1:] = _float_texts(np.ascontiguousarray(floats))
-        words[:, floats.shape[1]:, 1:3] = _BOOL_WORDS[flags.astype(np.intp)]
+        words = np.empty(len(floats), _ROW_WORDS)
+        _float_texts(np.ascontiguousarray(floats), words["floats"])
+        words["flags"] = np.take(_BOOL_WORDS, flags + _BOOL_OFFSETS, axis=0)
         yield words.tobytes().translate(None, b"\0")
-    yield b"\n"
 
 
 def sweep_csv(rows: np.ndarray | Sequence[tuple]) -> str:

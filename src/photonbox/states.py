@@ -255,23 +255,58 @@ class TimeEnergyDiagnostic:
     bound: float
 
 
-def _covariance(frames: np.ndarray, sigma0: np.ndarray, ts: np.ndarray | None = None) -> np.ndarray:
-    """Covariances S Sigma S^T (..., 3, 3) of Q, P, Qcl along frames (..., 3, 5).
+def _covariance(frame: np.ndarray, sigma0: np.ndarray) -> np.ndarray:
+    """Covariance S Sigma S^T (3, 3) of Q, P, Qcl along one frame (3, 5).
 
-    An entry that overflows raises InvalidState, without numpy warnings; for
-    a grid (N, 3, 5) at times ``ts``, naming the first bad t.
+    The whole matrix, for :func:`propagate_state` and :func:`mixture_statistics`;
+    :func:`infer_grid` reads only its diagonal, from :func:`_grid_spreads`.
+    An entry that overflows raises InvalidState, without numpy warnings.
     """
-    S = frames[..., :3]
+    S = frame[:, :3]
     with np.errstate(all="ignore"):
-        sigma_t = S @ sigma0 @ S.swapaxes(-1, -2)
-        sigma_t = 0.5 * (sigma_t + sigma_t.swapaxes(-1, -2))
-        all_finite = math.isfinite(sigma_t.sum())
-    if not all_finite:  # the sum of finite values may still overflow; then look closer
-        finite = np.isfinite(sigma_t).all(axis=(-2, -1))
-        if not finite.all():
-            at = "" if ts is None else f" at t={float(ts[np.argmin(finite)])!r}"
-            raise InvalidState(f"propagated moments are not finite{at}")
+        sigma_t = S @ sigma0 @ S.T
+        sigma_t = 0.5 * (sigma_t + sigma_t.T)
+    if not np.isfinite(sigma_t).all():
+        raise InvalidState("propagated moments are not finite")
     return sigma_t
+
+
+def _grid_spreads(frames: np.ndarray, sigma0: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Spreads (N, 3) of Q, P, Qcl along frames (N, 3, 5): the root diagonal of S Sigma S^T.
+
+    var_X = sum_j (sum_k S_Xk*Sigma_kj)*S_Xj, elementwise in that order with no
+    BLAS, as a kernel without fused multiply-adds rounds the stacked product.
+    Wherever 2*var overflows, as (Sigma + Sigma^T)/2 would, raises InvalidState
+    naming the first such t in ``ts``.  Call it with numpy's warnings off.
+    """
+    cols = frames[:, :, :3].T.copy()  # cols[k][X] is S_Xk at every time
+    sigma = sigma0.tolist()
+    # At one time (run) each numpy call costs more than its arithmetic, so the
+    # terms are summed in place, under the caller's errstate.
+    var = None
+    for j in range(3):
+        u = None
+        for k in range(3):
+            if sigma[k][j]:  # a term whose Sigma entry is 0 is exactly 0, as S is finite
+                term = cols[k] * sigma[k][j]
+                if u is None:
+                    u = term
+                else:
+                    u += term
+        if u is not None:
+            u *= cols[j]
+            if var is None:
+                var = u
+            else:
+                var += u
+    if var is None:  # Sigma is 0, and so is every variance
+        var = np.zeros_like(cols[0])
+    twice = var + var  # (Sigma + Sigma^T)/2 overflows exactly where this does
+    if not math.isfinite(twice.sum()):  # the sum of finite values may still overflow; then look closer
+        finite = np.isfinite(twice).all(axis=0)
+        if not finite.all():
+            raise InvalidState(f"propagated moments are not finite at t={float(ts[np.argmin(finite)])!r}")
+    return np.sqrt(np.maximum(var, 0.0, out=var), out=var).T
 
 
 def _propagate(
@@ -313,25 +348,28 @@ def infer_grid(
     """Evaluate frames, commutators, spreads and both routes' inference at once.
 
     ``state0`` is checked once, against the quantum uncertainty invariant.
-    One batched S Sigma S^T moves the covariance to every time (nothing here
-    reads a mean, so none is moved), and the measured box spread of each
-    route converts into dm = dX/|a_m| and dE = c**2*dm, next to the product
-    dE*dT and the bound hbar/2.  Returns the (N, 3, 5) frames and one
-    read-only ``SWEEP_DTYPE`` record per time; a degenerate entry (no mass
-    information) has inf dm, dE and product.
+    Only the variances move to every time, as the diagonal of S Sigma S^T
+    summed elementwise in one fixed order, with no BLAS call, so their
+    digits do not depend on the BLAS kernel (nothing here reads a mean or a
+    covariance).  The measured box spread of each route converts into
+    dm = dX/|a_m| and dE = c**2*dm, next to the product dE*dT and the bound
+    hbar/2.  Returns the (N, 3, 5) frames and one read-only ``SWEEP_DTYPE``
+    record per time; a degenerate entry (no mass information) has inf dm,
+    dE and product.
 
     Raises
     ------
     InvalidState
-        If ``state0`` breaks that invariant, or a propagated variance overflows.
+        If ``state0`` breaks that invariant, or twice a propagated variance
+        overflows; the message names the first such t.
     InvalidTime
         From :func:`~photonbox.dynamics.closed_form_grid`.
     """
     state0.validate(consts.hbar)
     frames, chi = closed_form_grid(consts, box, ts)
     t = np.asarray(ts, dtype=float)  # a grid closed_form_grid has checked
-    spreads = _spreads(_covariance(frames, state0.sigma, t))
-    with np.errstate(all="ignore"):  # dm, dE, the product and w*t*m may overflow to inf
+    with np.errstate(all="ignore"):  # variances, dm, dE, the product and w*t*m may overflow to inf
+        spreads = _grid_spreads(frames, state0.sigma, t)
         dm, degenerate, valid = _mass_rule(frames[:, _PQ_ROWS, 4], spreads[:, _PQ_ROWS], t, box)
         dE = consts.c * consts.c * dm
         product = dE * spreads[:, 2:]

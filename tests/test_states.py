@@ -30,6 +30,7 @@ from photonbox import (
     check_bound,
     commutator_closed,
     evolve_closed,
+    infer_grid,
     mass_uncertainty,
     mixture_statistics,
     photon_inference,
@@ -38,6 +39,7 @@ from photonbox import (
     run_scenario,
     time_energy_diagnostic,
 )
+from photonbox.states import _covariance
 
 
 def state(sigma, mu=(0.0, 0.0, 0.0)):
@@ -125,6 +127,14 @@ OFF_DIAGONAL = [(i, j) for i in range(3) for j in range(3) if i != j]
 
 
 @st.composite
+def psd_sigma(draw):
+    """A coupled positive semidefinite covariance, R R^T for a drawn 3x3 root R."""
+    root = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))).reshape(3, 3)
+    root *= 2.0 ** draw(st.integers(-150, 150))
+    return root @ root.T
+
+
+@st.composite
 def moments(draw):
     """mu and sigma: diagonal, coupled PSD, symmetric or arbitrary; maybe asymmetric or not finite."""
     kind = draw(st.sampled_from(["diagonal", "diagonal", "psd", "symmetric", "arbitrary"]))
@@ -133,9 +143,7 @@ def moments(draw):
         for ij in OFF_DIAGONAL:
             sigma[ij] = draw(ZERO)
     elif kind == "psd":
-        root = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))).reshape(3, 3)
-        root *= 2.0 ** draw(st.integers(-150, 150))
-        sigma = root @ root.T
+        sigma = draw(psd_sigma())
     else:
         sigma = np.array(draw(st.lists(ENTRY, min_size=9, max_size=9))).reshape(3, 3)
         if kind == "symmetric":
@@ -283,6 +291,82 @@ def test_overflowing_moments_are_refused(consts):
         with pytest.raises(InvalidState) as info:
             call()
         assert str(info.value) == "propagated moments are not finite"
+
+
+# infer_grid takes its spreads from the diagonal of S Sigma S^T alone, summed
+# elementwise; hbar/2 rounds to 0 here, so that any covariance validates.
+TINY_HBAR = 5e-324
+HALF_MAX = np.finfo(float).max / 2  # exact: a power-of-two scaling
+
+
+@pytest.mark.parametrize(
+    "over, ts, first",
+    [(True, [0.0, 4.000000000000001, 2.0, 4.0], "4.000000000000001"), (False, [0.0, 1.0, 4.0, 2.0], None)],
+    ids=["above", "below"],
+)
+def test_grid_refuses_exactly_where_twice_a_variance_overflows(over, ts, first):
+    # Free fall with g = 0: Q(t) = q + p*t/M, so var_Q = 1 + (t*v)*t with v the
+    # momentum variance.  With M = 1 and v = DBL_MAX/32, var_Q at t = 4 is
+    # DBL_MAX/2 exactly (1 is below half its ulp), and 2*var_Q still finite;
+    # one ulp more in v and 2*var_Q overflows at t = 4 and just past it.
+    v = HALF_MAX / 16.0
+    if over:
+        v = math.nextafter(v, math.inf)
+    s0 = state(np.diag([1.0, v, 1.0]))
+    consts, box = PhysConstants(hbar=1.0, c=1.0, g=0.0), BoxParams(M=1.0, m=0.5)
+    if over:
+        with pytest.raises(InvalidState) as info:
+            infer_grid(consts, box, s0, ts)
+        assert str(info.value) == f"propagated moments are not finite at t={first}"
+    else:
+        _, rows = infer_grid(consts, box, s0, ts)
+        assert rows["dq"][2] == math.sqrt(HALF_MAX) and np.isfinite(rows["dq"]).all()
+
+
+GRID_BOXES = st.builds(
+    BoxParams,
+    M=st.floats(100.0, 1e4),
+    m=st.floats(0.0, 10.0),
+    potential=st.one_of(st.builds(FreeFall), st.builds(Harmonic, k=st.floats(0.1, 1e3))),
+)
+GRID_TIMES = st.lists(st.floats(0.0, 20.0), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(psd_sigma(), GRID_BOXES, GRID_TIMES, st.floats(1.0, 10.0))
+def test_grid_spreads_of_a_coupled_state_match_the_whole_covariance(sigma, box, ts, c):
+    # Each variance is a sum of nine products S_Xk*Sigma_kj*S_Xj.  Any order of
+    # its multiplications and additions, fused or not, rounds it within
+    # gamma_6 = 6u (u = eps/2) of the exact sum, relative to A_X, the sum of the
+    # nine products' magnitudes (Higham, Accuracy and Stability, 3.1), so the
+    # two routes' variances differ by at most 6 eps*A_X.  The square roots add
+    # a relative u each, at most 3 eps*A_X in d1**2 - d2**2; so the bound below
+    # is 10 eps*A_X (a few ulps of the variance where nothing cancels), plus
+    # 1e-300 for products that round in the subnormal range.
+    consts = PhysConstants(hbar=TINY_HBAR, c=c, g=1.0)
+    frames, rows = infer_grid(consts, box, state(sigma), ts)
+    eps = np.finfo(float).eps
+    for frame, row in zip(frames, rows):
+        whole = np.sqrt(np.maximum(np.diagonal(_covariance(frame, sigma)), 0.0))
+        S = np.abs(frame[:, :3])
+        scale = ((S @ np.abs(sigma)) * S).sum(axis=1)  # A_X for each row X
+        for d1, d2, a in zip((row["dq"], row["dp"], row["dqcl"]), whole, scale):
+            assert abs(d1 - d2) * (d1 + d2) <= 10 * eps * a + 1e-300
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, 1e100), min_size=3, max_size=3), GRID_BOXES, GRID_TIMES)
+def test_grid_spreads_of_a_diagonal_state_are_a_fixed_order_sum(diagonal, box, ts):
+    consts = PhysConstants(hbar=TINY_HBAR, c=3.0, g=1.0)
+    frames, rows = infer_grid(consts, box, state(np.diag(diagonal)), ts)
+    for frame, row in zip(frames, rows):
+        for x, name in enumerate(("dq", "dp", "dqcl")):
+            s = frame[x, :3].tolist()
+            terms = [(s[j] * diagonal[j]) * s[j] for j in range(3) if diagonal[j]]
+            var = terms[0] if terms else 0.0
+            for term in terms[1:]:
+                var += term
+            assert row[name] == math.sqrt(max(var, 0.0)), name
 
 
 # ---------------------------------------------------------------------------
